@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_vector
+from .model import ProblemInstance, as_vector, ordered_mean
 from .prox import prox
 from .sampling import SamplingPlan, epoch_order
 
@@ -162,10 +162,7 @@ def saga_run(
             table = np.asarray(table_init, dtype=np.float64).copy()
             if table.shape != (p.n, p.d):
                 raise ValueError("table_init must have shape (n, d)")
-        gmean = np.zeros(p.d)
-        for i in range(p.n):
-            gmean = gmean + table[i]
-        gmean /= p.n
+        gmean = ordered_mean(table)
     _record(trace, 0, evals, x)
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1):

@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 verification/check failure, 2 usage or config
 error. Trace CSVs use the fixed column schema from diagnostics.CSV_COLUMNS,
-UTF-8, '.' decimals, and '\\n' newlines; files are written atomically. The
-environment variable SHUFFLE_VR_THREADS caps how many seeds/sweep cells run
-concurrently (default 1, fully sequential).
+UTF-8, '.' decimals, and '\\n' newlines; files are written atomically. Seeds
+and sweep cells run one after another.
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,23 +27,6 @@ class UsageError(Exception):
 
 
 ALGORITHMS = ("dfinito", "prox_gd", "sgd", "svrg", "saga", "finito_uniform")
-
-
-def _max_workers():
-    raw = os.environ.get("SHUFFLE_VR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"SHUFFLE_VR_THREADS must be an integer, got {raw!r}")
-
-
-def _map_maybe_parallel(fn, items):
-    workers = _max_workers()
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_csv(path, rows):
@@ -295,7 +276,7 @@ def cmd_run(args):
     seeds = args.seed or cfg.get("seeds") or [0]
     p, _ = _resolve_problem(cfg)
     reference = _reference_for(cfg, p)
-    per_seed = _map_maybe_parallel(lambda s: run_experiment(cfg, p, s, reference), seeds)
+    per_seed = [run_experiment(cfg, p, s, reference) for s in seeds]
     for s, records in zip(seeds, per_seed):
         _write_csv(os.path.join(out_dir, f"trace_seed{s}.csv"), [r.to_row() for r in records])
     _write_csv(os.path.join(out_dir, "trace_mean.csv"), _mean_rows(per_seed))
@@ -336,7 +317,7 @@ def cmd_sweep(args):
         mean_final = math.fsum(f.grad_map_residual_sq for f in finals) / len(finals)
         return mean_final
 
-    finals = _map_maybe_parallel(run_cell, cells)
+    finals = [run_cell(cell) for cell in cells]
     best = int(np.argmin(finals))
     path = os.path.join(out_dir, "sweep_summary.csv")
     tmp = f"{path}.tmp"

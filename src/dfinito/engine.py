@@ -4,8 +4,10 @@
 theory checks (O(n d) average per block application; clarity over speed).
 ``epoch_step`` executes the textbook epoch with an end-of-epoch damping pass,
 ``epoch_step_efficient`` the memory-lean variant that folds damping into each
-block correction; for permutation orders the two produce identical x-iterate
-sequences. ``run`` drives whole experiments and records diagnostics.
+block correction (the loop in :mod:`kernels`); for permutation orders the two
+produce identical x-iterate sequences. ``run`` drives whole experiments and
+records diagnostics: the uniform regime, whose orders repeat indices, takes
+the literal epoch and every permutation regime the memory-lean loop.
 """
 from __future__ import annotations
 
@@ -101,17 +103,7 @@ def epoch_step(p: ProblemInstance, s: MemoryState, order, theta: float) -> Memor
 
 def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
     """Memory-lean epoch mutating (z, zbar); no second n-by-d table."""
-    n = z.shape[0]
-    for i in order:
-        i = int(i)
-        x = prox(p.regularizer, alpha, zbar)
-        dvec = x - alpha * p.component_grad(i, x) - z[i]
-        zbar += dvec / n
-        z[i] += theta * dvec
-    acc = np.zeros(z.shape[1])
-    for i in range(n):
-        acc = acc + z[i]
-    zbar[:] = acc / n
+    kernels.epoch_inplace(p, z, zbar, alpha, theta, order)
 
 
 def epoch_step_efficient(p: ProblemInstance, s: MemoryState, order, theta: float) -> MemoryState:
@@ -142,15 +134,12 @@ def run(
     config: DampedRunConfig,
     z0,
     reference=None,
-    backend="auto",
     sink=None,
 ):
     """Execute a full damped-Finito run.
 
     reference: optional (xstar, zstar) pair enabling distance-to-optimum and
-    bound-envelope columns. backend: "auto" uses the fast epoch kernels when
-    the instance carries raw data arrays; "oracle" forces the generic path.
-    Returns (final MemoryState, list of TraceRecord).
+    bound-envelope columns. Returns (final MemoryState, list of TraceRecord).
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (p.n, p.d):
@@ -166,9 +155,6 @@ def run(
         xstar = np.asarray(xstar, dtype=np.float64)
         zstar = np.asarray(zstar, dtype=np.float64)
 
-    use_kernel = (
-        backend == "auto" and kernels.supports(p) and plan.regime != "uniform"
-    )
     w = None
     if plan.regime == "adaptive":
         diff = z0 - state.zbar
@@ -217,12 +203,8 @@ def run(
         pre_z = state.z.copy() if tracing else None
         if plan.regime == "uniform":
             state = epoch_step(p, state, order, config.theta)
-        elif use_kernel:
-            kernels.epoch_inplace(p, state.z, state.zbar, config.alpha, config.theta, order)
         else:
-            epoch_step_efficient_inplace(
-                p, state.z, state.zbar, config.alpha, config.theta, order
-            )
+            kernels.epoch_inplace(p, state.z, state.zbar, config.alpha, config.theta, order)
         grad_evals += p.n
         if plan.regime == "adaptive":
             w = update_importance(w, z_init, state.z, plan.gamma)

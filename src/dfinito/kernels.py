@@ -1,114 +1,66 @@
-"""Hot epoch kernels for the damped Finito update.
+"""The memory-lean epoch loop of the damped Finito update, for every problem kind.
 
-One epoch of the memory-lean update (running average maintained in O(d) per
-step, damping folded into the per-block correction) is implemented once in
-plain NumPy and, when available, JIT-compiled with numba. Set the environment
-variable ``DFINITO_DISABLE_NUMBA=1`` to force the pure-NumPy path; the two
-backends agree to floating-point noise and ``benchmarks/bench_epoch.py``
-compares their throughput.
+Each inner step takes the prox at the running table mean, refreshes block i
+with step alpha, adds theta times that correction to z_i and moves the mean
+by the undamped correction over n: O(d) per step and no second n-by-d table.
+The epoch ends with the exact fixed-order table mean, which bounds
+floating-point drift. The gradient comes from
+:meth:`ProblemInstance.unchecked_grad` and the prox from
+:func:`prox.prox_core`, so the loop knows nothing of the problem kind.
+
+Where numba imports, the same loop, prox, mean and built-in gradients are
+compiled and used for least-squares and logistic problems (``BACKEND`` is
+then "numba"); custom problems, whose gradients are Python callables, always
+run the plain loop. ``backend="numpy"`` forces the plain loop.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("DFINITO_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
+from .model import _grad_least_squares, _grad_logistic, ordered_mean, ordered_sum
+from .prox import REG_CODE, prox_core
 
 try:
-    if NUMBA_DISABLED:
-        raise ImportError
     from numba import njit
+    from numba.extending import register_jitable
 
     HAVE_NUMBA = True
 except ImportError:
     HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):  # identity decorator fallback
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
-REG_CODE = {"none": 0, "l1": 1, "l2sq": 2}
 
-
-def _prox_step(v, reg_code, t):
-    if reg_code == 1:
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-    if reg_code == 2:
-        return v / (1.0 + t)
-    return v.copy()
-
-
-def _epoch_least_squares(z, zbar, A, b, alpha, theta, order, reg_code, reg_t):
+def _epoch(z, zbar, order, alpha, theta, reg_code, reg_t, grad, data):
     n = z.shape[0]
-    for t in range(n):
-        i = order[t]
-        x = _prox_step(zbar, reg_code, reg_t)
-        g = A[i].T @ (A[i] @ x - b[i])
-        dvec = x - alpha * g - z[i]
+    for i in order:
+        x = prox_core(zbar, reg_code, reg_t)
+        dvec = x - alpha * grad(data, i, x) - z[i]
         zbar += dvec / n
         z[i] += theta * dvec
-    # exact fixed-order recompute at the epoch boundary bounds fp drift
-    acc = np.zeros(z.shape[1])
-    for i in range(n):
-        acc = acc + z[i]
-    zbar[:] = acc / n
+    zbar[:] = ordered_mean(z)
 
-
-def _epoch_logistic(z, zbar, W, y, ridge, alpha, theta, order, reg_code, reg_t):
-    n = z.shape[0]
-    for t in range(n):
-        i = order[t]
-        x = _prox_step(zbar, reg_code, reg_t)
-        m = y[i] * (W[i] @ x)
-        if m <= 0.0:
-            s = 1.0 / (1.0 + np.exp(m))
-        else:
-            e = np.exp(-m)
-            s = e / (1.0 + e)
-        g = -y[i] * s * W[i] + ridge * x
-        dvec = x - alpha * g - z[i]
-        zbar += dvec / n
-        z[i] += theta * dvec
-    acc = np.zeros(z.shape[1])
-    for i in range(n):
-        acc = acc + z[i]
-    zbar[:] = acc / n
-
-
-epoch_least_squares_numpy = _epoch_least_squares
-epoch_logistic_numpy = _epoch_logistic
 
 if HAVE_NUMBA:
-    _prox_step = njit(cache=True)(_prox_step)
-    epoch_least_squares = njit(cache=True)(_epoch_least_squares)
-    epoch_logistic = njit(cache=True)(_epoch_logistic)
+    # the plain functions stay callable from Python; compiled code calls
+    # their compiled twins (ordered_mean calls ordered_sum, so both)
+    register_jitable(prox_core)
+    register_jitable(ordered_sum)
+    register_jitable(ordered_mean)
+    _epoch_jit = njit(cache=True)(_epoch)
+    # keyed by the gradient that ProblemInstance.unchecked_grad returns
+    _JIT_GRADS = {g: njit(cache=True)(g) for g in (_grad_least_squares, _grad_logistic)}
 else:
-    epoch_least_squares = epoch_least_squares_numpy
-    epoch_logistic = epoch_logistic_numpy
-
-
-def supports(problem) -> bool:
-    """Whether the fast epoch path applies to this problem instance."""
-    return problem.kind in ("least_squares", "logistic")
+    _JIT_GRADS = {}
 
 
 def epoch_inplace(problem, z, zbar, alpha, theta, order, backend=None):
-    """Run one memory-lean epoch in place on (z, zbar)."""
-    reg_code = REG_CODE[problem.regularizer.kind]
-    reg_t = alpha * problem.regularizer.lam
+    """Run one memory-lean epoch in place on (z, zbar) along ``order``."""
     order = np.ascontiguousarray(order, dtype=np.int64)
-    if backend == "numpy":
-        ls, lo = epoch_least_squares_numpy, epoch_logistic_numpy
-    else:
-        ls, lo = epoch_least_squares, epoch_logistic
-    if problem.kind == "least_squares":
-        ls(z, zbar, problem.A, problem.b, alpha, theta, order, reg_code, reg_t)
-    elif problem.kind == "logistic":
-        lo(z, zbar, problem.W, problem.y, problem.ridge, alpha, theta, order, reg_code, reg_t)
-    else:
-        raise ValueError(f"no fast epoch kernel for problem kind {problem.kind!r}")
+    grad, data = problem.unchecked_grad()
+    loop = _epoch
+    jit_grad = None if backend == "numpy" else _JIT_GRADS.get(grad)
+    if jit_grad is not None:
+        loop, grad = _epoch_jit, jit_grad
+    reg = problem.regularizer
+    loop(z, zbar, order, alpha, theta, REG_CODE[reg.kind], alpha * reg.lam, grad, data)

@@ -3,7 +3,8 @@
 A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
 Three component families are supported natively (least squares, ridge-folded
 logistic, and arbitrary user callables); the first two carry their raw data
-arrays so the accelerated epoch kernels can consume them directly.
+arrays, and :meth:`ProblemInstance.unchecked_grad` hands the epoch loop a
+per-component gradient over them that skips input validation.
 """
 from __future__ import annotations
 
@@ -56,6 +57,26 @@ def stable_sigmoid(u):
     eu = np.exp(u[~pos])
     out[~pos] = eu / (1.0 + eu)
     return out
+
+
+def _grad_least_squares(data, i, x):
+    """grad of 0.5 ||A_i x - b_i||^2 for data = (A, b); unchecked."""
+    A, b = data
+    return A[i].T @ (A[i] @ x - b[i])
+
+
+def _grad_logistic(data, i, x):
+    """grad of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 for
+    data = (W, y, ridge); unchecked. The sigmoid branches on the sign of the
+    margin so that exp never overflows; it matches :func:`stable_sigmoid`."""
+    W, y, ridge = data
+    m = y[i] * (W[i] @ x)
+    if m <= 0.0:
+        s = 1.0 / (1.0 + np.exp(m))
+    else:
+        e = np.exp(-m)
+        s = e / (1.0 + e)
+    return -y[i] * s * W[i] + ridge * x
 
 
 @dataclass(frozen=True)
@@ -165,20 +186,32 @@ class ProblemInstance:
         self._check_index(i)
         x = as_vector(x, self.d)
         if self.kind == "least_squares":
-            return self.A[i].T @ (self.A[i] @ x - self.b[i])
+            return _grad_least_squares((self.A, self.b), i, x)
         if self.kind == "logistic":
-            m = self.y[i] * (self.W[i] @ x)
-            s = float(stable_sigmoid(np.array([-m]))[0])
-            return -self.y[i] * s * self.W[i] + self.ridge * x
-        g = as_vector(self.grads[i](x), self.d)
-        return g
+            return _grad_logistic((self.W, self.y, self.ridge), i, x)
+        return as_vector(self.grads[i](x), self.d)
+
+    def unchecked_grad(self):
+        """(grad, data) with grad(data, i, x) the gradient of f_i at x.
+
+        The epoch loop calls grad n times per epoch, so for the built-in
+        kinds it skips the index and vector checks. Custom problems get the
+        validated :meth:`component_grad`, because their callables are outside
+        input.
+        """
+        if self.kind == "least_squares":
+            return _grad_least_squares, (self.A, self.b)
+        if self.kind == "logistic":
+            return _grad_logistic, (self.W, self.y, self.ridge)
+        return ProblemInstance.component_grad, self
 
     def full_grad(self, x):
         """(1/n) sum_i grad f_i(x), summed in fixed order i = 0..n-1."""
         x = as_vector(x, self.d)
+        grad, data = self.unchecked_grad()
         acc = np.zeros(self.d)
         for i in range(self.n):
-            acc = acc + self.component_grad(i, x)
+            acc = acc + grad(data, i, x)
         return acc / self.n
 
     def full_value(self, x):
@@ -190,14 +223,6 @@ class ProblemInstance:
 
     def objective(self, x):
         return self.full_value(x) + self.regularizer.value(x)
-
-
-def grad_component(p: ProblemInstance, i: int, x) -> np.ndarray:
-    return p.component_grad(i, x)
-
-
-def grad_full(p: ProblemInstance, x) -> np.ndarray:
-    return p.full_grad(x)
 
 
 @dataclass

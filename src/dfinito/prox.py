@@ -6,6 +6,19 @@ import numpy as np
 from .model import Regularizer, as_vector
 
 
+REG_CODE = {"none": 0, "l1": 1, "l2sq": 2}
+
+
+def prox_core(v, reg_code, t):
+    """The closed-form prox with weight ``t`` for ``REG_CODE`` regularizer
+    ``reg_code``; no input checks, so hot loops (and numba) can call it."""
+    if reg_code == 1:
+        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    if reg_code == 2:
+        return v / (1.0 + t)
+    return v.copy()
+
+
 def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
     """argmin_y { alpha * r(y) + 0.5 ||y - v||^2 }.
 
@@ -15,14 +28,9 @@ def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     v = as_vector(v)
-    if r.kind == "none":
-        return v.copy()
-    t = alpha * r.lam
-    if r.kind == "l1":
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-    if r.kind == "l2sq":
-        return v / (1.0 + t)
-    raise ValueError(f"unsupported regularizer kind {r.kind!r}")
+    if r.kind not in REG_CODE:
+        raise ValueError(f"unsupported regularizer kind {r.kind!r}")
+    return prox_core(v, REG_CODE[r.kind], alpha * r.lam)
 
 
 def subgradient_residual(r: Regularizer, x, g_smooth) -> float:

@@ -147,24 +147,6 @@ def test_run_bad_format_and_missing_config(tmp_path, ls_instance):
     assert run_cli("run") == 2
 
 
-def test_threads_env_parallel_matches_sequential(tmp_path, ls_instance, monkeypatch):
-    results = {}
-    for workers in ("1", "4"):
-        monkeypatch.setenv("SHUFFLE_VR_THREADS", workers)
-        out = tmp_path / f"w{workers}"
-        out.mkdir()
-        cfg = _config(tmp_path, ls_instance, seeds=[0, 1, 2])
-        assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
-        results[workers] = (out / "trace_mean.csv").read_bytes()
-    assert results["1"] == results["4"]
-
-
-def test_threads_env_invalid(tmp_path, ls_instance, monkeypatch):
-    monkeypatch.setenv("SHUFFLE_VR_THREADS", "lots")
-    cfg = _config(tmp_path, ls_instance)
-    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
-
-
 def test_sweep_summary(tmp_path, ls_instance):
     out = tmp_path / "sweep"
     out.mkdir()

@@ -1,7 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfinito import kernels
 from dfinito.engine import (
@@ -14,7 +17,7 @@ from dfinito.engine import (
     epoch_step_efficient_inplace,
     run,
 )
-from dfinito.model import MemoryState, Regularizer, ordered_mean
+from dfinito.model import MemoryState, ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic
 from dfinito.prox import prox
@@ -229,25 +232,21 @@ def test_config_validation():
 # ----------------------------------------------------------- epoch kernels
 
 
+def _loop_gap(p, z, alpha, theta, order, backend=None):
+    """Largest entry gap between the memory-lean loop and the literal epoch."""
+    want = epoch_step(p, MemoryState.from_table(z, alpha, theta), order, theta)
+    got_z, got_zbar = z.copy(), ordered_mean(z)
+    kernels.epoch_inplace(p, got_z, got_zbar, alpha, theta, order, backend=backend)
+    return max(np.max(np.abs(got_z - want.z)), np.max(np.abs(got_zbar - want.zbar)))
+
+
 def _kernel_agreement(p):
     rng = np.random.default_rng(12)
     alpha, theta = 1.0 / p.L, 0.6
     order = rng.permutation(p.n)
     z = rng.standard_normal((p.n, p.d))
-    zbar = ordered_mean(z)
-
-    z_gen, zbar_gen = z.copy(), zbar.copy()
-    epoch_step_efficient_inplace(p, z_gen, zbar_gen, alpha, theta, order)
-
-    z_np, zbar_np = z.copy(), zbar.copy()
-    kernels.epoch_inplace(p, z_np, zbar_np, alpha, theta, order, backend="numpy")
-    assert np.max(np.abs(z_np - z_gen)) <= 1e-12
-    assert np.max(np.abs(zbar_np - zbar_gen)) <= 1e-12
-
-    z_jit, zbar_jit = z.copy(), zbar.copy()
-    kernels.epoch_inplace(p, z_jit, zbar_jit, alpha, theta, order)
-    assert np.max(np.abs(z_jit - z_gen)) <= 1e-10
-    assert np.max(np.abs(zbar_jit - zbar_gen)) <= 1e-10
+    assert _loop_gap(p, z, alpha, theta, order, backend="numpy") <= 1e-12
+    assert _loop_gap(p, z, alpha, theta, order) <= 1e-10
 
 
 def test_kernels_agree_least_squares(composite_problem):
@@ -261,11 +260,46 @@ def test_kernels_agree_logistic():
     _kernel_agreement(gen_logistic(W, y, 0.2))
 
 
+def _custom_problem(n, d, rng, reg=None):
+    """f_i(x) = (c_i / 2) ||x - a_i||^2 behind Python callables."""
+    c = rng.uniform(0.5, 2.0, size=n)
+    a = rng.standard_normal((n, d))
+    grads = [lambda x, ci=ci, ai=ai: ci * (x - ai) for ci, ai in zip(c, a)]
+    return ProblemInstance(kind="custom", n=n, d=d, regularizer=reg or Regularizer.none(),
+                           L=float(c.max()), mu=float(c.min()), grads=grads)
+
+
 def test_kernel_supports_and_rejects():
-    from dfinito.model import ProblemInstance
-    p = ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
-                        L=1.0, mu=0.0,
-                        grads=[lambda x: x, lambda x: 2 * x])
-    assert not kernels.supports(p)
-    with pytest.raises(ValueError):
-        kernels.epoch_inplace(p, np.zeros((2, 1)), np.zeros(1), 0.1, 0.5, np.array([0, 1]))
+    rng = np.random.default_rng(14)
+    p = _custom_problem(6, 3, rng, Regularizer.l1(0.1))
+    z = rng.standard_normal((p.n, p.d))
+    assert _loop_gap(p, z, 1.0 / p.L, 0.5, rng.permutation(p.n)) <= 1e-12
+    for bad in (lambda x: np.full_like(x, np.nan), lambda x: np.zeros(x.shape[0] + 1)):
+        q = ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
+                            L=1.0, mu=0.0, grads=[bad, bad])
+        with pytest.raises(ValueError):
+            kernels.epoch_inplace(q, np.zeros((2, 1)), np.zeros(1), 0.1, 0.5, np.array([0, 1]))
+
+
+REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
+                "l2sq": Regularizer.l2sq(0.3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["least_squares", "logistic", "custom"]),
+       reg=st.sampled_from(sorted(REGULARIZERS)),
+       n=st.integers(1, 7), d=st.integers(1, 4),
+       theta=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_loop_matches_literal_epoch_property(kind, reg, n, d, theta, seed):
+    rng = np.random.default_rng(seed)
+    r = REGULARIZERS[reg]
+    if kind == "least_squares":
+        p = gen_least_squares(seed, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
+    elif kind == "logistic":
+        W = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        p = dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
+    else:
+        p = _custom_problem(n, d, rng, r)
+    z = rng.standard_normal((n, d))
+    assert _loop_gap(p, z, 1.0 / p.L, theta, rng.permutation(n)) <= 1e-12
