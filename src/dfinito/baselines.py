@@ -80,13 +80,14 @@ def sgd_run(p: ProblemInstance, plan: SamplingPlan, alpha: float, epochs: int, x
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     x = as_vector(x0, p.d).copy()
+    grad, data = p.unchecked_grad()
     trace = []
     _record(trace, 0, 0, x)
     t = 0
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1):
             step = alpha if schedule == "constant" else alpha / math.sqrt(t + 1.0)
-            x = x - step * p.component_grad(int(i), x)
+            x = x - step * grad(data, int(i), x)
             t += 1
         _record(trace, k, t, x)
     return trace
@@ -112,6 +113,7 @@ def svrg_run(
     if not (alpha > 0) or snapshot_every < 1:
         raise ValueError("need alpha > 0 and snapshot_every >= 1")
     x = as_vector(x0, p.d).copy()
+    grad, data = p.unchecked_grad()
     trace = []
     _record(trace, 0, 0, x)
     evals = 0
@@ -123,10 +125,10 @@ def svrg_run(
             evals += p.n
         for i in epoch_order(plan, k - 1):
             i = int(i)
-            g = p.component_grad(i, x)
+            g = grad(data, i, x)
             evals += 1
             if correction:
-                g = g - p.component_grad(i, y) + gy
+                g = g - grad(data, i, y) + gy
                 evals += 1
             x = prox(p.regularizer, alpha, x - alpha * g)
         _record(trace, k, evals, x)
@@ -152,11 +154,12 @@ def saga_run(
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     x = as_vector(x0, p.d).copy()
+    grad, data = p.unchecked_grad()
     trace = []
     evals = 0
     if correction:
         if table_init is None:
-            table = np.stack([p.component_grad(i, x) for i in range(p.n)])
+            table = np.stack([grad(data, i, x) for i in range(p.n)])
             evals += p.n
         else:
             table = np.asarray(table_init, dtype=np.float64).copy()
@@ -167,7 +170,7 @@ def saga_run(
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1):
             i = int(i)
-            g = p.component_grad(i, x)
+            g = grad(data, i, x)
             evals += 1
             if correction:
                 step_dir = g - table[i] + gmean

@@ -254,13 +254,14 @@ def run_experiment(cfg, p, seed, reference):
     return _baseline_to_records(p, trace, reference, trace_every)
 
 
-def _reference_for(cfg, p):
+def _reference_for(cfg, p, previous=None):
+    """(x*, z*) at the config's alpha, or None if off; x* is reused from a ``previous`` pair."""
     if not cfg.get("reference", True):
         return None
     alpha_probe = cfg.get("alpha", "theory")
     regime = cfg.get("sampling", {}).get("regime", "reshuffle")
     alpha = _resolve_alpha(cfg, p, regime) if alpha_probe == "theory" else float(alpha_probe)
-    xstar = oracle.solve_reference(p, tol=1e-10)
+    xstar = oracle.solve_reference(p, tol=1e-10) if previous is None else previous[0]
     return xstar, oracle.zstar_table(p, xstar, alpha)
 
 
@@ -310,14 +311,11 @@ def cmd_sweep(args):
                 cell.update({"alpha": a, "theta": t, "sampling": smp})
                 cells.append(cell)
 
-    def run_cell(cell):
-        reference = _reference_for(cell, p)
+    finals, reference = [], None
+    for cell in cells:
+        reference = _reference_for(cell, p, reference)
         per_seed = [run_experiment(cell, p, s, reference) for s in seeds]
-        finals = [recs[-1] for recs in per_seed]
-        mean_final = math.fsum(f.grad_map_residual_sq for f in finals) / len(finals)
-        return mean_final
-
-    finals = [run_cell(cell) for cell in cells]
+        finals.append(math.fsum(recs[-1].grad_map_residual_sq for recs in per_seed) / len(seeds))
     best = int(np.argmin(finals))
     path = os.path.join(out_dir, "sweep_summary.csv")
     tmp = f"{path}.tmp"

@@ -3,13 +3,15 @@
 A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
 Three component families are supported natively (least squares, ridge-folded
 logistic, and arbitrary user callables); the first two carry their raw data
-arrays, and :meth:`ProblemInstance.unchecked_grad` hands the epoch loop a
-per-component gradient over them that skips input validation.
+arrays. :meth:`ProblemInstance.full_grad` is the one full-gradient path, and
+:meth:`ProblemInstance.unchecked_grad` hands the hot loops a per-component
+gradient that skips input validation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +35,8 @@ def as_vector(x, dim=None):
 def ordered_sum(rows):
     """Sum table rows strictly left to right.
 
-    Every average in this package uses a fixed summation order so that runs
-    are reproducible independent of BLAS reduction strategy.
+    Table means and the custom-problem full gradient use this fixed order so
+    that runs do not depend on a BLAS reduction strategy.
     """
     rows = np.asarray(rows, dtype=np.float64)
     acc = np.zeros(rows.shape[-1])
@@ -205,14 +207,26 @@ class ProblemInstance:
             return _grad_logistic, (self.W, self.y, self.ridge)
         return ProblemInstance.component_grad, self
 
+    @cached_property
+    def gram(self):
+        """Least squares: (H, g) = (mean A_i^T A_i, mean A_i^T b_i), computed once; read-only."""
+        H = np.einsum("ikd,ike->de", self.A, self.A) / self.n
+        g = np.einsum("ikd,ik->d", self.A, self.b) / self.n
+        H.flags.writeable = g.flags.writeable = False
+        return H, g
+
     def full_grad(self, x):
-        """(1/n) sum_i grad f_i(x), summed in fixed order i = 0..n-1."""
+        """(1/n) sum_i grad f_i(x): H x - g over :attr:`gram` for least squares; for
+        logistic an einsum sum over components, never a threaded BLAS product, so it
+        is the same for any BLAS thread count; custom: the fixed-order component sum."""
         x = as_vector(x, self.d)
-        grad, data = self.unchecked_grad()
-        acc = np.zeros(self.d)
-        for i in range(self.n):
-            acc = acc + grad(data, i, x)
-        return acc / self.n
+        if self.kind == "least_squares":
+            H, g = self.gram
+            return H @ x - g
+        if self.kind == "logistic":
+            s = stable_sigmoid(-(self.y * (self.W @ x)))
+            return -np.einsum("i,ij->j", self.y * s, self.W) / self.n + self.ridge * x
+        return ordered_mean([self.component_grad(i, x) for i in range(self.n)])
 
     def full_value(self, x):
         x = as_vector(x, self.d)

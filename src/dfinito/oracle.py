@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the problem definition, not
 against the optimizer implementation: closed-form solves where available,
-plain proximal gradient descent otherwise, and brute-force enumeration over
-permutations for the ordering and expectation oracles.
+plain proximal gradient descent on the model's full gradient otherwise, and
+brute-force enumeration over permutations for the ordering and expectation
+oracles.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .engine import apply_Tpi
-from .model import ProblemInstance, stable_sigmoid
+from .model import ProblemInstance, as_vector
 from .prox import prox, subgradient_residual
 
 ITERATION_CAP = 10**7
@@ -21,24 +22,6 @@ ITERATION_CAP = 10**7
 
 class OracleError(RuntimeError):
     pass
-
-
-def _fast_full_grad(p: ProblemInstance):
-    """Vectorized full-gradient closure (the oracle's own, not the model's)."""
-    if p.kind == "least_squares":
-        # mean_i A_i^T (A_i x - b_i) = H x - g with precomputed H, g
-        H = np.einsum("ikd,ike->de", p.A, p.A) / p.n
-        g = np.einsum("ikd,ik->d", p.A, p.b) / p.n
-        return lambda x: H @ x - g
-    if p.kind == "logistic":
-        W, y, ridge, n = p.W, p.y, p.ridge, p.n
-
-        def grad(x):
-            s = stable_sigmoid(-(y * (W @ x)))
-            return -(W.T @ (y * s)) / n + ridge * x
-
-        return grad
-    return p.full_grad
 
 
 def solve_reference(p: ProblemInstance, tol=1e-10):
@@ -51,18 +34,18 @@ def solve_reference(p: ProblemInstance, tol=1e-10):
     if not (tol > 0):
         raise ValueError("tol must be positive")
     if p.kind == "least_squares" and p.regularizer.kind in ("none", "l2sq"):
-        H = np.einsum("ikd,ike->de", p.A, p.A) / p.n
-        g = np.einsum("ikd,ik->d", p.A, p.b) / p.n
+        H, g = p.gram
         if p.regularizer.kind == "l2sq":
             H = H + p.regularizer.lam * np.eye(p.d)
         return np.linalg.solve(H, g)
-    grad = _fast_full_grad(p)
     alpha = 1.0 / p.L
     x = np.zeros(p.d)
+    gx = p.full_grad(x)
     res = math.inf
     for _ in range(ITERATION_CAP):
-        x = prox(p.regularizer, alpha, x - alpha * grad(x))
-        res = subgradient_residual(p.regularizer, x, grad(x))
+        x = prox(p.regularizer, alpha, x - alpha * gx)
+        gx = p.full_grad(x)
+        res = subgradient_residual(p.regularizer, x, gx)
         if res <= tol * tol:
             return x
     raise OracleError(f"no convergence within {ITERATION_CAP} iterations; residual {res:.3e}")
@@ -70,10 +53,11 @@ def solve_reference(p: ProblemInstance, tol=1e-10):
 
 def zstar_table(p: ProblemInstance, xstar, alpha):
     """Fixed-point table z_i* = x* - alpha * grad f_i(x*)."""
-    xstar = np.asarray(xstar, dtype=np.float64)
+    xstar = as_vector(xstar, p.d)
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
-    return np.stack([xstar - alpha * p.component_grad(i, xstar) for i in range(p.n)])
+    grad, data = p.unchecked_grad()
+    return np.stack([xstar - alpha * grad(data, i, xstar) for i in range(p.n)])
 
 
 def brute_force_best_order(scores):

@@ -1,12 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dfinito
+from dfinito import cli, oracle
 from dfinito.cli import main, read_trace_csv
 from dfinito.diagnostics import CSV_COLUMNS
+from dfinito.problems import gen_logistic, save_instance
 
 
 def run_cli(*argv):
@@ -166,6 +171,38 @@ def test_sweep_summary(tmp_path, ls_instance):
     assert sum(line.endswith(",1") for line in lines[1:]) == 1
 
 
+def test_sweep_solves_reference_once(tmp_path, ls_instance, monkeypatch):
+    calls = []
+    solve = oracle.solve_reference
+
+    def counted(p, tol):
+        calls.append(tol)
+        return solve(p, tol=tol)
+
+    monkeypatch.setattr(oracle, "solve_reference", counted)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "problem": {"path": ls_instance},
+        "algorithm": "dfinito",
+        "epochs": 3,
+        "seeds": [0, 1],
+        "grid": {"alpha": ["theory", 0.1], "theta": [0.5, 0.9],
+                 "sampling": [{"regime": "reshuffle"}, {"regime": "cyclic"}]},
+    }), encoding="utf-8")
+    once, per_cell = tmp_path / "once", tmp_path / "per_cell"
+    once.mkdir()
+    per_cell.mkdir()
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(once)) == 0
+    assert len(calls) == 1
+    # re-solving for each of the 8 cells writes the same bytes
+    reference_for = cli._reference_for
+    monkeypatch.setattr(cli, "_reference_for", lambda cfg, p, previous=None: reference_for(cfg, p))
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(per_cell)) == 0
+    assert len(calls) == 1 + 8
+    summary = "sweep_summary.csv"
+    assert (once / summary).read_bytes() == (per_cell / summary).read_bytes()
+
+
 def test_sweep_requires_grid(tmp_path, ls_instance):
     cfg = _config(tmp_path, ls_instance)
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path)) == 2
@@ -221,3 +258,38 @@ def test_order_requires_instance():
 
 def test_no_command_prints_help(capsys):
     assert run_cli() == 2
+
+
+def _run_in_subprocess(cfg_path, out, blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.path.dirname(os.path.dirname(dfinito.__file__)))
+    code = "import sys; from dfinito.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg_path),
+                    "--out", str(out)], env=env, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("kind", ["least_squares_l1", "logistic_file"])
+def test_traces_independent_of_blas_threads(tmp_path, kind):
+    if kind == "least_squares_l1":
+        problem = {"generator": {"kind": "least_squares", "n": 400, "d": 30, "k": 30,
+                                 "L": 10.0, "mu": 0.1, "reg": "l1", "reg_lam": 0.01}}
+    else:
+        # loaded from a file: the logistic generator's eigvalsh(W^T W) is itself
+        # thread-dependent; at this size OpenBLAS threads W^T v and splits its sum
+        rng = np.random.default_rng(0)
+        W = rng.standard_normal((4000, 300)) / math.sqrt(300)
+        y = np.where(rng.random(4000) < 0.5, -1.0, 1.0)
+        save_instance(str(tmp_path / "instance.json"), gen_logistic(W, y, 0.1))
+        problem = {"path": str(tmp_path / "instance.json")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "problem": problem, "algorithm": "dfinito", "sampling": {"regime": "reshuffle"},
+        "alpha": "theory", "theta": 0.5, "epochs": 2, "seeds": [0], "trace_every": 1,
+    }), encoding="utf-8")
+    traces = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        _run_in_subprocess(cfg_path, out, threads)
+        traces.append((out / "trace_seed0.csv").read_bytes())
+    assert traces[0] == traces[1]

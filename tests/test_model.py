@@ -102,13 +102,37 @@ def test_logistic_gradient_finite_differences():
     _finite_difference_check(p)
 
 
-def test_full_grad_is_fixed_order_average():
-    p = gen_least_squares(2, n=5, d=3, k=4, L=2.0, mu=0.0)
-    x = np.random.default_rng(3).standard_normal(3)
-    acc = np.zeros(3)
+def _component_sum(p, x):
+    acc = np.zeros(p.d)
     for i in range(p.n):
         acc = acc + p.component_grad(i, x)
-    assert np.array_equal(p.full_grad(x), acc / p.n)
+    return acc / p.n
+
+
+def test_full_grad_matches_component_sum():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(4)
+    ls = gen_least_squares(2, n=7, d=4, k=3, L=2.0, mu=0.0)
+    W = rng.standard_normal((9, 4))
+    y = np.where(rng.random(9) < 0.5, -1.0, 1.0)
+    logistic = gen_logistic(3.0 * W, y, 0.2)  # margins of both signs, some large
+    for p in (ls, logistic):
+        want = _component_sum(p, x)
+        np.testing.assert_allclose(p.full_grad(x), want, rtol=1e-12, atol=0.0)
+    # custom problems keep the fixed-order component sum exactly
+    C = rng.standard_normal((5, 4))
+    custom = ProblemInstance(kind="custom", n=5, d=4, regularizer=Regularizer.none(),
+                             L=1.0, mu=0.0, grads=[lambda v, c=c: v - c for c in C])
+    assert np.array_equal(custom.full_grad(x), _component_sum(custom, x))
+
+
+def test_gram_pair_is_computed_once():
+    p = gen_least_squares(2, n=5, d=3, k=4, L=2.0, mu=0.0)
+    H, g = p.gram
+    assert p.gram[0] is H and p.gram[1] is g
+    assert not (H.flags.writeable or g.flags.writeable)
+    np.testing.assert_allclose(H, sum(a.T @ a for a in p.A) / p.n, rtol=1e-12)
+    np.testing.assert_allclose(g, sum(a.T @ b for a, b in zip(p.A, p.b)) / p.n, rtol=1e-12)
 
 
 def test_objective_includes_regularizer():

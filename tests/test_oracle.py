@@ -9,7 +9,7 @@ from dfinito.oracle import (
     zstar_table,
 )
 from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
-from dfinito.prox import prox
+from dfinito.prox import prox, subgradient_residual
 from dfinito.sampling import optimal_cyclic_order
 
 
@@ -151,3 +151,37 @@ def test_logistic_reference_residual():
     p = gen_logistic(W, y, 0.3)
     xstar = solve_reference(p, tol=1e-10)
     assert float(np.linalg.norm(p.full_grad(xstar))) <= 1e-9
+
+
+def _two_gradient_solve(p, tol):
+    """Prox-GD evaluating the full gradient twice per iteration at the same x."""
+    alpha = 1.0 / p.L
+    x = np.zeros(p.d)
+    for _ in range(100_000):
+        x = prox(p.regularizer, alpha, x - alpha * p.full_grad(x))
+        if subgradient_residual(p.regularizer, x, p.full_grad(x)) <= tol * tol:
+            return x
+    raise AssertionError("no convergence")
+
+
+def test_solve_reference_one_gradient_per_iteration(monkeypatch):
+    rng = np.random.default_rng(4)
+    W = rng.standard_normal((30, 5))
+    y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    ls_l1 = gen_least_squares(1, n=12, d=5, k=5, L=4.0, mu=0.2,
+                              regularizer=Regularizer.l1(0.05))
+    calls = []
+    full_grad = ProblemInstance.full_grad
+
+    def counted(self, x):
+        calls.append(1)
+        return full_grad(self, x)
+
+    monkeypatch.setattr(ProblemInstance, "full_grad", counted)
+    for p in (ls_l1, gen_logistic(W, y, 0.1)):
+        calls.clear()
+        want = _two_gradient_solve(p, 1e-10)
+        two_per_iteration = len(calls)
+        calls.clear()
+        assert np.array_equal(solve_reference(p, tol=1e-10), want)
+        assert len(calls) == two_per_iteration // 2 + 1
