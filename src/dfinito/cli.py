@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -19,7 +21,7 @@ import numpy as np
 from . import baselines, engine, oracle, problems, sampling, verify
 from .diagnostics import CSV_COLUMNS, TraceRecord, rho_ratio
 from .model import Regularizer
-from .prox import prox, subgradient_residual
+from .prox import subgradient_residual
 
 
 class UsageError(Exception):
@@ -28,12 +30,30 @@ class UsageError(Exception):
 
 ALGORITHMS = ("dfinito", "prox_gd", "sgd", "svrg", "saga", "finito_uniform")
 
+# Every config key that run and sweep accept, with its default; any other key
+# exits 2. A generator's keys depend on its kind.
+REQUIRED = object()
+CONFIG_KEYS = {
+    "problem": REQUIRED, "algorithm": "dfinito", "sampling": {}, "alpha": "theory",
+    "theta": 0.5, "epochs": 100, "seeds": [0], "trace_every": 1, "schedule": "constant",
+    "snapshot_every": 2, "reference": True, "output": None, "grid": None,
+}
+PROBLEM_KEYS = {"path": None, "generator": None}
+GENERATOR_KEYS = {
+    "least_squares": {"kind": REQUIRED, "n": REQUIRED, "d": REQUIRED, "L": REQUIRED,
+                      "k": None, "mu": 0.0, "reg": "none", "reg_lam": 0.0, "seed": 0},
+    "logistic": {"kind": REQUIRED, "n": REQUIRED, "d": REQUIRED, "kappa": None,
+                 "lam": None, "seed": 0},
+}
+SAMPLING_KEYS = {"regime": "reshuffle", "order": None, "gamma": 0.5}
+GRID_AXES = {"alpha": None, "theta": None, "sampling": None}
 
-def _write_csv(path, rows):
+
+def _write_csv(path, header, rows):
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(header)
         writer.writerows(rows)
     os.replace(tmp, path)
 
@@ -86,36 +106,31 @@ def _mean_rows(per_seed_records):
 
 
 def cmd_generate(args):
-    if args.out is None:
-        raise UsageError("generate requires --out DIR")
     if not os.path.isdir(args.out):
         raise UsageError(f"output directory does not exist: {args.out}")
-    seed = args.seed[0] if args.seed else 0
     rho = None
     cert = None
     if args.kind == "least_squares":
         reg = Regularizer(args.reg, args.reg_lam)
-        p = problems.gen_least_squares(seed, args.n, args.d, args.k, args.L, args.mu,
+        p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
                                        regularizer=reg)
     elif args.kind == "heterogeneous":
         alpha = args.alpha if args.alpha else 2.0 / (args.L + args.mu)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
         z0 = rng.standard_normal((args.n, args.d))
         p, cert = problems.gen_heterogeneous(
-            seed, args.n, args.d, max(args.k, args.d), args.mu, args.L, alpha,
+            args.seed, args.n, args.d, max(args.k, args.d), args.mu, args.L, alpha,
             args.beta, z0,
         )
         p.metadata["z0"] = z0.tolist()
         zstar = cert.zstar(z0)
         profile = np.einsum("ij,ij->i", z0 - zstar, z0 - zstar)
         rho = rho_ratio(z0, zstar, sampling.optimal_cyclic_order(profile))
-    elif args.kind == "logistic":
+    else:
         W, y, lam = problems.make_synthetic_logistic(
-            seed, args.n, args.d, kappa=args.kappa, lam=args.lam
+            args.seed, args.n, args.d, kappa=args.kappa, lam=args.lam
         )
         p = problems.gen_logistic(W, y, lam)
-    else:
-        raise UsageError(f"unknown kind {args.kind!r}")
     path = os.path.join(args.out, "instance.json")
     problems.save_instance(path, p, cert)
     summary = f"kind={p.kind} n={p.n} d={p.d} L={p.L:.6g} mu={p.mu:.6g} kappa={p.L / p.mu if p.mu > 0 else math.inf:.6g}"
@@ -126,79 +141,95 @@ def cmd_generate(args):
     return 0
 
 
-# -------------------------------------------------------------------- run
+# ------------------------------------------------------------- run, sweep
 
 
-def _load_config(path):
-    if path is None:
-        raise UsageError("--config PATH is required")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
+def _fill(obj, keys, where):
+    """``obj`` over the defaults in ``keys``; an unknown or missing key is named."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise UsageError(f"unknown key {unknown[0]!r} in {where}")
+    missing = [key for key, default in keys.items() if default is REQUIRED and key not in obj]
+    if missing:
+        raise UsageError(f"{where} needs {missing[0]!r}")
+    return {**keys, **obj}
 
 
-def _resolve_problem(cfg):
-    spec = cfg.get("problem")
-    if not isinstance(spec, dict):
-        raise UsageError("config needs a 'problem' object")
-    if "path" in spec:
-        return problems.load_instance(spec["path"])
-    gen = spec.get("generator")
-    if not isinstance(gen, dict):
-        raise UsageError("'problem' needs 'path' or 'generator'")
-    kind = gen.get("kind")
+def _number(value, cast, key):
+    """``value`` as a finite ``cast`` (int or float); anything else is named."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or cast(value) != value):
+        raise UsageError(f"{key} must be a finite {cast.__name__}, got {value!r}")
+    return cast(value)
+
+
+def _resolve_problem(spec):
+    spec = _fill(spec, PROBLEM_KEYS, "problem")
+    if spec["path"] is not None:
+        return problems.load_instance(spec["path"])[0]
+    gen = spec["generator"]
+    kind = gen.get("kind") if isinstance(gen, dict) else None
+    if kind not in GENERATOR_KEYS:
+        raise UsageError("'problem' needs 'path' or a 'generator' of kind "
+                         f"{' or '.join(GENERATOR_KEYS)}, got {gen!r}")
+    gen = _fill(gen, GENERATOR_KEYS[kind], f"{kind} generator")
     if kind == "least_squares":
-        reg = Regularizer(gen.get("reg", "none"), gen.get("reg_lam", 0.0))
-        return (
-            problems.gen_least_squares(
-                gen.get("seed", 0), gen["n"], gen["d"], gen.get("k", gen["d"]),
-                gen["L"], gen.get("mu", 0.0), regularizer=reg,
-            ),
-            None,
+        return problems.gen_least_squares(
+            gen["seed"], gen["n"], gen["d"], gen["d"] if gen["k"] is None else gen["k"],
+            gen["L"], gen["mu"], regularizer=Regularizer(gen["reg"], gen["reg_lam"]),
         )
-    if kind == "logistic":
-        W, y, lam = problems.make_synthetic_logistic(
-            gen.get("seed", 0), gen["n"], gen["d"],
-            kappa=gen.get("kappa"), lam=gen.get("lam"),
-        )
-        return problems.gen_logistic(W, y, lam), None
-    raise UsageError(f"unknown generator kind {kind!r}")
+    W, y, lam = problems.make_synthetic_logistic(gen["seed"], gen["n"], gen["d"],
+                                                 kappa=gen["kappa"], lam=gen["lam"])
+    return problems.gen_logistic(W, y, lam)
 
 
-def _resolve_alpha(cfg, p, regime):
-    alpha = cfg.get("alpha", "theory")
-    if alpha == "theory":
-        algorithm = cfg.get("algorithm", "dfinito")
-        table_regime = "cyclic" if regime in ("cyclic", "adaptive") else "rr"
-        if algorithm in ("dfinito", "finito_uniform", "prox_gd"):
-            if not (p.L > p.mu > 0):
-                raise UsageError("'theory' step size needs L > mu > 0")
-            return 2.0 / (p.L + p.mu)
-        if algorithm in ("svrg", "saga"):
-            try:
-                return baselines.theoretical_step_size(algorithm, table_regime, p.L, p.mu, p.n)
-            except ValueError as exc:
-                raise UsageError(str(exc))
-        raise UsageError(f"no theoretical step size for algorithm {algorithm!r}")
-    if not (isinstance(alpha, (int, float)) and alpha > 0):
-        raise UsageError("alpha must be a positive number or 'theory'")
-    return float(alpha)
+@dataclasses.dataclass(frozen=True)
+class Cell:
+    """One resolved point of a sweep; a run is the one-cell grid."""
+
+    algorithm: str  # finito_uniform is dfinito with uniform sampling
+    alpha_spec: object  # alpha as configured, "theory" or a number
+    config: engine.DampedRunConfig  # resolved alpha; each run replaces the plan's seed
+    schedule: str
+    snapshot_every: int
 
 
-def _make_plan(samp, n, seed):
-    regime = samp.get("regime", "reshuffle")
-    try:
+def _cells(cfg, p):
+    """Every cell, resolved and checked before any solve or run: the product
+    of the grid's axes in (alpha, theta, sampling) order, where an axis the
+    grid omits is the config's own value."""
+    grid = _fill(cfg["grid"] or {}, GRID_AXES, "grid")
+    axes = [[cfg[key]] if grid[key] is None else grid[key] for key in GRID_AXES]
+    if not all(isinstance(axis, list) and axis for axis in axes):
+        raise UsageError("grid axes must be non-empty lists")
+    if cfg["algorithm"] not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")
+    epochs = _number(cfg["epochs"], int, "epochs")
+    trace_every = _number(cfg["trace_every"], int, "trace_every")
+    snapshot_every = _number(cfg["snapshot_every"], int, "snapshot_every")
+    cells = []
+    for alpha, theta, smp in itertools.product(*axes):
+        smp = _fill(smp, SAMPLING_KEYS, "sampling")
+        algorithm, regime = cfg["algorithm"], smp["regime"]
+        if algorithm == "finito_uniform":
+            algorithm, regime = "dfinito", "uniform"
+        if alpha == "theory":  # proximal GD takes the damped method's 2/(L+mu)
+            step = baselines.theoretical_step_size(
+                "dfinito" if algorithm == "prox_gd" else algorithm,
+                "cyclic" if regime in ("cyclic", "adaptive") else "rr", p.L, p.mu, p.n)
+        else:
+            step = _number(alpha, float, "alpha")
+        order = None
         if regime == "cyclic":
-            order = samp.get("order")
-            order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-            return sampling.SamplingPlan("cyclic", n, order=order)
-        if regime == "adaptive":
-            return sampling.SamplingPlan("adaptive", n, gamma=samp.get("gamma", 0.5), seed=seed)
-        return sampling.SamplingPlan(regime, n, seed=seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+            order = np.arange(p.n) if smp["order"] is None else smp["order"]
+        plan = sampling.SamplingPlan(regime, p.n, order=order, seed=0,
+                                     gamma=_number(smp["gamma"], float, "gamma"))
+        config = engine.DampedRunConfig(step, _number(theta, float, "theta"), epochs, plan,
+                                        trace_every)
+        cells.append(Cell(algorithm, alpha, config, cfg["schedule"], snapshot_every))
+    return cells
 
 
 def _baseline_to_records(p, trace, reference, trace_every):
@@ -220,114 +251,77 @@ def _baseline_to_records(p, trace, reference, trace_every):
     return out
 
 
-def run_experiment(cfg, p, seed, reference):
-    """One (config, seed) cell; returns the list of TraceRecord."""
-    algorithm = cfg.get("algorithm", "dfinito")
-    if algorithm not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {algorithm!r}")
-    samp = dict(cfg.get("sampling", {"regime": "reshuffle"}))
-    if algorithm == "finito_uniform":
-        samp["regime"] = "uniform"
-        algorithm = "dfinito"
-    regime = samp.get("regime", "reshuffle")
-    alpha = _resolve_alpha(cfg, p, regime)
-    theta = float(cfg.get("theta", 0.5))
-    epochs = int(cfg.get("epochs", 100))
-    trace_every = int(cfg.get("trace_every", 1))
-    plan = _make_plan(samp, p.n, seed)
-    if algorithm == "dfinito":
-        config = engine.DampedRunConfig(alpha=alpha, theta=theta, epochs=epochs,
-                                        plan=plan, trace_every=trace_every)
-        _, records = engine.run(p, config, np.zeros((p.n, p.d)), reference=reference)
-        return records
-    x0 = np.zeros(p.d)
-    if algorithm == "prox_gd":
+def run_experiment(cell, p, seed, reference):
+    """One (cell, seed) run; returns the list of TraceRecord."""
+    config = dataclasses.replace(cell.config, plan=dataclasses.replace(cell.config.plan, seed=seed))
+    if cell.algorithm == "dfinito":
+        return engine.run(p, config, np.zeros((p.n, p.d)), reference=reference)[1]
+    alpha, epochs, plan, x0 = config.alpha, config.epochs, config.plan, np.zeros(p.d)
+    if cell.algorithm == "prox_gd":
         trace = baselines.prox_gd_run(p, alpha, epochs, x0)
-    elif algorithm == "sgd":
-        trace = baselines.sgd_run(p, plan, alpha, epochs, x0,
-                                  schedule=cfg.get("schedule", "constant"))
-    elif algorithm == "svrg":
-        trace = baselines.svrg_run(p, plan, alpha, epochs, x0,
-                                   snapshot_every=int(cfg.get("snapshot_every", 2)))
+    elif cell.algorithm == "sgd":
+        trace = baselines.sgd_run(p, plan, alpha, epochs, x0, schedule=cell.schedule)
+    elif cell.algorithm == "svrg":
+        trace = baselines.svrg_run(p, plan, alpha, epochs, x0, snapshot_every=cell.snapshot_every)
     else:
         trace = baselines.saga_run(p, plan, alpha, epochs, x0)
-    return _baseline_to_records(p, trace, reference, trace_every)
+    return _baseline_to_records(p, trace, reference, config.trace_every)
 
 
-def _reference_for(cfg, p, previous=None):
-    """(x*, z*) at the config's alpha, or None if off; x* is reused from a ``previous`` pair."""
-    if not cfg.get("reference", True):
-        return None
-    alpha_probe = cfg.get("alpha", "theory")
-    regime = cfg.get("sampling", {}).get("regime", "reshuffle")
-    alpha = _resolve_alpha(cfg, p, regime) if alpha_probe == "theory" else float(alpha_probe)
-    xstar = oracle.solve_reference(p, tol=1e-10) if previous is None else previous[0]
-    return xstar, oracle.zstar_table(p, xstar, alpha)
+def _prepare(args):
+    """Output directory, seeds, problem, cells and x* (None if off) of a run
+    or sweep; every config error comes before the reference solve."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {args.config}: {exc}")
+    cfg = _fill(cfg, CONFIG_KEYS, "config")
+    if (args.command == "sweep") != bool(cfg["grid"]):
+        raise UsageError("sweep needs a non-empty 'grid' object, and run takes none")
+    out_dir = args.out or cfg["output"]
+    if out_dir is None or not os.path.isdir(out_dir):
+        raise UsageError(f"{args.command} needs an existing --out DIR or 'output', got {out_dir}")
+    seeds = args.seed or cfg["seeds"] or [0]
+    if not (isinstance(seeds, list) and all(type(s) is int and s >= 0 for s in seeds)):
+        raise UsageError(f"seeds must be a list of non-negative integers, got {seeds!r}")
+    twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if twice:
+        raise UsageError(f"seed {twice[0]} is given more than once")
+    p = _resolve_problem(cfg["problem"])
+    cells = _cells(cfg, p)
+    xstar = oracle.solve_reference(p, tol=1e-10) if cfg["reference"] else None
+    return out_dir, seeds, p, cells, xstar
+
+
+def _run_cell(cell, p, seeds, xstar):
+    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha."""
+    reference = None if xstar is None else (xstar, oracle.zstar_table(p, xstar, cell.config.alpha))
+    return [run_experiment(cell, p, s, reference) for s in seeds]
 
 
 def cmd_run(args):
-    cfg = _load_config(args.config)
-    if args.format != "csv":
-        raise UsageError(f"unsupported format {args.format!r}")
-    out_dir = args.out or cfg.get("output")
-    if out_dir is None:
-        raise UsageError("run needs --out DIR (or 'output' in the config)")
-    if not os.path.isdir(out_dir):
-        raise UsageError(f"output directory does not exist: {out_dir}")
-    seeds = args.seed or cfg.get("seeds") or [0]
-    p, _ = _resolve_problem(cfg)
-    reference = _reference_for(cfg, p)
-    per_seed = [run_experiment(cfg, p, s, reference) for s in seeds]
+    out_dir, seeds, p, (cell,), xstar = _prepare(args)
+    per_seed = _run_cell(cell, p, seeds, xstar)
     for s, records in zip(seeds, per_seed):
-        _write_csv(os.path.join(out_dir, f"trace_seed{s}.csv"), [r.to_row() for r in records])
-    _write_csv(os.path.join(out_dir, "trace_mean.csv"), _mean_rows(per_seed))
+        _write_csv(os.path.join(out_dir, f"trace_seed{s}.csv"), CSV_COLUMNS,
+                   [r.to_row() for r in records])
+    _write_csv(os.path.join(out_dir, "trace_mean.csv"), CSV_COLUMNS, _mean_rows(per_seed))
     print(f"wrote {len(seeds)} seed trace(s) and trace_mean.csv to {out_dir}")
     return 0
 
 
-# ------------------------------------------------------------------ sweep
-
-
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    out_dir = args.out or cfg.get("output")
-    if out_dir is None or not os.path.isdir(out_dir):
-        raise UsageError("sweep needs an existing --out DIR")
-    grid = cfg.get("grid")
-    if not isinstance(grid, dict) or not grid:
-        raise UsageError("sweep config needs a non-empty 'grid' object")
-    alphas = grid.get("alpha", [cfg.get("alpha", "theory")])
-    thetas = grid.get("theta", [cfg.get("theta", 0.5)])
-    samplings = grid.get("sampling", [cfg.get("sampling", {"regime": "reshuffle"})])
-    if not (alphas and thetas and samplings):
-        raise UsageError("grid axes must be non-empty")
-    seeds = args.seed or cfg.get("seeds") or [0]
-    p, _ = _resolve_problem(cfg)
-    cells = []
-    for a in alphas:
-        for t in thetas:
-            for smp in samplings:
-                cell = dict(cfg)
-                cell.update({"alpha": a, "theta": t, "sampling": smp})
-                cells.append(cell)
-
-    finals, reference = [], None
+    out_dir, seeds, p, cells, xstar = _prepare(args)
+    finals = []
     for cell in cells:
-        reference = _reference_for(cell, p, reference)
-        per_seed = [run_experiment(cell, p, s, reference) for s in seeds]
+        per_seed = _run_cell(cell, p, seeds, xstar)
         finals.append(math.fsum(recs[-1].grad_map_residual_sq for recs in per_seed) / len(seeds))
     best = int(np.argmin(finals))
+    rows = [[cell.alpha_spec, cell.config.theta, cell.config.plan.regime, repr(float(val)),
+             "1" if idx == best else "0"] for idx, (cell, val) in enumerate(zip(cells, finals))]
     path = os.path.join(out_dir, "sweep_summary.csv")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha", "theta", "regime", "final_grad_map_residual_sq", "best"])
-        for idx, (cell, val) in enumerate(zip(cells, finals)):
-            writer.writerow([
-                cell["alpha"], cell["theta"], cell["sampling"].get("regime"),
-                repr(float(val)), "1" if idx == best else "0",
-            ])
-    os.replace(tmp, path)
+    _write_csv(path, ("alpha", "theta", "regime", "final_grad_map_residual_sq", "best"), rows)
     print(f"wrote {path}; best cell #{best + 1} of {len(cells)}")
     return 0
 
@@ -336,9 +330,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    names = args.suite or None
     try:
-        results = verify.run_suites(names, seed=args.seed[0] if args.seed else 0)
+        results = verify.run_suites(args.suite, seed=args.seed)
     except KeyError as exc:
         raise UsageError(str(exc))
     for res in results:
@@ -352,8 +345,6 @@ def cmd_verify(args):
 
 
 def cmd_order(args):
-    if args.instance is None:
-        raise UsageError("order requires --instance PATH")
     p, cert = problems.load_instance(args.instance)
     alpha = args.alpha or (2.0 / (p.L + p.mu) if p.mu > 0 else 1.0 / p.L)
     if "z0" in p.metadata:
@@ -387,17 +378,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--seed", type=int, action="append", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--suite", action="append", default=None)
-        sp.add_argument("--format", default="csv")
-
     gen = sub.add_parser("generate", help="write a problem instance JSON")
-    common(gen)
+    gen.set_defaults(func=cmd_generate)
     gen.add_argument("--kind", required=True,
                      choices=("least_squares", "heterogeneous", "logistic"))
+    gen.add_argument("--out", required=True)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=50)
     gen.add_argument("--d", type=int, default=10)
     gen.add_argument("--k", type=int, default=10)
@@ -410,24 +396,25 @@ def build_parser():
     gen.add_argument("--reg", default="none", choices=("none", "l1", "l2sq"))
     gen.add_argument("--reg-lam", type=float, default=0.0)
 
-    for name in ("run", "sweep", "verify"):
-        common(sub.add_parser(name))
+    for name, func, text in (("run", cmd_run, "run one config, a trace CSV per seed"),
+                             ("sweep", cmd_sweep, "run a config's grid, a summary row per cell")):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(func=func)
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--out", default=None)
+        sp.add_argument("--seed", type=int, action="append", default=None)
+
+    ver = sub.add_parser("verify", help="run the numerical verification suites")
+    ver.set_defaults(func=cmd_verify)
+    ver.add_argument("--suite", action="append", default=None)
+    ver.add_argument("--seed", type=int, default=0)
 
     order = sub.add_parser("order", help="print importance-based cyclic orders")
-    common(order)
-    order.add_argument("--instance", default=None)
+    order.set_defaults(func=cmd_order)
+    order.add_argument("--instance", required=True)
     order.add_argument("--alpha", type=float, default=None)
 
     return parser
-
-
-COMMANDS = {
-    "generate": cmd_generate,
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "order": cmd_order,
-}
 
 
 def main(argv=None) -> int:
@@ -440,11 +427,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError) as exc:
+        return args.func(args)
+    except (UsageError, oracle.OracleError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from .diagnostics import (
     pi_norm_sq,
 )
 from .model import MemoryState, ProblemInstance, ordered_mean, validate_permutation
-from .prox import prox
+from .prox import REG_CODE, prox, prox_core
 from .sampling import SamplingPlan, epoch_order, update_importance
 
 WITHOUT_REPLACEMENT = ("cyclic", "reshuffle", "shuffle_once", "adaptive")
@@ -83,18 +83,24 @@ def epoch_step(p: ProblemInstance, s: MemoryState, order, theta: float) -> Memor
     against the epoch-start snapshot and recompute the average exactly.
 
     ``order`` may contain repeats (uniform regime); permutation orders make
-    this equal to (1-theta) z + theta T_pi z.
+    this equal to (1-theta) z + theta T_pi z. Like the memory-lean loop it
+    checks the table and ``order`` once, then steps with the unchecked
+    gradient and prox.
     """
-    n, _ = s.z.shape
+    n = p.n
+    if s.z.shape != (n, p.d):
+        raise ValueError(f"z table must have shape ({n}, {p.d})")
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,) or order.min() < 0 or order.max() >= n:
         raise ValueError("order must contain n valid indices")
+    grad, data = p.unchecked_grad()
+    reg_code, reg_t = REG_CODE[p.regularizer.kind], s.alpha * p.regularizer.lam
     z0 = s.z.copy()
     z = s.z.copy()
     zbar = s.zbar.copy()
     for i in order:
-        x = prox(p.regularizer, s.alpha, zbar)
-        znew = x - s.alpha * p.component_grad(int(i), x)
+        x = prox_core(zbar, reg_code, reg_t)
+        znew = x - s.alpha * grad(data, i, x)
         zbar = zbar + (znew - z[i]) / n
         z[i] = znew
     z = (1.0 - theta) * z0 + theta * z

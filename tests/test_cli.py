@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,32 +183,109 @@ def test_sweep_solves_reference_once(tmp_path, ls_instance, monkeypatch):
         return solve(p, tol=tol)
 
     monkeypatch.setattr(oracle, "solve_reference", counted)
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({
-        "problem": {"path": ls_instance},
-        "algorithm": "dfinito",
-        "epochs": 3,
-        "seeds": [0, 1],
-        "grid": {"alpha": ["theory", 0.1], "theta": [0.5, 0.9],
-                 "sampling": [{"regime": "reshuffle"}, {"regime": "cyclic"}]},
-    }), encoding="utf-8")
-    once, per_cell = tmp_path / "once", tmp_path / "per_cell"
-    once.mkdir()
-    per_cell.mkdir()
-    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(once)) == 0
-    assert len(calls) == 1
-    # re-solving for each of the 8 cells writes the same bytes
-    reference_for = cli._reference_for
-    monkeypatch.setattr(cli, "_reference_for", lambda cfg, p, previous=None: reference_for(cfg, p))
-    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(per_cell)) == 0
+    grid = {"alpha": ["theory", 0.1], "theta": [0.5, 0.9],
+            "sampling": [{"regime": "reshuffle"}, {"regime": "cyclic"}]}
+
+    def sweep(tag, grid):
+        out, cfg_path = tmp_path / tag, tmp_path / f"{tag}.json"
+        out.mkdir()
+        cfg_path.write_text(json.dumps({
+            "problem": {"path": ls_instance}, "algorithm": "dfinito", "epochs": 3,
+            "seeds": [0, 1], "grid": grid,
+        }), encoding="utf-8")
+        assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        # alpha, theta, regime and final residual; "best" differs by design
+        return [line.rsplit(",", 1)[0] for line in
+                (out / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()[1:]]
+
+    rows = sweep("all", grid)
+    assert len(rows) == 8 and len(calls) == 1
+    # each cell swept alone, with its own x*, ends at the same residual
+    for idx, (alpha, theta, smp) in enumerate(itertools.product(*grid.values())):
+        assert sweep(f"cell{idx}", {"alpha": [alpha], "theta": [theta], "sampling": [smp]}) \
+            == [rows[idx]]
     assert len(calls) == 1 + 8
-    summary = "sweep_summary.csv"
-    assert (once / summary).read_bytes() == (per_cell / summary).read_bytes()
 
 
 def test_sweep_requires_grid(tmp_path, ls_instance):
     cfg = _config(tmp_path, ls_instance)
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("command, overrides, named", [
+    ("run", {"sampling": ["x"]}, "sampling"),
+    ("run", {"sampling": {"regime": "x"}}, "'x'"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 8, "L": 5.0}}}, "'d'"),
+    ("run", {"epoch": 2}, "'epoch'"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "kappa": 10,
+                                       "dim": 2}}}, "'dim'"),
+    ("run", {"grid": {"theta": [0.5]}}, "'grid'"),
+    ("run", {"theta": "high"}, "theta"),
+    ("run", {"epochs": 2.5}, "epochs"),
+    ("run", {"problem": {"generator": {"kind": "quadratic", "n": 8}}}, "'quadratic'"),
+    ("sweep", {"grid": {"alpha": [0.1], "gamma": [0.5]}}, "'gamma'"),
+    ("sweep", {"grid": {"sampling": [{"regime": "cyclic", "oder": [0]}]}}, "'oder'"),
+])
+def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
+                                               overrides, named):
+    cfg = _config(tmp_path, ls_instance, **overrides)
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_duplicate_seeds_rejected(tmp_path, ls_instance, capsys):
+    cfg = _config(tmp_path, ls_instance, seeds=[0, 1, 0])
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert "seed 0" in capsys.readouterr().err
+    cfg = _config(tmp_path, ls_instance)
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path),
+                   "--seed", "1", "--seed", "1") == 2
+    assert "seed 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, ls_instance, capsys):
+    for argv in (["order", "--instance", ls_instance, "--config", "x"],
+                 ["verify", "--out", str(tmp_path)],
+                 ["run", "--config", "x", "--suite", "steps"],
+                 ["sweep", "--config", "x", "--format", "csv"],
+                 ["generate", "--kind", "logistic", "--out", str(tmp_path), "--config", "x"]):
+        assert run_cli(*argv) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_reference_failure_exits_2(tmp_path, ls_instance, monkeypatch, capsys):
+    def fail(p, tol):
+        raise oracle.OracleError("no convergence within 10 iterations")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    cfg = _config(tmp_path, ls_instance)
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert run_cli("order", "--instance", ls_instance) == 2
+    assert capsys.readouterr().err.count("error: no convergence") == 2
+
+
+def test_readme_config_schema_matches_reader(tmp_path, ls_instance):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Run config schema")[1].split("\n### ")[0]
+    listed = {m.group(1): re.findall(r"`(\w+)`", m.group(2))
+              for m in re.finditer(r"^- ([\w ]+) keys: (.*)$", section, re.M)}
+    accepted = {"config": cli.CONFIG_KEYS, "problem": cli.PROBLEM_KEYS,
+                "sampling": cli.SAMPLING_KEYS, "grid": cli.GRID_AXES,
+                **{f"{kind} generator": keys for kind, keys in cli.GENERATOR_KEYS.items()}}
+    assert {group: sorted(keys) for group, keys in listed.items()} == \
+        {group: sorted(keys) for group, keys in accepted.items()}
+    example = json.loads(section.split("```json")[1].split("```")[0])
+    out = tmp_path / "example"
+    out.mkdir()
+    example["problem"]["path"] = ls_instance
+    example["output"] = str(out)
+    cfg_path = tmp_path / "example.json"
+    cfg_path.write_text(json.dumps(example), encoding="utf-8")
+    assert run_cli("run", "--config", str(cfg_path)) == 0
+    assert (out / "trace_mean.csv").exists()
 
 
 def test_verify_steps_suite_exit_zero(capsys):

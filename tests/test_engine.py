@@ -281,6 +281,31 @@ def test_kernel_supports_and_rejects():
             kernels.epoch_inplace(q, np.zeros((2, 1)), np.zeros(1), 0.1, 0.5, np.array([0, 1]))
 
 
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_literal_epoch_steps_unchecked(kind, monkeypatch):
+    rng = np.random.default_rng(15)
+    if kind == "least_squares":
+        p = gen_least_squares(0, n=12, d=4, k=4, L=5.0, mu=0.5, regularizer=Regularizer.l1(0.05))
+    else:
+        W = rng.standard_normal((12, 4))
+        p = gen_logistic(W, np.where(rng.random(12) < 0.5, -1.0, 1.0), 0.2)
+    s = MemoryState.from_table(rng.standard_normal((p.n, p.d)), 0.2, 0.5)
+    order = rng.integers(0, p.n, size=p.n)
+    # reference: the validated prox and gradient on every inner step
+    z, zbar = s.z.copy(), s.zbar.copy()
+    for i in order:
+        x = prox(p.regularizer, s.alpha, zbar)
+        znew = x - s.alpha * p.component_grad(int(i), x)
+        zbar = zbar + (znew - z[i]) / p.n
+        z[i] = znew
+    monkeypatch.setattr(ProblemInstance, "component_grad",
+                        lambda *args: pytest.fail("validated gradient in the epoch"))
+    got = epoch_step(p, s, order, 0.5)
+    assert np.array_equal(got.z, 0.5 * s.z + 0.5 * z)
+    with pytest.raises(ValueError):
+        epoch_step(p, MemoryState.from_table(np.zeros((p.n, p.d + 1)), 0.2, 0.5), order, 0.5)
+
+
 REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
                 "l2sq": Regularizer.l2sq(0.3)}
 
