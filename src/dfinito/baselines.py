@@ -17,6 +17,7 @@ from .sampling import SamplingPlan, epoch_order
 
 ALGORITHMS = ("dfinito", "svrg", "saga")
 REGIMES = ("rr", "cyclic")
+SCHEDULES = ("constant", "inv_sqrt")  # SGD step schedules
 
 
 def theoretical_step_size(algorithm: str, regime: str, L: float, mu: float, n: int) -> float:
@@ -75,7 +76,7 @@ def sgd_run(p: ProblemInstance, plan: SamplingPlan, alpha: float, epochs: int, x
     """
     if p.regularizer.kind != "none":
         raise ValueError("sgd supports smooth problems only (regularizer must be none)")
-    if schedule not in ("constant", "inv_sqrt"):
+    if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if not (alpha > 0):
         raise ValueError("alpha must be positive")

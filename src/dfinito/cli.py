@@ -122,7 +122,7 @@ def cmd_generate(args):
             args.seed, args.n, args.d, max(args.k, args.d), args.mu, args.L, alpha,
             args.beta, z0,
         )
-        p.metadata["z0"] = z0.tolist()
+        p.metadata["z0"] = z0
         zstar = cert.zstar(z0)
         profile = np.einsum("ij,ij->i", z0 - zstar, z0 - zstar)
         rho = rho_ratio(z0, zstar, sampling.optimal_cyclic_order(profile))
@@ -206,6 +206,8 @@ def _cells(cfg, p):
         raise UsageError("grid axes must be non-empty lists")
     if cfg["algorithm"] not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")
+    if cfg["schedule"] not in baselines.SCHEDULES:
+        raise UsageError(f"unknown schedule {cfg['schedule']!r}")
     epochs = _number(cfg["epochs"], int, "epochs")
     trace_every = _number(cfg["trace_every"], int, "trace_every")
     snapshot_every = _number(cfg["snapshot_every"], int, "snapshot_every")

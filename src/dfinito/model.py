@@ -10,7 +10,7 @@ gradient that skips input validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -150,7 +150,7 @@ class ProblemInstance:
         if self.kind == "least_squares":
             self.A = np.asarray(self.A, dtype=np.float64)
             self.b = np.asarray(self.b, dtype=np.float64)
-            if self.A.shape[:1] != (self.n,) or self.A.shape[2] != self.d:
+            if self.A.ndim != 3 or self.A.shape[0] != self.n or self.A.shape[2] != self.d:
                 raise ValueError(f"A must have shape (n, k, d), got {self.A.shape}")
             if self.b.shape != self.A.shape[:2]:
                 raise ValueError(f"b must have shape (n, k), got {self.b.shape}")
@@ -264,14 +264,6 @@ class MemoryState:
     def from_table(cls, z, alpha, theta):
         z = np.asarray(z, dtype=np.float64)
         return cls(z=z.copy(), zbar=ordered_mean(z), alpha=float(alpha), theta=float(theta))
-
-    def copy(self):
-        return MemoryState(self.z.copy(), self.zbar.copy(), self.alpha, self.theta)
-
-
-def recompute_zbar(s: MemoryState) -> MemoryState:
-    """Return the state with zbar replaced by the exact fixed-order table mean."""
-    return replace(s, z=s.z, zbar=ordered_mean(s.z))
 
 
 def validate_permutation(order, n):

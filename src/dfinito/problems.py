@@ -8,6 +8,7 @@ from scratch.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -220,7 +221,7 @@ def gen_logistic(W, y, lam):
         raise ValueError("lam must be >= 0")
     L, mu = logistic_constants(W, y, lam)
     n, d = W.shape
-    per_component_L = (np.einsum("ij,ij->i", W, W) / 4.0 + lam).tolist()
+    per_component_L = np.einsum("ij,ij->i", W, W) / 4.0 + lam
     return ProblemInstance(
         kind="logistic",
         n=n,
@@ -312,18 +313,65 @@ def save_libsvm(path, W, y):
             fh.write(" ".join(parts) + "\n")
 
 
-def _cert_to_json(cert: HeterogeneityCertificate):
-    return {
-        "v": cert.v.tolist(),
-        "t": cert.t.tolist(),
-        "delta": cert.delta.tolist(),
-        "beta": cert.beta,
-        "alpha_used": cert.alpha_used,
-    }
+ENCODED_DTYPE = "<f8"  # little-endian float64, the one encoded array dtype
+FIELD_KINDS = {"text": str, "integer": int, "number": (int, float), "object": dict}
+CERTIFICATE_FIELDS = {"v": "array", "t": "array", "delta": "array", "beta": "number",
+                      "alpha_used": "number"}
+
+
+def _encode(value):
+    """An ndarray as {"dtype", "shape", "base64"} of its little-endian float64
+    bytes, which load back bit for bit; any other value as it is."""
+    if not isinstance(value, np.ndarray):
+        return value
+    a = np.ascontiguousarray(value, dtype=ENCODED_DTYPE)
+    return {"dtype": ENCODED_DTYPE, "shape": list(a.shape),
+            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode(value, name):
+    """Field ``name`` as a writable float64 array, from the encoded form or nested lists."""
+    try:
+        if isinstance(value, list):
+            return np.array(value, dtype=np.float64)
+        if not isinstance(value, dict) or sorted(value) != ["base64", "dtype", "shape"]:
+            raise ValueError("expected a list or an object of dtype, shape and base64")
+        if value["dtype"] != ENCODED_DTYPE:
+            raise ValueError(f"dtype {value['dtype']!r} is not {ENCODED_DTYPE!r}")
+        shape = value["shape"]
+        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+        raw = base64.b64decode(value["base64"], validate=True)
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{len(raw)} bytes do not fill shape {shape}")
+        return np.frombuffer(raw, dtype=ENCODED_DTYPE).reshape(shape).astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _field(doc, name, kind, default=None):
+    """The value of dotted field ``name`` in ``doc``, checked to be of
+    ``kind``; a None default makes it required. An error names the field."""
+    parent, _, key = name.rpartition(".")
+    if parent:
+        doc = _field(doc, parent, "object")
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"missing field {name}")
+        return default
+    value = doc[key]
+    if kind == "array":
+        return _decode(value, name)
+    if isinstance(value, bool) or not isinstance(value, FIELD_KINDS[kind]):
+        raise ValueError(f"{name}: expected {kind}, got {type(value).__name__}")
+    return value
 
 
 def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | None = None):
-    """Serialize an instance (and optional certificate) to JSON, atomically."""
+    """Serialize an instance (and optional certificate) to JSON, atomically.
+
+    Every float array, array-valued metadata included, is stored encoded.
+    """
     doc = {
         "kind": p.kind,
         "n": p.n,
@@ -331,19 +379,16 @@ def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | Non
         "L": p.L,
         "mu": p.mu,
         "regularizer": {"kind": p.regularizer.kind, "lam": p.regularizer.lam},
-        "metadata": p.metadata,
+        "metadata": {key: _encode(value) for key, value in p.metadata.items()},
     }
     if p.kind == "least_squares":
-        doc["A"] = p.A.tolist()
-        doc["b"] = p.b.tolist()
+        doc.update(A=_encode(p.A), b=_encode(p.b))
     elif p.kind == "logistic":
-        doc["W"] = p.W.tolist()
-        doc["y"] = p.y.tolist()
-        doc["ridge"] = p.ridge
+        doc.update(W=_encode(p.W), y=_encode(p.y), ridge=p.ridge)
     else:
         raise ValueError("custom problems are not serializable")
     if cert is not None:
-        doc["certificate"] = _cert_to_json(cert)
+        doc["certificate"] = {key: _encode(value) for key, value in vars(cert).items()}
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh)
@@ -351,35 +396,33 @@ def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | Non
 
 
 def load_instance(path):
-    """Load (instance, certificate-or-None) written by save_instance."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    reg = Regularizer(doc["regularizer"]["kind"], doc["regularizer"]["lam"])
-    common = dict(
-        kind=doc["kind"],
-        n=doc["n"],
-        d=doc["d"],
-        regularizer=reg,
-        L=doc["L"],
-        mu=doc["mu"],
-        metadata=doc.get("metadata", {}),
-    )
-    if doc["kind"] == "least_squares":
-        p = ProblemInstance(A=np.array(doc["A"]), b=np.array(doc["b"]), **common)
-    elif doc["kind"] == "logistic":
+    """Load (instance, certificate-or-None) written by save_instance.
+
+    Arrays may be encoded or plain nested lists; both load bit for bit. A
+    malformed file raises ValueError naming the file and the field.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        kind = _field(doc, "kind", "text")
+        if kind not in ("least_squares", "logistic"):
+            raise ValueError(f"kind: unknown serialized kind {kind!r}")
+        reg = Regularizer(_field(doc, "regularizer.kind", "text"),
+                          _field(doc, "regularizer.lam", "number"))
+        metadata = {key: _decode(value, f"metadata.{key}")
+                    if isinstance(value, dict) and "base64" in value else value
+                    for key, value in _field(doc, "metadata", "object", {}).items()}
+        arrays = ("A", "b") if kind == "least_squares" else ("W", "y")
         p = ProblemInstance(
-            W=np.array(doc["W"]), y=np.array(doc["y"]), ridge=doc.get("ridge", 0.0), **common
-        )
-    else:
-        raise ValueError(f"unknown serialized kind {doc['kind']!r}")
-    cert = None
-    if "certificate" in doc:
-        c = doc["certificate"]
-        cert = HeterogeneityCertificate(
-            v=np.array(c["v"]),
-            t=np.array(c["t"]),
-            delta=np.array(c["delta"]),
-            beta=c["beta"],
-            alpha_used=c["alpha_used"],
-        )
+            kind=kind, n=_field(doc, "n", "integer"), d=_field(doc, "d", "integer"),
+            regularizer=reg, L=_field(doc, "L", "number"), mu=_field(doc, "mu", "number"),
+            ridge=_field(doc, "ridge", "number", 0.0), metadata=metadata,
+            **{key: _field(doc, key, "array") for key in arrays})
+        cert = None if "certificate" not in doc else HeterogeneityCertificate(**{
+            key: _field(doc, f"certificate.{key}", field_kind)
+            for key, field_kind in CERTIFICATE_FIELDS.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return p, cert

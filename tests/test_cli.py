@@ -235,6 +235,48 @@ def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, co
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("regularizer", None, "missing field regularizer"),
+    ("n", "30", "n: expected integer, got str"),
+    ("kind", "quadratic", "kind: unknown serialized kind 'quadratic'"),
+    ("certificate.t.dtype", "<f4", "certificate.t: dtype '<f4' is not '<f8'"),
+    ("certificate.t.base64", "!!!!", "certificate.t: Only base64 data is allowed"),
+    ("certificate.t.shape", [30, 5], "certificate.t: 960 bytes do not fill shape [30, 5]"),
+    ("A", [[0.0] * 4] * 30, "A must have shape (n, k, d), got (30, 4)"),
+], ids=["missing_key", "wrong_type", "unknown_kind", "bad_dtype", "bad_base64",
+        "bytes_do_not_fill_shape", "wrong_rank"])
+def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, field, value,
+                                                          named):
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4",
+                   "--k", "4", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "instance.json").read_text(encoding="utf-8"))
+    *parents, key = field.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("run", "--config", _config(tmp_path, str(bad)), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {named}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unknown_schedule_exits_2_before_reference_solve(tmp_path, ls_instance, monkeypatch,
+                                                         capsys):
+    def fail(p, tol):
+        raise AssertionError("x* was solved before the config was checked")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    cfg = _config(tmp_path, ls_instance, algorithm="sgd", alpha=0.1, schedule="x")
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: unknown schedule 'x'\n"
+
+
 def test_duplicate_seeds_rejected(tmp_path, ls_instance, capsys):
     cfg = _config(tmp_path, ls_instance, seeds=[0, 1, 0])
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2

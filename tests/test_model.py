@@ -10,7 +10,6 @@ from dfinito.model import (
     as_vector,
     ordered_mean,
     ordered_sum,
-    recompute_zbar,
     stable_sigmoid,
     validate_permutation,
 )
@@ -142,25 +141,16 @@ def test_objective_includes_regularizer():
     assert p.objective(x) == pytest.approx(p.full_value(x) + 1.5)
 
 
-def test_memory_state_validation_and_copy():
+def test_memory_state_validation():
     z = np.ones((3, 2))
     s = MemoryState.from_table(z, alpha=0.5, theta=0.9)
     assert np.array_equal(s.zbar, np.ones(2))
-    c = s.copy()
-    c.z[0, 0] = 7.0
-    assert s.z[0, 0] == 1.0
     with pytest.raises(ValueError):
         MemoryState(z=z, zbar=np.ones(3), alpha=0.5, theta=0.9)
     with pytest.raises(ValueError):
         MemoryState(z=z, zbar=np.ones(2), alpha=0.0, theta=0.9)
     with pytest.raises(ValueError):
         MemoryState(z=z, zbar=np.ones(2), alpha=0.5, theta=0.0)
-
-
-def test_recompute_zbar():
-    z = np.arange(6.0).reshape(3, 2)
-    s = MemoryState(z=z, zbar=np.zeros(2), alpha=1.0, theta=1.0)
-    assert np.array_equal(recompute_zbar(s).zbar, z.mean(axis=0))
 
 
 def test_validate_permutation():

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from dfinito.cli import main
 from dfinito.model import Regularizer
 from dfinito.oracle import solve_reference
 from dfinito.problems import (
@@ -267,3 +270,107 @@ def test_logistic_json_round_trip(tmp_path):
     q, _ = load_instance(path)
     assert np.array_equal(q.W, p.W) and np.array_equal(q.y, p.y)
     assert q.ridge == p.ridge and q.L == p.L
+
+
+# ------------------------------------------------- instance file encoding
+
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308]
+
+
+def _save_as_lists(path, p, cert=None):
+    """Write ``p`` with every array as nested lists, as earlier writers did."""
+    def plain(values):
+        return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values.items()}
+
+    doc = {"kind": p.kind, "n": p.n, "d": p.d, "L": p.L, "mu": p.mu,
+           "regularizer": {"kind": p.regularizer.kind, "lam": p.regularizer.lam},
+           "metadata": plain(p.metadata)}
+    if p.kind == "least_squares":
+        doc.update(A=p.A.tolist(), b=p.b.tolist())
+    else:
+        doc.update(W=p.W.tolist(), y=p.y.tolist(), ridge=p.ridge)
+    if cert is not None:
+        doc["certificate"] = plain(vars(cert))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _instances_with_extremes():
+    """A planted instance (z0 in its metadata) and a logistic one, with
+    -0.0, the least subnormal and the largest float in every array."""
+    n, d = 5, 3
+    z0 = np.random.default_rng(13).standard_normal((n, d))
+    p, cert = gen_heterogeneous(14, n, d, k=d, mu=0.1, L=2.0, alpha=0.2, beta=0.3, z0=z0)
+    p.metadata["z0"] = z0
+    rng = np.random.default_rng(15)
+    q = gen_logistic(rng.standard_normal((6, 4)), np.where(rng.random(6) < 0.5, -1.0, 1.0), 0.2)
+    for a in (p.A, p.b, z0, cert.v, cert.t, cert.delta, q.W, q.metadata["per_component_L"]):
+        a.flat[:3] = EXTREMES
+    return [(p, cert), (q, None)]
+
+
+def _arrays(p, cert):
+    """Every float array of an instance and its certificate, by field name."""
+    out = {key: getattr(p, key) for key in ("A", "b", "W", "y") if getattr(p, key) is not None}
+    out.update({f"metadata.{key}": np.asarray(v, dtype=np.float64)
+                for key, v in p.metadata.items() if isinstance(v, (list, np.ndarray))})
+    if cert is not None:
+        out.update({f"certificate.{key}": getattr(cert, key) for key in ("v", "t", "delta")})
+    return out
+
+
+@pytest.mark.parametrize("writer", ["encoded", "lists"])
+def test_instance_arrays_load_bit_exact(tmp_path, writer):
+    for idx, (p, cert) in enumerate(_instances_with_extremes()):
+        path = str(tmp_path / f"inst{idx}.json")
+        (save_instance if writer == "encoded" else _save_as_lists)(path, p, cert)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        q, cert2 = load_instance(path)
+        want, got = _arrays(p, cert), _arrays(q, cert2)
+        for key in want:
+            stored = doc
+            for part in key.split("."):
+                stored = stored[part]
+            assert isinstance(stored, dict if writer == "encoded" else list), key
+        assert sorted(got) == sorted(want)
+        for key, a in want.items():
+            assert got[key].dtype == np.float64 and got[key].shape == a.shape, key
+            assert got[key].tobytes() == a.tobytes(), key
+        assert (q.L, q.mu, q.ridge, q.regularizer) == (p.L, p.mu, p.ridge, p.regularizer)
+
+
+def test_instance_file_holds_at_most_11_bytes_per_float(tmp_path):
+    # base64 of float64 takes 32/3 bytes per value; decimal text took about 20
+    assert main(["generate", "--kind", "heterogeneous", "--n", "100", "--d", "5", "--k", "5",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "instance.json"
+    floats = sum(a.size for a in _arrays(*load_instance(str(path))).values())
+    assert floats == 100 * 5 * 5 + 100 * 5 + 5 + 100 * 5 + 100 * 5 + 100 * 5
+    assert path.stat().st_size <= 11 * floats + 4096
+
+
+def test_list_and_encoded_instances_run_and_order_alike(tmp_path, capsys):
+    assert main(["generate", "--kind", "heterogeneous", "--n", "30", "--d", "4", "--k", "4",
+                 "--beta", "0.5", "--out", str(tmp_path)]) == 0
+    rho = capsys.readouterr().out.split("rho=")[1].split()[0]
+    encoded = str(tmp_path / "instance.json")
+    lists = str(tmp_path / "lists.json")
+    _save_as_lists(lists, *load_instance(encoded))
+    outputs = []
+    for tag, path in (("encoded", encoded), ("lists", lists)):
+        out = tmp_path / tag
+        out.mkdir()
+        cfg = out / "cfg.json"
+        cfg.write_text(json.dumps({"problem": {"path": path}, "algorithm": "dfinito",
+                                   "sampling": {"regime": "cyclic"}, "epochs": 4}),
+                       encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["order", "--instance", path]) == 0
+        outputs.append(((out / "trace_seed0.csv").read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    # the order command reads the planted start table z0 back from the file
+    printed = outputs[0][1]
+    assert "optimal order: " + " ".join(str(i) for i in range(1, 31)) in printed
+    assert f"rho={rho} " in printed
