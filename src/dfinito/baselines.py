@@ -2,7 +2,10 @@
 
 All baselines share the epoch/grad-eval accounting of the main engine: the
 x-axis unit is individual gradient evaluations, so variance-reduction
-snapshot and table-initialization costs are charged explicitly.
+snapshot and table-initialization costs are charged explicitly. The
+proximal baselines check their inputs once per run and step with the
+unchecked :func:`prox.prox_core`; a diverging run is caught where its
+iterate is next checked (a full gradient or a trace record).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance, as_vector, ordered_mean
-from .prox import prox
+from .prox import prox_args, prox_core
 from .sampling import SamplingPlan, epoch_order
 
 ALGORITHMS = ("dfinito", "svrg", "saga")
@@ -59,10 +62,11 @@ def prox_gd_run(p: ProblemInstance, alpha: float, epochs: int, x0):
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     x = as_vector(x0, p.d).copy()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
     trace = []
     _record(trace, 0, 0, x)
     for k in range(1, epochs + 1):
-        x = prox(p.regularizer, alpha, x - alpha * p.full_grad(x))
+        x = prox_core(x - alpha * p.full_grad(x), reg_code, reg_t)
         _record(trace, k, k * p.n, x)
     return trace
 
@@ -115,6 +119,7 @@ def svrg_run(
         raise ValueError("need alpha > 0 and snapshot_every >= 1")
     x = as_vector(x0, p.d).copy()
     grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
     trace = []
     _record(trace, 0, 0, x)
     evals = 0
@@ -131,7 +136,7 @@ def svrg_run(
             if correction:
                 g = g - grad(data, i, y) + gy
                 evals += 1
-            x = prox(p.regularizer, alpha, x - alpha * g)
+            x = prox_core(x - alpha * g, reg_code, reg_t)
         _record(trace, k, evals, x)
     return trace
 
@@ -156,6 +161,7 @@ def saga_run(
         raise ValueError("alpha must be positive")
     x = as_vector(x0, p.d).copy()
     grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
     trace = []
     evals = 0
     if correction:
@@ -179,6 +185,6 @@ def saga_run(
                 table[i] = g
             else:
                 step_dir = g
-            x = prox(p.regularizer, alpha, x - alpha * step_dir)
+            x = prox_core(x - alpha * step_dir, reg_code, reg_t)
         _record(trace, k, evals, x)
     return trace

@@ -1,7 +1,11 @@
 """The damped Finito optimizer and its block-operator building blocks.
 
 ``apply_Ti``/``apply_Tpi`` are the literal fixed-point operators used by the
-theory checks (O(n d) average per block application; clarity over speed).
+theory checks (O(n d) per block application, for the exact table mean).
+Each call checks its indices, alpha and the table once, then applies blocks
+through one unchecked step that resolves the gradient and prox once per call
+(:func:`_literal_step`); ``apply_Tpi`` checks on exit that the composed table
+is finite, so an overflow partway through still raises.
 ``epoch_step`` executes the textbook epoch with an end-of-epoch damping pass,
 ``epoch_step_efficient`` the memory-lean variant that folds damping into each
 block correction (the loop in :mod:`kernels`); for permutation orders the two
@@ -23,8 +27,8 @@ from .diagnostics import (
     grad_map_residual,
     pi_norm_sq,
 )
-from .model import MemoryState, ProblemInstance, ordered_mean, validate_permutation
-from .prox import REG_CODE, prox, prox_core
+from .model import MemoryState, ProblemInstance, as_vector, ordered_mean, validate_permutation
+from .prox import prox, prox_args, prox_core
 from .sampling import SamplingPlan, epoch_order, update_importance
 
 WITHOUT_REPLACEMENT = ("cyclic", "reshuffle", "shuffle_once", "adaptive")
@@ -49,25 +53,56 @@ class DampedRunConfig:
             raise ValueError("trace_every must be >= 1")
 
 
+def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
+    """Check once what the literal operators check per block; return their step.
+
+    Every index in ``blocks`` must name a component, alpha must be positive
+    and the mean of each table in ``tables`` a finite vector of dimension d,
+    with the errors a checked gradient step raises. The returned
+    ``step(z, i)`` replaces row i of ``z`` in place by
+    x - alpha grad f_i(x), x = prox(mean z), with no further checks.
+    """
+    for i in blocks:
+        p._check_index(i)
+    if not (alpha > 0):
+        raise ValueError("alpha must be positive")
+    for z in tables:
+        as_vector(ordered_mean(z), p.d)
+    grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
+
+    def step(z, i):
+        x = prox_core(ordered_mean(z), reg_code, reg_t)
+        z[i] = x - alpha * grad(data, i, x)
+
+    return step
+
+
+def _finite_table(z):
+    """``z`` unchanged when all its entries are finite; raise otherwise."""
+    if not np.isfinite(z).all():
+        raise ValueError("vector contains NaN or infinite entries")
+    return z
+
+
 def apply_Ti(p: ProblemInstance, i: int, z, alpha: float):
     """Block operator: replace block i by (I - alpha grad f_i) o prox(mean z)."""
     z = np.asarray(z, dtype=np.float64)
-    p._check_index(i)
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
-    x = prox(p.regularizer, alpha, ordered_mean(z))
+    step = _literal_step(p, alpha, (z,), (i,))
     out = z.copy()
-    out[i] = x - alpha * p.component_grad(i, x)
+    step(out, i)
     return out
 
 
 def apply_Tpi(p: ProblemInstance, order, z, alpha: float):
-    """Sequential composition T_{pi(n)} o ... o T_{pi(1)}."""
+    """Sequential composition T_{pi(n)} o ... o T_{pi(1)}; raises if it overflows."""
     z = np.asarray(z, dtype=np.float64)
     order = validate_permutation(order, z.shape[0])
+    step = _literal_step(p, alpha, (z,), order)
+    out = z.copy()
     for i in order:
-        z = apply_Ti(p, int(i), z, alpha)
-    return z
+        step(out, i)
+    return _finite_table(out)
 
 
 def apply_Spi(p: ProblemInstance, order, z, alpha: float, theta: float):
@@ -94,7 +129,7 @@ def epoch_step(p: ProblemInstance, s: MemoryState, order, theta: float) -> Memor
     if order.shape != (n,) or order.min() < 0 or order.max() >= n:
         raise ValueError("order must contain n valid indices")
     grad, data = p.unchecked_grad()
-    reg_code, reg_t = REG_CODE[p.regularizer.kind], s.alpha * p.regularizer.lam
+    reg_code, reg_t = prox_args(p.regularizer, s.alpha)
     z0 = s.z.copy()
     z = s.z.copy()
     zbar = s.zbar.copy()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import _grad_least_squares, _grad_logistic, ordered_mean, ordered_sum
-from .prox import REG_CODE, prox_core
+from .prox import prox_args, prox_core
 
 try:
     from numba import njit
@@ -62,5 +62,4 @@ def epoch_inplace(problem, z, zbar, alpha, theta, order, backend=None):
     jit_grad = None if backend == "numpy" else _JIT_GRADS.get(grad)
     if jit_grad is not None:
         loop, grad = _epoch_jit, jit_grad
-    reg = problem.regularizer
-    loop(z, zbar, order, alpha, theta, REG_CODE[reg.kind], alpha * reg.lam, grad, data)
+    loop(z, zbar, order, alpha, theta, *prox_args(problem.regularizer, alpha), grad, data)

@@ -4,7 +4,8 @@ Everything here is deliberately written against the problem definition, not
 against the optimizer implementation: closed-form solves where available,
 plain proximal gradient descent on the model's full gradient otherwise, and
 brute-force enumeration over permutations for the ordering and expectation
-oracles.
+oracles. The expectation oracle walks the permutation tree, so each shared
+order prefix is applied once, and checks its inputs once per call.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import math
 
 import numpy as np
 
-from .engine import apply_Tpi
-from .model import ProblemInstance, as_vector
+from .engine import _finite_table, _literal_step
+from .model import ProblemInstance, as_vector, validate_permutation
 from .prox import prox, subgradient_residual
 
 ITERATION_CAP = 10**7
@@ -82,15 +83,38 @@ def brute_force_best_order(scores):
 
 
 def expected_contraction(p: ProblemInstance, u, v, alpha):
-    """Exact E_tau ||T_tau u - T_tau v||^2 over all n! permutations (n <= 6)."""
+    """Exact E_tau ||T_tau u - T_tau v||^2 over all n! permutations (n <= 6).
+
+    A depth-first walk of the permutation tree carries the (u, v) tables
+    down, so a prefix shared by several orders is applied once: sum_j
+    n!/(n-j)! block applications per table instead of n * n!. Children are
+    taken in ascending index order, so the leaves come in the lexicographic
+    order of ``itertools.permutations`` and the sum is the one the
+    permutation-by-permutation loop forms. Like ``apply_Tpi``, every leaf
+    table must be finite.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if p.n > 6:
         raise ValueError("exact expectation is guarded at n <= 6")
+    for z in (u, v):  # one row per block, with the error apply_Tpi raises
+        validate_permutation(range(p.n), z.shape[0])
+    step = _literal_step(p, alpha, (u, v))
     total = 0.0
     count = 0
-    for perm in itertools.permutations(range(p.n)):
-        du = apply_Tpi(p, perm, u, alpha) - apply_Tpi(p, perm, v, alpha)
-        total += float(np.sum(du * du))
-        count += 1
+
+    def walk(tu, tv, left):
+        nonlocal total, count
+        if not left:
+            du = _finite_table(tu) - _finite_table(tv)
+            total += float(np.sum(du * du))
+            count += 1
+            return
+        for j in left:
+            cu, cv = tu.copy(), tv.copy()
+            step(cu, j)
+            step(cv, j)
+            walk(cu, cv, [k for k in left if k != j])
+
+    walk(u, v, list(range(p.n)))
     return total / count

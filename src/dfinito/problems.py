@@ -330,23 +330,38 @@ def _encode(value):
 
 
 def _decode(value, name):
-    """Field ``name`` as a writable float64 array, from the encoded form or nested lists."""
+    """Field ``name`` as a writable float64 array, from the encoded form or
+    nested lists of JSON numbers; every entry must be finite."""
     try:
-        if isinstance(value, list):
-            return np.array(value, dtype=np.float64)
-        if not isinstance(value, dict) or sorted(value) != ["base64", "dtype", "shape"]:
-            raise ValueError("expected a list or an object of dtype, shape and base64")
-        if value["dtype"] != ENCODED_DTYPE:
-            raise ValueError(f"dtype {value['dtype']!r} is not {ENCODED_DTYPE!r}")
-        shape = value["shape"]
-        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
-            raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
-        raw = base64.b64decode(value["base64"], validate=True)
-        if len(raw) != 8 * math.prod(shape):
-            raise ValueError(f"{len(raw)} bytes do not fill shape {shape}")
-        return np.frombuffer(raw, dtype=ENCODED_DTYPE).reshape(shape).astype(np.float64)
-    except (TypeError, ValueError) as exc:
+        a = _decode_array(value)
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite entry {float(a[~np.isfinite(a)][0])!r}")
+        return a
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+def _decode_array(value):
+    """The float64 array in ``value``, either form; finiteness is the caller's check."""
+    if isinstance(value, list):
+        a = np.array(value, dtype=np.float64)
+        # float64 conversion also takes null, true and numeric strings
+        entries = np.array(value, dtype=object).ravel()
+        if not set(map(type, entries)) <= {int, float}:
+            bad = next(x for x in entries if type(x) not in (int, float))
+            raise ValueError(f"non-numeric entry {json.dumps(bad)}")
+        return a
+    if not isinstance(value, dict) or sorted(value) != ["base64", "dtype", "shape"]:
+        raise ValueError("expected a list or an object of dtype, shape and base64")
+    if value["dtype"] != ENCODED_DTYPE:
+        raise ValueError(f"dtype {value['dtype']!r} is not {ENCODED_DTYPE!r}")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+    raw = base64.b64decode(value["base64"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes do not fill shape {shape}")
+    return np.frombuffer(raw, dtype=ENCODED_DTYPE).reshape(shape).astype(np.float64)
 
 
 def _field(doc, name, kind, default=None):
@@ -398,8 +413,9 @@ def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | Non
 def load_instance(path):
     """Load (instance, certificate-or-None) written by save_instance.
 
-    Arrays may be encoded or plain nested lists; both load bit for bit. A
-    malformed file raises ValueError naming the file and the field.
+    Arrays may be encoded or plain nested lists; both load bit for bit, and
+    every entry must be a finite number. A malformed file raises ValueError
+    naming the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -19,6 +19,14 @@ def prox_core(v, reg_code, t):
     return v.copy()
 
 
+def prox_args(r: Regularizer, alpha: float):
+    """(reg_code, t) with ``prox_core(v, reg_code, t)`` equal to ``prox(r, alpha, v)``,
+    for loops that resolve the prox once and step without checks."""
+    if r.kind not in REG_CODE:
+        raise ValueError(f"unsupported regularizer kind {r.kind!r}")
+    return REG_CODE[r.kind], alpha * r.lam
+
+
 def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
     """argmin_y { alpha * r(y) + 0.5 ||y - v||^2 }.
 
@@ -28,9 +36,7 @@ def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     v = as_vector(v)
-    if r.kind not in REG_CODE:
-        raise ValueError(f"unsupported regularizer kind {r.kind!r}")
-    return prox_core(v, REG_CODE[r.kind], alpha * r.lam)
+    return prox_core(v, *prox_args(r, alpha))
 
 
 def subgradient_residual(r: Regularizer, x, g_smooth) -> float:

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 import math
@@ -235,6 +236,12 @@ def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, co
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _encoded(values, shape):
+    """An instance-file array in its encoded form, written out by hand."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {"dtype": "<f8", "shape": shape, "base64": base64.b64encode(raw).decode("ascii")}
+
+
 @pytest.mark.parametrize("field, value, named", [
     ("regularizer", None, "missing field regularizer"),
     ("n", "30", "n: expected integer, got str"),
@@ -243,8 +250,16 @@ def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, co
     ("certificate.t.base64", "!!!!", "certificate.t: Only base64 data is allowed"),
     ("certificate.t.shape", [30, 5], "certificate.t: 960 bytes do not fill shape [30, 5]"),
     ("A", [[0.0] * 4] * 30, "A must have shape (n, k, d), got (30, 4)"),
+    ("A", [[[None] + [0.0] * 3] + [[0.0] * 4] * 3] + [[[0.0] * 4] * 4] * 29,
+     "A: non-numeric entry null"),
+    ("A", [[[0.0] * 4] * 4] * 29 + [[[0.0] * 4] * 3 + [[0.0, True, 0.0, 0.0]]],
+     "A: non-numeric entry true"),
+    ("b", _encoded([0.0] * 119 + [math.nan], [30, 4]), "b: non-finite entry nan"),
+    ("certificate.t", _encoded([-math.inf] + [0.0] * 119, [30, 4]),
+     "certificate.t: non-finite entry -inf"),
 ], ids=["missing_key", "wrong_type", "unknown_kind", "bad_dtype", "bad_base64",
-        "bytes_do_not_fill_shape", "wrong_rank"])
+        "bytes_do_not_fill_shape", "wrong_rank", "list_null", "list_true", "encoded_nan",
+        "encoded_inf"])
 def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, field, value,
                                                           named):
     assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4",
@@ -275,6 +290,17 @@ def test_unknown_schedule_exits_2_before_reference_solve(tmp_path, ls_instance, 
     cfg = _config(tmp_path, ls_instance, algorithm="sgd", alpha=0.1, schedule="x")
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == "error: unknown schedule 'x'\n"
+
+
+def test_diverging_saga_exits_2_on_non_finite_iterate(tmp_path, ls_instance, capsys):
+    # each inner step multiplies the error by about alpha * L = 5e10, so the
+    # iterate overflows within the 48 steps of six epochs
+    cfg = _config(tmp_path, ls_instance, algorithm="saga", alpha=1e10, seeds=[0])
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: vector contains NaN or infinite entries\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_duplicate_seeds_rejected(tmp_path, ls_instance, capsys):

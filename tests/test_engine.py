@@ -18,7 +18,7 @@ from dfinito.engine import (
     run,
 )
 from dfinito.model import MemoryState, ProblemInstance, Regularizer, ordered_mean
-from dfinito.oracle import solve_reference, zstar_table
+from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic
 from dfinito.prox import prox
 from dfinito.baselines import prox_gd_run
@@ -59,6 +59,108 @@ def test_apply_ti_index_and_alpha_errors(composite_problem):
         apply_Ti(composite_problem, 99, z, 0.1)
     with pytest.raises(ValueError):
         apply_Ti(composite_problem, 0, z, -0.1)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+def test_literal_operators_equal_checked_block_steps(kind):
+    rng = np.random.default_rng(16)
+    if kind == "least_squares":
+        p = gen_least_squares(2, n=6, d=3, k=4, L=3.0, mu=0.0, regularizer=Regularizer.l1(0.1))
+    elif kind == "logistic":
+        W = rng.standard_normal((6, 3))
+        p = gen_logistic(W, np.where(rng.random(6) < 0.5, -1.0, 1.0), 0.2)
+    else:
+        p = _custom_problem(6, 3, rng, Regularizer.l2sq(0.2))
+    alpha = 1.5 / p.L
+    z = rng.standard_normal((p.n, p.d))
+
+    def block(z, i):
+        # the block operator through the validated prox and gradient
+        out = z.copy()
+        x = prox(p.regularizer, alpha, ordered_mean(z))
+        out[i] = x - alpha * p.component_grad(i, x)
+        return out
+
+    for i in range(p.n):
+        assert np.array_equal(apply_Ti(p, i, z, alpha), block(z, i))
+    order = rng.permutation(p.n)
+    want = z
+    for i in order:
+        want = block(want, int(i))
+    assert np.array_equal(apply_Tpi(p, order, z, alpha), want)
+    assert np.array_equal(apply_Spi(p, order, z, alpha, 0.3), 0.7 * z + 0.3 * want)
+
+
+def _table(p, rows=None, cols=None, bad=None):
+    z = np.zeros((p.n if rows is None else rows, p.d if cols is None else cols))
+    if bad is not None:
+        z[2, 1] = bad
+    return z
+
+
+LS5 = gen_least_squares(2, n=5, d=3, k=3, L=2.0, mu=0.0)
+LS7 = gen_least_squares(3, n=7, d=3, k=3, L=2.0, mu=0.0)
+NAN, INF = _table(LS5, bad=np.nan), _table(LS5, bad=np.inf)
+ZERO = _table(LS5)
+# one fault per call, each with the message the per-block checks raised
+CHECK_CASES = {
+    "Ti_index_high": (lambda: apply_Ti(LS5, 5, ZERO, 0.5),
+                      IndexError, "component index 5 out of range [0, 5)"),
+    "Ti_index_negative": (lambda: apply_Ti(LS5, -1, ZERO, 0.5),
+                          IndexError, "component index -1 out of range [0, 5)"),
+    "Ti_alpha_zero": (lambda: apply_Ti(LS5, 0, ZERO, 0.0), ValueError, "alpha must be positive"),
+    "Ti_alpha_negative": (lambda: apply_Ti(LS5, 0, ZERO, -0.5),
+                          ValueError, "alpha must be positive"),
+    "Ti_nan": (lambda: apply_Ti(LS5, 0, NAN, 0.5),
+               ValueError, "vector contains NaN or infinite entries"),
+    "Ti_inf": (lambda: apply_Ti(LS5, 0, INF, 0.5),
+               ValueError, "vector contains NaN or infinite entries"),
+    "Ti_width": (lambda: apply_Ti(LS5, 0, _table(LS5, cols=4), 0.5),
+                 ValueError, "dimension mismatch: expected 3, got 4"),
+    "Tpi_not_permutation": (lambda: apply_Tpi(LS5, [0, 1, 1, 3, 4], ZERO, 0.5),
+                            ValueError, "not a permutation of range(5): [0 1 1 3 4]"),
+    "Tpi_alpha_zero": (lambda: apply_Tpi(LS5, range(5), ZERO, 0.0),
+                       ValueError, "alpha must be positive"),
+    "Tpi_nan": (lambda: apply_Tpi(LS5, range(5), NAN, 0.5),
+                ValueError, "vector contains NaN or infinite entries"),
+    "Tpi_block_index": (lambda: apply_Tpi(LS5, [5, 0, 1, 2, 3, 4], _table(LS5, rows=6), 0.5),
+                        IndexError, "component index 5 out of range [0, 5)"),
+    "Tpi_width": (lambda: apply_Tpi(LS5, range(5), _table(LS5, cols=4), 0.5),
+                  ValueError, "dimension mismatch: expected 3, got 4"),
+    "contraction_n7": (lambda: expected_contraction(LS7, _table(LS7), _table(LS7), 0.5),
+                       ValueError, "exact expectation is guarded at n <= 6"),
+    "contraction_alpha_zero": (lambda: expected_contraction(LS5, ZERO, ZERO, 0.0),
+                               ValueError, "alpha must be positive"),
+    "contraction_nan_u": (lambda: expected_contraction(LS5, NAN, ZERO, 0.5),
+                          ValueError, "vector contains NaN or infinite entries"),
+    "contraction_nan_v": (lambda: expected_contraction(LS5, ZERO, NAN, 0.5),
+                          ValueError, "vector contains NaN or infinite entries"),
+    "contraction_rows": (lambda: expected_contraction(LS5, _table(LS5, rows=6), ZERO, 0.5),
+                         ValueError, "not a permutation of range(6): [0 1 2 3 4]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_literal_operators_reject_bad_input(case):
+    call, error, message = CHECK_CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_overflow_inside_a_composition_raises():
+    # f_i(x) = 0.5 (a_i x)^2; the gradient step of block 2 overflows from a finite table
+    a = np.array([1.0, 1.0, 1e10])
+    p = ProblemInstance(kind="least_squares", n=3, d=1, regularizer=Regularizer.none(),
+                        L=1e20, mu=0.0, A=a.reshape(3, 1, 1), b=np.zeros((3, 1)))
+    z = np.full((3, 1), 1e300)
+    # in [0, 1, 2] only the last block overflows, which only the exit check sees
+    with np.errstate(all="ignore"):
+        for order in ([2, 0, 1], [0, 2, 1], [0, 1, 2]):
+            with pytest.raises(ValueError, match="vector contains NaN or infinite entries"):
+                apply_Tpi(p, order, z, 1.0)
+        with pytest.raises(ValueError, match="vector contains NaN or infinite entries"):
+            expected_contraction(p, z, np.zeros((3, 1)), 1.0)
 
 
 def test_fixed_point_of_block_operators(composite_problem):

@@ -1,6 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from dfinito import model
+from dfinito.engine import apply_Tpi
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import (
     brute_force_best_order,
@@ -142,6 +147,74 @@ def test_expected_contraction_guard():
     p = gen_least_squares(6, n=7, d=2, k=2, L=1.0, mu=0.0)
     with pytest.raises(ValueError):
         expected_contraction(p, np.zeros((7, 2)), np.zeros((7, 2)), 0.5)
+
+
+def _permutation_loop(p, u, v, alpha):
+    """The exact expectation as one apply_Tpi pair per permutation."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if p.n > 6:
+        raise ValueError("exact expectation is guarded at n <= 6")
+    total = 0.0
+    count = 0
+    for perm in itertools.permutations(range(p.n)):
+        du = apply_Tpi(p, perm, u, alpha) - apply_Tpi(p, perm, v, alpha)
+        total += float(np.sum(du * du))
+        count += 1
+    return total / count
+
+
+def _custom(n, d, rng, reg):
+    """f_i(x) = (c_i / 2) ||x - a_i||^2 behind Python callables."""
+    c = rng.uniform(0.5, 2.0, size=n)
+    a = rng.standard_normal((n, d))
+    grads = [lambda x, ci=ci, ai=ai: ci * (x - ai) for ci, ai in zip(c, a)]
+    return ProblemInstance(kind="custom", n=n, d=d, regularizer=reg,
+                           L=float(c.max()), mu=float(c.min()), grads=grads)
+
+
+def _oracle_case(case, rng):
+    if case == "least_squares_l1_n5":
+        return gen_least_squares(1, n=5, d=3, k=5, L=2.0, mu=0.0,
+                                 regularizer=Regularizer.l1(0.05))
+    if case == "logistic_n4":
+        W = rng.standard_normal((4, 3))
+        return gen_logistic(W, np.where(rng.random(4) < 0.5, -1.0, 1.0), 0.2)
+    n = 3 if case == "custom_l2sq_n3" else 1
+    return _custom(n, 2, rng, Regularizer.l2sq(0.3) if n == 3 else Regularizer.l1(0.1))
+
+
+@pytest.mark.parametrize("case", ["least_squares_l1_n5", "logistic_n4", "custom_l2sq_n3",
+                                  "custom_l1_n1"])
+def test_expected_contraction_equals_permutation_loop_bitwise(case):
+    rng = np.random.default_rng(11)
+    p = _oracle_case(case, rng)
+    for scale in (0.1, 1.0, 10.0):
+        for alpha in (1.0 / p.L, 2.0 / p.L):
+            u = rng.standard_normal((p.n, p.d)) * scale
+            v = rng.standard_normal((p.n, p.d)) * scale
+            assert expected_contraction(p, u, v, alpha) == _permutation_loop(p, u, v, alpha)
+
+
+def test_expected_contraction_applies_each_prefix_once(monkeypatch):
+    p = gen_least_squares(1, n=5, d=3, k=5, L=2.0, mu=0.0, regularizer=Regularizer.l1(0.05))
+    rng = np.random.default_rng(12)
+    u, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    calls = []
+    grad = model._grad_least_squares
+
+    def counted(data, i, x):
+        calls.append(i)
+        return grad(data, i, x)
+
+    monkeypatch.setattr(model, "_grad_least_squares", counted)
+    expected_contraction(p, u, v, 1.0)
+    per_table = sum(math.perm(5, j) for j in range(1, 6))
+    assert per_table == 325  # one application per node of the permutation tree
+    assert len(calls) == 2 * per_table
+    calls.clear()
+    _permutation_loop(p, u, v, 1.0)
+    assert len(calls) == 2 * 5 * math.factorial(5)
 
 
 def test_logistic_reference_residual():
