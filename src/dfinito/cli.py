@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification/check failure, 2 usage or config
 error. Trace CSVs use the fixed column schema from diagnostics.CSV_COLUMNS,
 UTF-8, '.' decimals, and '\\n' newlines; files are written atomically. Seeds
-and sweep cells run one after another.
+and sweep cells run one after another; the seeds of a cell that reads no seed
+share one run.
 """
 from __future__ import annotations
 
@@ -297,8 +298,11 @@ def _prepare(args):
 
 
 def _run_cell(cell, p, seeds, xstar):
-    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha."""
+    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha; proximal
+    GD and a regime outside ``sampling.SEEDED`` read no seed, so they run once."""
     reference = None if xstar is None else (xstar, oracle.zstar_table(p, xstar, cell.config.alpha))
+    if cell.algorithm == "prox_gd" or cell.config.plan.regime not in sampling.SEEDED:
+        return [run_experiment(cell, p, seeds[0], reference)] * len(seeds)
     return [run_experiment(cell, p, s, reference) for s in seeds]
 
 

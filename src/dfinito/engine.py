@@ -58,8 +58,8 @@ def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
 
     Every index in ``blocks`` must name a component, alpha must be positive
     and the mean of each table in ``tables`` a finite vector of dimension d,
-    with the errors a checked gradient step raises. The returned
-    ``step(z, i)`` replaces row i of ``z`` in place by
+    with the errors a checked gradient step raises, and then of shape (n, d).
+    The returned ``step(z, i)`` replaces row i of ``z`` in place by
     x - alpha grad f_i(x), x = prox(mean z), with no further checks.
     """
     for i in blocks:
@@ -68,6 +68,8 @@ def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
         raise ValueError("alpha must be positive")
     for z in tables:
         as_vector(ordered_mean(z), p.d)
+        if z.shape != (p.n, p.d):
+            raise ValueError(f"table must have shape ({p.n}, {p.d}), got {z.shape}")
     grad, data = p.unchecked_grad()
     reg_code, reg_t = prox_args(p.regularizer, alpha)
 

@@ -33,12 +33,16 @@ def as_vector(x, dim=None):
 
 
 def ordered_sum(rows):
-    """Sum table rows strictly left to right.
+    """Sum table rows strictly left to right, starting from +0.0.
 
     Table means and the custom-problem full gradient use this fixed order so
-    that runs do not depend on a BLAS reduction strategy.
+    that runs do not depend on a BLAS reduction strategy. numpy's axis-0
+    reduce adds whole rows in turn only on a C-contiguous table with two or
+    more columns; down one column (or in Fortran order) it sums pairwise.
     """
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 2 and rows.shape[1] >= 2:
+        return np.add.reduce(np.ascontiguousarray(rows), axis=0, initial=0.0)
     acc = np.zeros(rows.shape[-1])
     for r in rows:
         acc = acc + r
@@ -62,23 +66,25 @@ def stable_sigmoid(u):
 
 
 def _grad_least_squares(data, i, x):
-    """grad of 0.5 ||A_i x - b_i||^2 for data = (A, b); unchecked."""
-    A, b = data
-    return A[i].T @ (A[i] @ x - b[i])
+    """grad of 0.5 ||A_i x - b_i||^2 for data = (rows of A, their transposes,
+    rows of b); unchecked."""
+    A, At, b = data
+    return At[i] @ (A[i] @ x - b[i])
 
 
 def _grad_logistic(data, i, x):
-    """grad of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 for
-    data = (W, y, ridge); unchecked. The sigmoid branches on the sign of the
+    """grad of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 for data = (rows of
+    W, labels, ridge); unchecked. The sigmoid branches on the sign of the
     margin so that exp never overflows; it matches :func:`stable_sigmoid`."""
     W, y, ridge = data
-    m = y[i] * (W[i] @ x)
+    w, yi = W[i], y[i]
+    m = yi * (w @ x)
     if m <= 0.0:
         s = 1.0 / (1.0 + np.exp(m))
     else:
         e = np.exp(-m)
         s = e / (1.0 + e)
-    return -y[i] * s * W[i] + ridge * x
+    return -yi * s * w + ridge * x
 
 
 @dataclass(frozen=True)
@@ -188,24 +194,34 @@ class ProblemInstance:
         self._check_index(i)
         x = as_vector(x, self.d)
         if self.kind == "least_squares":
-            return _grad_least_squares((self.A, self.b), i, x)
+            return _grad_least_squares(self._rows, i, x)
         if self.kind == "logistic":
-            return _grad_logistic((self.W, self.y, self.ridge), i, x)
-        return as_vector(self.grads[i](x), self.d)
+            return _grad_logistic(self._rows, i, x)
+        # a copy, because a callable may keep or change its argument
+        return as_vector(self.grads[i](x.copy()), self.d)
 
     def unchecked_grad(self):
         """(grad, data) with grad(data, i, x) the gradient of f_i at x.
 
         The epoch loop calls grad n times per epoch, so for the built-in
-        kinds it skips the index and vector checks. Custom problems get the
-        validated :meth:`component_grad`, because their callables are outside
-        input.
+        kinds it skips the index and vector checks and reads the per-row data
+        of :attr:`_rows`. Custom problems get the validated
+        :meth:`component_grad`, because their callables are outside input.
         """
         if self.kind == "least_squares":
-            return _grad_least_squares, (self.A, self.b)
+            return _grad_least_squares, self._rows
         if self.kind == "logistic":
-            return _grad_logistic, (self.W, self.y, self.ridge)
+            return _grad_logistic, self._rows
         return ProblemInstance.component_grad, self
+
+    @cached_property
+    def _rows(self):
+        """Row views split once, so a step indexes a list: (rows of A, their
+        transposes, rows of b), or (rows of W, labels as floats, ridge)."""
+        if self.kind == "least_squares":
+            A = list(self.A)
+            return A, [a.T for a in A], list(self.b)
+        return list(self.W), self.y.tolist(), self.ridge
 
     @cached_property
     def gram(self):

@@ -11,7 +11,7 @@ REG_CODE = {"none": 0, "l1": 1, "l2sq": 2}
 
 def prox_core(v, reg_code, t):
     """The closed-form prox with weight ``t`` for ``REG_CODE`` regularizer
-    ``reg_code``; no input checks, so hot loops (and numba) can call it."""
+    ``reg_code``; no input checks, so hot loops can call it. Never returns ``v``."""
     if reg_code == 1:
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
     if reg_code == 2:

@@ -13,6 +13,8 @@ import numpy as np
 from .model import validate_permutation
 
 REGIMES = ("cyclic", "reshuffle", "shuffle_once", "uniform", "adaptive")
+# the regimes whose orders read the plan's seed; cyclic and adaptive orders do not
+SEEDED = ("reshuffle", "shuffle_once", "uniform")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dfinito
-from dfinito import cli, oracle
+from dfinito import baselines, cli, engine, oracle
 from dfinito.cli import main, read_trace_csv
 from dfinito.diagnostics import CSV_COLUMNS
 from dfinito.problems import gen_logistic, save_instance
@@ -206,6 +206,28 @@ def test_sweep_solves_reference_once(tmp_path, ls_instance, monkeypatch):
         assert sweep(f"cell{idx}", {"alpha": [alpha], "theta": [theta], "sampling": [smp]}) \
             == [rows[idx]]
     assert len(calls) == 1 + 8
+
+
+@pytest.mark.parametrize("algorithm, regime, runs", [
+    ("dfinito", "cyclic", 1), ("dfinito", "adaptive", 1), ("prox_gd", "reshuffle", 1),
+    ("dfinito", "reshuffle", 2),
+])
+def test_seeds_of_an_unseeded_cell_share_one_run(tmp_path, ls_instance, monkeypatch,
+                                                 algorithm, regime, runs):
+    calls = []
+    for module, name in ((engine, "run"), (baselines, "prox_gd_run")):
+        def counted(*args, _orig=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _config(tmp_path, ls_instance, algorithm=algorithm, sampling={"regime": regime},
+                  seeds=[0, 1])
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
+    assert len(calls) == runs
+    same = (out / "trace_seed0.csv").read_bytes() == (out / "trace_seed1.csv").read_bytes()
+    assert same == (runs == 1)
 
 
 def test_sweep_requires_grid(tmp_path, ls_instance):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfinito import kernels
+from dfinito import baselines, kernels
 from dfinito.engine import (
     DampedRunConfig,
     apply_Spi,
@@ -22,7 +22,7 @@ from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic
 from dfinito.prox import prox
 from dfinito.baselines import prox_gd_run
-from dfinito.sampling import SamplingPlan
+from dfinito.sampling import REGIMES, SEEDED, SamplingPlan
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,14 @@ CHECK_CASES = {
                           ValueError, "vector contains NaN or infinite entries"),
     "contraction_rows": (lambda: expected_contraction(LS5, _table(LS5, rows=6), ZERO, 0.5),
                          ValueError, "not a permutation of range(6): [0 1 2 3 4]"),
+    "Tpi_rows_short": (lambda: apply_Tpi(LS5, range(3), np.ones((3, 3)), 0.5),
+                       ValueError, "table must have shape (5, 3), got (3, 3)"),
+    "Ti_rows_short": (lambda: apply_Ti(LS5, 0, np.ones((2, 3)), 0.5),
+                      ValueError, "table must have shape (5, 3), got (2, 3)"),
+    "Ti_rows_extra": (lambda: apply_Ti(LS5, 0, _table(LS5, rows=6), 0.5),
+                      ValueError, "table must have shape (5, 3), got (6, 3)"),
+    "Spi_rows_short": (lambda: apply_Spi(LS5, range(4), _table(LS5, rows=4), 0.5, 0.5),
+                       ValueError, "table must have shape (5, 3), got (4, 3)"),
 }
 
 
@@ -430,3 +438,115 @@ def test_loop_matches_literal_epoch_property(kind, reg, n, d, theta, seed):
         p = _custom_problem(n, d, rng, r)
     z = rng.standard_normal((n, d))
     assert _loop_gap(p, z, 1.0 / p.L, theta, rng.permutation(n)) <= 1e-12
+
+
+def _reference_grad(p, i, x):
+    """The gradients the loop used before the row lists, on the instance arrays."""
+    if p.kind == "least_squares":
+        return p.A[i].T @ (p.A[i] @ x - p.b[i])
+    if p.kind == "logistic":
+        m = p.y[i] * (p.W[i] @ x)
+        if m <= 0.0:
+            s = 1.0 / (1.0 + np.exp(m))
+        else:
+            e = np.exp(-m)
+            s = e / (1.0 + e)
+        return -p.y[i] * s * p.W[i] + p.ridge * x
+    return p.component_grad(i, x)
+
+
+def _reference_epoch(p, z, zbar, alpha, theta, order):
+    """The memory-lean loop before the numpy calls per step were cut, with the
+    row-loop table mean; in place on (z, zbar)."""
+    n = z.shape[0]
+    for i in order:
+        x = prox(p.regularizer, alpha, zbar)
+        dvec = x - alpha * _reference_grad(p, i, x) - z[i]
+        zbar += dvec / n
+        z[i] += theta * dvec
+    acc = np.zeros(z.shape[1])
+    for r in z:
+        acc = acc + r
+    zbar[:] = acc / n
+
+
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+def test_loop_equals_reference_loop_bytes(kind, reg):
+    for n, d in ((9, 1), (12, 5)):
+        rng = np.random.default_rng(17 + d)
+        r = REGULARIZERS[reg]
+        if kind == "least_squares":
+            p = gen_least_squares(d, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
+        elif kind == "logistic":
+            W = rng.standard_normal((n, d))
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            p = dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
+        else:
+            p = _custom_problem(n, d, rng, r)
+        z = rng.standard_normal((n, d))
+        want_z, want_zbar = z.copy(), ordered_mean(z)
+        got_z, got_zbar = z.copy(), ordered_mean(z)
+        for _ in range(3):
+            order = rng.permutation(n)
+            _reference_epoch(p, want_z, want_zbar, 0.9 / p.L, 0.6, order)
+            kernels.epoch_inplace(p, got_z, got_zbar, 0.9 / p.L, 0.6, order)
+            assert got_z.tobytes() == want_z.tobytes()
+            assert got_zbar.tobytes() == want_zbar.tobytes()
+
+
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+def test_custom_gradient_argument_never_changes_later(reg):
+    seen = []
+
+    def grad(x):
+        seen.append((x, x.copy()))
+        return x - 1.0
+
+    p = ProblemInstance(kind="custom", n=4, d=3, regularizer=REGULARIZERS[reg], L=1.0,
+                        mu=1.0, grads=[grad] * 4)
+    z = np.random.default_rng(18).standard_normal((4, 3))
+    zbar = ordered_mean(z)
+    for _ in range(2):
+        kernels.epoch_inplace(p, z, zbar, 0.5, 0.5, np.arange(4))
+    assert len(seen) == 8
+    for x, snapshot in seen:
+        assert not np.shares_memory(x, zbar) and not np.shares_memory(x, z)
+        assert x.tobytes() == snapshot.tobytes()
+
+
+def _records_equal(a, b):
+    """Equal trace records; baseline records compare their iterates by bytes."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        if isinstance(ra, baselines.BaselineRecord):
+            assert (ra.epoch, ra.grad_evals, ra.x.tobytes()) == \
+                (rb.epoch, rb.grad_evals, rb.x.tobytes())
+        else:
+            assert ra == rb
+
+
+def test_unseeded_regimes_ignore_the_seed():
+    """Only the regimes in SEEDED may read the plan's seed; the CLI runs a cell
+    of any other regime once for all its seeds."""
+    p = gen_least_squares(4, n=7, d=3, k=3, L=4.0, mu=0.2, regularizer=Regularizer.l1(0.05))
+    z0 = np.random.default_rng(19).standard_normal((p.n, p.d))
+    unseeded = [r for r in REGIMES if r not in SEEDED]
+    assert unseeded == ["cyclic", "adaptive"]
+    order = np.random.default_rng(20).permutation(p.n)
+
+    def plan(regime, seed):
+        return SamplingPlan(regime, p.n, order=order if regime == "cyclic" else None,
+                            seed=seed, gamma=0.4)
+
+    for regime in unseeded:
+        traces = [run(p, DampedRunConfig(0.2, 0.5, 6, plan(regime, seed)), z0)[1]
+                  for seed in (0, 1)]
+        _records_equal(*traces)
+    x0 = z0[0]
+    for runner in (lambda pl: baselines.svrg_run(p, pl, 0.05, 4, x0),
+                   lambda pl: baselines.saga_run(p, pl, 0.05, 4, x0)):
+        _records_equal(runner(plan("cyclic", 0)), runner(plan("cyclic", 1)))
+    q = dataclasses.replace(p, regularizer=Regularizer.none())
+    _records_equal(baselines.sgd_run(q, plan("cyclic", 0), 0.05, 4, x0),
+                   baselines.sgd_run(q, plan("cyclic", 1), 0.05, 4, x0))

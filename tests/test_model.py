@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfinito.model import (
     MemoryState,
@@ -41,6 +43,32 @@ def test_ordered_sum_is_left_to_right():
     # a value that cancels only under strict left-to-right order
     rows = np.array([[1e16], [1.0], [-1e16]])
     assert ordered_sum(rows)[0] == 0.0  # (1e16 + 1) rounds to 1e16
+
+
+def _left_to_right(rows):
+    """The row loop ordered_sum replaced: acc = 0, then acc + row for each row."""
+    acc = np.zeros(rows.shape[1])
+    for r in rows:
+        acc = acc + r
+    return acc
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 64), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=300, d=1, fortran=False, seed=0)  # numpy sums one column pairwise
+@example(n=300, d=2, fortran=True, seed=0)  # and a Fortran table down each column
+def test_ordered_sum_equals_row_loop_bytes(n, d, fortran, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes from 1e-8 to 1e16 so that rounding depends on the order
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 17, size=(n, d))
+    rows[rng.random((n, d)) < 0.2] = -0.0
+    if d > 1:
+        rows[:, 0] = -0.0  # a column of -0.0 sums to +0.0 from the +0.0 start
+    table = np.asfortranarray(rows) if fortran else rows
+    want = _left_to_right(rows)
+    assert ordered_sum(table).tobytes() == want.tobytes()
+    assert ordered_mean(table).tobytes() == (want / n).tobytes()
 
 
 def test_stable_sigmoid_extremes():

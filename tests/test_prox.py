@@ -10,6 +10,15 @@ def test_prox_none_is_identity():
     assert np.array_equal(prox(Regularizer.none(), 0.7, v), v)
 
 
+@pytest.mark.parametrize("reg", [Regularizer.none(), Regularizer.l1(0.5), Regularizer.l2sq(0.5)])
+def test_prox_returns_a_new_array(reg):
+    v = np.array([1.0, -2.0, 0.5])
+    out = prox(reg, 0.7, v)
+    assert not np.shares_memory(out, v)
+    out += 1.0
+    assert np.array_equal(v, [1.0, -2.0, 0.5])
+
+
 def test_prox_l1_soft_threshold_hand_values():
     # threshold t = alpha * lam = 0.5 * 2 = 1
     v = np.array([3.0, -0.5, 1.0, -4.0, 0.0])
