@@ -7,11 +7,11 @@ through one unchecked step that resolves the gradient and prox once per call
 (:func:`_literal_step`); ``apply_Tpi`` checks on exit that the composed table
 is finite, so an overflow partway through still raises.
 ``epoch_step`` executes the textbook epoch with an end-of-epoch damping pass,
-``epoch_step_efficient`` the memory-lean variant that folds damping into each
-block correction (the loop in :mod:`kernels`); for permutation orders the two
-produce identical x-iterate sequences. ``run`` drives whole experiments and
-records diagnostics: the uniform regime, whose orders repeat indices, takes
-the literal epoch and every permutation regime the memory-lean loop.
+``epoch_step_efficient`` the kernel that folds damping into each block
+correction; for permutation orders the two produce identical x-iterate
+sequences. ``run`` drives whole experiments and records diagnostics. An epoch
+takes one of three paths: literal for the uniform regime, whose orders repeat
+indices; blocked or lean (:func:`kernels.epoch_path`) for permutation regimes.
 """
 from __future__ import annotations
 
@@ -151,7 +151,6 @@ def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
 
 def epoch_step_efficient(p: ProblemInstance, s: MemoryState, order, theta: float) -> MemoryState:
     """Same contract as :func:`epoch_step` for permutation orders."""
-    order = validate_permutation(order, s.z.shape[0])
     z = s.z.copy()
     zbar = s.zbar.copy()
     epoch_step_efficient_inplace(p, z, zbar, s.alpha, theta, order)

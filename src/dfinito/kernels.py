@@ -1,30 +1,60 @@
-"""The memory-lean epoch loop of the damped Finito update, for every problem kind.
+"""The epoch loops of the damped Finito update.
 
-Each inner step takes the prox at the running table mean, refreshes block i
-with step alpha, adds theta times that correction to z_i and moves the mean
-by the undamped correction over n: O(d) per step and no second n-by-d table.
-The epoch ends with the exact fixed-order table mean, which bounds
-floating-point drift. The gradient comes from
-:meth:`ProblemInstance.unchecked_grad` and the prox from
-:func:`prox.prox_core`, so the loop knows nothing of the problem kind.
+A step takes the prox at the running table mean, refreshes block i with step
+alpha, adds theta times that correction to z_i and moves the mean by the
+undamped correction over n, with no second n-by-d table; the epoch ends with
+the exact fixed-order mean. :func:`epoch_inplace` checks the table and order
+once and dispatches by :func:`epoch_path`. The lean loop serves every kind,
+one step at a time over row views, via ``unchecked_grad`` and ``prox_core``.
 
-A step costs numpy dispatch, not flops, so the loop indexes lists of row
-views and updates in place. ``BACKEND``, ``HAVE_NUMBA`` and the ignored
-``backend`` keyword remain for callers that read them; there is one backend.
+The blocked loop serves logistic problems under a linear prox gamma v
+(gamma = 1/(1 + alpha lam) for l2sq, 1 for none). Step k on row w_k, label
+y_k and epoch-start row z0_k has c_k = alpha y_k sigmoid(-y_k gamma w_k.zbar_k),
+z_k = z0_k + theta (a zbar_k + c_k w_k - z0_k) and zbar_{k+1} = beta zbar_k +
+(c_k w_k - z0_k)/n, with a = gamma (1 - alpha ridge) and beta = 1 + a/n. Over a
+block of ``BLOCK`` steps from mean m, zbar_k = beta^k m + sum_{j<k} beta^(k-1-j)
+(c_j w_j - z0_j)/n is thus linear in the scalars c_j: the margins need only
+W_B m, W_B Z0_B^T and W_B W_B^T, a scalar recursion yields the c_k, and one
+lower-triangular product the block's means, rows and next mean. A permutation
+epoch reads each row once, before writing it, so this is the lean epoch in
+exact arithmetic; the last bits differ. Block products reduce over d or over
+at most ``BLOCK`` components, never over n, so no result depends on the BLAS
+thread count. ``BACKEND``, ``HAVE_NUMBA`` and ``backend`` remain, inert.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import ordered_mean
+from .model import ordered_mean, validate_permutation
 from .prox import prox_args, prox_core
 
 HAVE_NUMBA = False
 BACKEND = "numpy"
+BLOCK = 32
+
+
+def epoch_path(problem):
+    """``"blocked"`` for a logistic problem with regularizer none or l2sq, else ``"lean"``."""
+    linear = problem.kind == "logistic" and problem.regularizer.kind in ("none", "l2sq")
+    return "blocked" if linear else "lean"
 
 
 def epoch_inplace(problem, z, zbar, alpha, theta, order, backend=None):
-    """Run one memory-lean epoch in place on (z, zbar) along ``order``."""
+    """One epoch in place on (z, zbar); checks their shapes and that order is a permutation."""
+    n, d = problem.n, problem.d
+    if z.shape != (n, d) or zbar.shape != (d,):
+        raise ValueError(f"table and mean must be ({n}, {d}) and ({d},), got {z.shape}, {zbar.shape}")
+    order = validate_permutation(order, n)
+    if epoch_path(problem) == "blocked":
+        _blocked_epoch(problem, z, zbar, alpha, theta, order)
+    else:
+        _lean_epoch(problem, z, zbar, alpha, theta, order)
+
+
+def _lean_epoch(problem, z, zbar, alpha, theta, order):
+    """One memory-lean epoch, a step at a time, for any problem kind."""
     n = z.shape[0]
     grad, data = problem.unchecked_grad()
     reg_code, reg_t = prox_args(problem.regularizer, alpha)
@@ -38,4 +68,33 @@ def epoch_inplace(problem, z, zbar, alpha, theta, order, backend=None):
         zi += theta * dvec
         dvec /= n
         zbar += dvec
+    zbar[:] = ordered_mean(z)
+
+
+def _blocked_epoch(problem, z, zbar, alpha, theta, order):
+    """One logistic epoch under a linear prox, ``BLOCK`` steps at a time."""
+    n, W, y = z.shape[0], problem.W, problem.y
+    reg_code, reg_t = prox_args(problem.regularizer, alpha)
+    gamma = 1.0 / (1.0 + reg_t) if reg_code == 2 else 1.0
+    a = gamma * (1.0 - alpha * problem.ridge)
+    beta = 1.0 + a / n
+    ks = np.arange(min(BLOCK, n))
+    tri = np.tril(beta ** np.maximum(ks[:, None] - 1 - ks, 0), -1) / n  # beta^(k-1-j)/n, j < k
+    powers = beta ** ks
+    for idx in np.split(order, range(BLOCK, n, BLOCK)):
+        b = len(idx)
+        Wb, Z0, T = W[idx], z[idx], tri[:b, :b]
+        V = powers[:b, None] * zbar - T @ Z0  # the means without the c_j terms
+        base = np.einsum("ij,ij->i", Wb, V).tolist()
+        H = T * (Wb @ Wb.T)
+        c = np.zeros(b)
+        for k, yk in enumerate(y[idx].tolist()):
+            m = yk * gamma * (base[k] + float(H[k] @ c))
+            e = math.exp(-abs(m))  # sigmoid(-m) as the lean loop takes it, without overflow
+            c[k] = alpha * yk * ((1.0 if m <= 0.0 else e) / (1.0 + e))
+        E = c[:, None] * Wb
+        means = V + T @ E
+        D = a * means + E - Z0
+        z[idx] = Z0 + theta * D
+        zbar[:] = means[b - 1] + D[b - 1] / n
     zbar[:] = ordered_mean(z)

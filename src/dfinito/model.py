@@ -75,7 +75,9 @@ def _grad_least_squares(data, i, x):
 def _grad_logistic(data, i, x):
     """grad of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 for data = (rows of
     W, labels, ridge); unchecked. The sigmoid branches on the sign of the
-    margin so that exp never overflows; it matches :func:`stable_sigmoid`."""
+    margin so that exp never overflows; it matches :func:`stable_sigmoid`. It serves
+    logistic+l1 epochs, the literal epoch and operators, the baselines and
+    ``zstar_table``; the blocked epoch of :mod:`kernels` takes its own sigmoid."""
     W, y, ridge = data
     w, yi = W[i], y[i]
     m = yi * (w @ x)

@@ -325,6 +325,18 @@ def test_diverging_saga_exits_2_on_non_finite_iterate(tmp_path, ls_instance, cap
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_diverging_logistic_exits_2_on_non_finite_iterate(tmp_path, capsys):
+    # each step multiplies the mean by 1 + (1 - alpha * ridge) / n, far below -1
+    # here, so it overflows within six epochs
+    problem = {"generator": {"kind": "logistic", "n": 40, "d": 5, "kappa": 10, "seed": 0}}
+    cfg = _config(tmp_path, None, problem=problem, alpha=1e6, theta=1.0, seeds=[0])
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: vector contains NaN or infinite entries\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_duplicate_seeds_rejected(tmp_path, ls_instance, capsys):
     cfg = _config(tmp_path, ls_instance, seeds=[0, 1, 0])
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2

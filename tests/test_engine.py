@@ -19,7 +19,7 @@ from dfinito.engine import (
 )
 from dfinito.model import MemoryState, ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import expected_contraction, solve_reference, zstar_table
-from dfinito.problems import gen_least_squares, gen_logistic
+from dfinito.problems import gen_least_squares, gen_logistic, make_synthetic_logistic
 from dfinito.prox import prox
 from dfinito.baselines import prox_gd_run
 from dfinito.sampling import REGIMES, SEEDED, SamplingPlan
@@ -262,6 +262,22 @@ def test_efficient_inplace_allocates_no_second_table():
     assert peak < table_bytes / 4
 
 
+def test_blocked_epoch_allocates_no_second_table():
+    rng = np.random.default_rng(8)
+    W = rng.standard_normal((2048, 64))
+    p = gen_logistic(W, np.where(rng.random(2048) < 0.5, -1.0, 1.0), 0.1)
+    assert kernels.epoch_path(p) == "blocked"
+    z = rng.standard_normal((p.n, p.d))
+    zbar = ordered_mean(z)
+    order = rng.permutation(p.n)
+    kernels.epoch_inplace(p, z, zbar, 1.0 / p.L, 0.5, order)  # warm up
+    tracemalloc.start()
+    kernels.epoch_inplace(p, z, zbar, 1.0 / p.L, 0.5, order)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < z.nbytes / 4
+
+
 def test_run_constant_at_fixed_point(composite_problem):
     p = composite_problem
     alpha = 1.0 / p.L
@@ -418,6 +434,20 @@ def test_literal_epoch_steps_unchecked(kind, monkeypatch):
 
 REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
                 "l2sq": Regularizer.l2sq(0.3)}
+KINDS = ("least_squares", "logistic", "custom")
+
+
+def _problem(kind, reg, n, d, rng, ls_seed):
+    """A small problem of ``kind`` under regularizer ``reg``; least squares
+    draws from ``ls_seed``, the other kinds from ``rng``."""
+    r = REGULARIZERS[reg]
+    if kind == "least_squares":
+        return gen_least_squares(ls_seed, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
+    if kind == "logistic":
+        W = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        return dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
+    return _custom_problem(n, d, rng, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,15 +457,7 @@ REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
        theta=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_loop_matches_literal_epoch_property(kind, reg, n, d, theta, seed):
     rng = np.random.default_rng(seed)
-    r = REGULARIZERS[reg]
-    if kind == "least_squares":
-        p = gen_least_squares(seed, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
-    elif kind == "logistic":
-        W = rng.standard_normal((n, d))
-        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        p = dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
-    else:
-        p = _custom_problem(n, d, rng, r)
+    p = _problem(kind, reg, n, d, rng, seed)
     z = rng.standard_normal((n, d))
     assert _loop_gap(p, z, 1.0 / p.L, theta, rng.permutation(n)) <= 1e-12
 
@@ -470,29 +492,95 @@ def _reference_epoch(p, z, zbar, alpha, theta, order):
     zbar[:] = acc / n
 
 
-@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
-@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
-def test_loop_equals_reference_loop_bytes(kind, reg):
+def _assert_loop_equals_reference_bytes(kind, reg, epoch):
     for n, d in ((9, 1), (12, 5)):
         rng = np.random.default_rng(17 + d)
-        r = REGULARIZERS[reg]
-        if kind == "least_squares":
-            p = gen_least_squares(d, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
-        elif kind == "logistic":
-            W = rng.standard_normal((n, d))
-            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            p = dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
-        else:
-            p = _custom_problem(n, d, rng, r)
+        p = _problem(kind, reg, n, d, rng, d)
         z = rng.standard_normal((n, d))
         want_z, want_zbar = z.copy(), ordered_mean(z)
         got_z, got_zbar = z.copy(), ordered_mean(z)
         for _ in range(3):
             order = rng.permutation(n)
             _reference_epoch(p, want_z, want_zbar, 0.9 / p.L, 0.6, order)
-            kernels.epoch_inplace(p, got_z, got_zbar, 0.9 / p.L, 0.6, order)
+            epoch(p, got_z, got_zbar, 0.9 / p.L, 0.6, order)
             assert got_z.tobytes() == want_z.tobytes()
             assert got_zbar.tobytes() == want_zbar.tobytes()
+
+
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_loop_equals_reference_loop_bytes(kind, reg):
+    _assert_loop_equals_reference_bytes(kind, reg, kernels._lean_epoch)
+
+
+LEAN_PAIRS = [(k, r) for k in KINDS for r in sorted(REGULARIZERS)
+              if k != "logistic" or r == "l1"]
+
+
+@pytest.mark.parametrize("kind, reg", LEAN_PAIRS)
+def test_kernel_keeps_lean_loop_bytes_off_the_blocked_path(kind, reg):
+    _assert_loop_equals_reference_bytes(kind, reg, kernels.epoch_inplace)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+def test_epoch_path_is_blocked_for_logistic_under_a_linear_prox(kind, reg):
+    p = _problem(kind, reg, 3, 2, np.random.default_rng(0), 0)
+    blocked = kind == "logistic" and reg in ("none", "l2sq")
+    assert kernels.epoch_path(p) == ("blocked" if blocked else "lean")
+
+
+@pytest.mark.parametrize("kind, reg", [(k, "none") for k in KINDS] + [("logistic", "l1")])
+def test_kernel_rejects_orders_that_are_not_an_epoch(kind, reg):
+    rng = np.random.default_rng(19)
+    p = _problem(kind, reg, 4, 2, rng, 0)
+    z = rng.standard_normal((4, 2))
+    zbar = ordered_mean(z)
+    want_z, want_zbar = z.copy(), zbar.copy()
+    for order in ([-1, 0, 1, 2], [0, 0]):
+        with pytest.raises(ValueError, match=r"not a permutation of range\(4\)"):
+            kernels.epoch_inplace(p, z, zbar, 0.5, 0.5, order)
+    for bad_z, bad_zbar in ((np.zeros((3, 2)), zbar), (z, np.zeros(1))):
+        with pytest.raises(ValueError, match=r"table and mean must be \(4, 2\) and \(2,\)"):
+            kernels.epoch_inplace(p, bad_z, bad_zbar, 0.5, 0.5, [0, 1, 2, 3])
+    assert z.tobytes() == want_z.tobytes() and zbar.tobytes() == want_zbar.tobytes()
+
+
+def _relative_gap(p, z, alpha, theta, orders):
+    """max |z_blocked - z_lean| / max |z_lean| after an epoch along each order."""
+    lean_z, lean_zbar = z.copy(), ordered_mean(z)
+    got_z, got_zbar = z.copy(), ordered_mean(z)
+    for order in orders:
+        kernels._lean_epoch(p, lean_z, lean_zbar, alpha, theta, order)
+        kernels.epoch_inplace(p, got_z, got_zbar, alpha, theta, order)
+    scale = np.max(np.abs(lean_z))
+    return max(np.max(np.abs(got_z - lean_z)), np.max(np.abs(got_zbar - lean_zbar))) / scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.one_of(st.sampled_from([31, 32, 33, 64, 65]), st.integers(1, 70)),
+       d=st.integers(1, 6), reg=st.sampled_from(["none", "l2sq"]),
+       ridge=st.sampled_from([0.0, 0.1]), alpha_L=st.floats(0.5, 10.0),
+       theta=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+def test_blocked_epoch_matches_lean_loop_property(n, d, reg, ridge, alpha_L, theta, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    p = dataclasses.replace(gen_logistic(W, y, ridge), regularizer=REGULARIZERS[reg])
+    assert kernels.epoch_path(p) == "blocked"
+    orders = [rng.permutation(n) for _ in range(5)]
+    z = rng.standard_normal((n, d))
+    assert _relative_gap(p, z, alpha_L / p.L, theta, orders) <= 1e-12
+
+
+def test_blocked_epoch_matches_lean_loop_on_the_sweep_instance():
+    p = gen_logistic(*make_synthetic_logistic(0, 1000, 50, kappa=400))
+    rng = np.random.default_rng(20)
+    orders = [rng.permutation(p.n) for _ in range(20)]
+    z = rng.standard_normal((p.n, p.d))
+    for alpha in (2.0 / (p.L + p.mu), 0.5, 1.0):
+        for theta in (0.3, 0.7):
+            assert _relative_gap(p, z, alpha, theta, orders) <= 1e-11
 
 
 @pytest.mark.parametrize("reg", sorted(REGULARIZERS))
