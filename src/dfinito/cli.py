@@ -116,7 +116,7 @@ def cmd_generate(args):
         p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
                                        regularizer=reg)
     elif args.kind == "heterogeneous":
-        alpha = args.alpha if args.alpha else 2.0 / (args.L + args.mu)
+        alpha = 2.0 / (args.L + args.mu) if args.alpha is None else args.alpha
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
         z0 = rng.standard_normal((args.n, args.d))
         p, cert = problems.gen_heterogeneous(
@@ -352,7 +352,8 @@ def cmd_verify(args):
 
 def cmd_order(args):
     p, cert = problems.load_instance(args.instance)
-    alpha = args.alpha or (2.0 / (p.L + p.mu) if p.mu > 0 else 1.0 / p.L)
+    default = 2.0 / (p.L + p.mu) if p.mu > 0 else 1.0 / p.L
+    alpha = default if args.alpha is None else args.alpha  # --alpha 0 fails its check
     if "z0" in p.metadata:
         z0 = np.asarray(p.metadata["z0"], dtype=np.float64)
     else:

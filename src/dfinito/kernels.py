@@ -81,15 +81,17 @@ def _blocked_epoch(problem, z, zbar, alpha, theta, order):
     ks = np.arange(min(BLOCK, n))
     tri = np.tril(beta ** np.maximum(ks[:, None] - 1 - ks, 0), -1) / n  # beta^(k-1-j)/n, j < k
     powers = beta ** ks
-    for idx in np.split(order, range(BLOCK, n, BLOCK)):
+    labels = y[order].tolist()
+    for s in range(0, n, BLOCK):
+        idx = order[s:s + BLOCK]
         b = len(idx)
         Wb, Z0, T = W[idx], z[idx], tri[:b, :b]
         V = powers[:b, None] * zbar - T @ Z0  # the means without the c_j terms
         base = np.einsum("ij,ij->i", Wb, V).tolist()
-        H = T * (Wb @ Wb.T)
+        rows = list(T * (Wb @ Wb.T))
         c = np.zeros(b)
-        for k, yk in enumerate(y[idx].tolist()):
-            m = yk * gamma * (base[k] + float(H[k] @ c))
+        for k, yk in enumerate(labels[s:s + b]):
+            m = yk * gamma * (base[k] + float(rows[k].dot(c)))
             e = math.exp(-abs(m))  # sigmoid(-m) as the lean loop takes it, without overflow
             c[k] = alpha * yk * ((1.0 if m <= 0.0 else e) / (1.0 + e))
         E = c[:, None] * Wb

@@ -434,6 +434,32 @@ def test_order_matches_brute_force_small(tmp_path, capsys):
     assert printed_order == best.tolist()
 
 
+def test_order_alpha_zero_is_rejected_and_omitted_alpha_is_the_default(tmp_path, capsys):
+    out = tmp_path / "ls"
+    out.mkdir()
+    assert run_cli("generate", "--kind", "least_squares", "--n", "5", "--d", "3",
+                   "--k", "3", "--L", "3", "--mu", "0.3", "--out", str(out)) == 0
+    instance = str(out / "instance.json")
+    capsys.readouterr()
+    assert run_cli("order", "--instance", instance, "--alpha", "0") == 2
+    assert "alpha must be positive" in capsys.readouterr().err
+    from dfinito.problems import load_instance
+    p, _ = load_instance(instance)
+    printed = {}
+    for alpha in (None, 2.0 / (p.L + p.mu), 0.5 / p.L):
+        flag = () if alpha is None else ("--alpha", repr(alpha))
+        assert run_cli("order", "--instance", instance, *flag) == 0
+        printed[alpha] = capsys.readouterr().out
+    assert printed[None] == printed[2.0 / (p.L + p.mu)] != printed[0.5 / p.L]
+
+
+def test_generate_heterogeneous_alpha_zero_is_rejected(tmp_path, capsys):
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "6", "--d", "3", "--k", "3",
+                   "--alpha", "0", "--out", str(tmp_path)) == 2
+    assert "alpha must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "instance.json").exists()
+
+
 def test_order_requires_instance():
     assert run_cli("order") == 2
 

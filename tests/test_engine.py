@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from dfinito.engine import (
 from dfinito.model import MemoryState, ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic, make_synthetic_logistic
-from dfinito.prox import prox
+from dfinito.prox import prox, prox_args
 from dfinito.baselines import prox_gd_run
 from dfinito.sampling import REGIMES, SEEDED, SamplingPlan
 
@@ -581,6 +582,55 @@ def test_blocked_epoch_matches_lean_loop_on_the_sweep_instance():
     for alpha in (2.0 / (p.L + p.mu), 0.5, 1.0):
         for theta in (0.3, 0.7):
             assert _relative_gap(p, z, alpha, theta, orders) <= 1e-11
+
+
+def _blocked_epoch_split(problem, z, zbar, alpha, theta, order):
+    """The blocked epoch as it stood with ``np.split`` blocks, per-block labels and a
+    full ``H[k] @ c`` row product per step."""
+    n, W, y = z.shape[0], problem.W, problem.y
+    reg_code, reg_t = prox_args(problem.regularizer, alpha)
+    gamma = 1.0 / (1.0 + reg_t) if reg_code == 2 else 1.0
+    a = gamma * (1.0 - alpha * problem.ridge)
+    beta = 1.0 + a / n
+    ks = np.arange(min(kernels.BLOCK, n))
+    tri = np.tril(beta ** np.maximum(ks[:, None] - 1 - ks, 0), -1) / n
+    powers = beta ** ks
+    for idx in np.split(order, range(kernels.BLOCK, n, kernels.BLOCK)):
+        b = len(idx)
+        Wb, Z0, T = W[idx], z[idx], tri[:b, :b]
+        V = powers[:b, None] * zbar - T @ Z0
+        base = np.einsum("ij,ij->i", Wb, V).tolist()
+        H = T * (Wb @ Wb.T)
+        c = np.zeros(b)
+        for k, yk in enumerate(y[idx].tolist()):
+            m = yk * gamma * (base[k] + float(H[k] @ c))
+            e = math.exp(-abs(m))
+            c[k] = alpha * yk * ((1.0 if m <= 0.0 else e) / (1.0 + e))
+        E = c[:, None] * Wb
+        means = V + T @ E
+        D = a * means + E - Z0
+        z[idx] = Z0 + theta * D
+        zbar[:] = means[b - 1] + D[b - 1] / n
+    zbar[:] = ordered_mean(z)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.1])
+@pytest.mark.parametrize("reg", ["none", "l2sq"])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+def test_blocked_epoch_equals_split_block_loop_bytes(n, reg, ridge):
+    rng = np.random.default_rng(21 + n)
+    W = rng.standard_normal((n, 4))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    p = dataclasses.replace(gen_logistic(W, y, ridge), regularizer=REGULARIZERS[reg])
+    z = rng.standard_normal((n, 4))
+    want_z, want_zbar = z.copy(), ordered_mean(z)
+    got_z, got_zbar = z.copy(), ordered_mean(z)
+    for _ in range(3):
+        order = rng.permutation(n)
+        _blocked_epoch_split(p, want_z, want_zbar, 2.0 / p.L, 0.6, order)
+        kernels.epoch_inplace(p, got_z, got_zbar, 2.0 / p.L, 0.6, order)
+        assert got_z.tobytes() == want_z.tobytes()
+        assert got_zbar.tobytes() == want_zbar.tobytes()
 
 
 @pytest.mark.parametrize("reg", sorted(REGULARIZERS))

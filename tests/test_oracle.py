@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dfinito import model
+from dfinito import model, oracle
 from dfinito.engine import apply_Tpi
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import (
@@ -100,10 +100,65 @@ def test_brute_force_equal_scores_tie():
 
 
 def test_brute_force_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="guarded at n <= 8"):
         brute_force_best_order(np.ones(9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scores must be non-empty"):
         brute_force_best_order([])
+
+
+def _brute_force_loop(scores):
+    """The ordering oracle as one Python iteration per permutation."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    weights = np.arange(1, n + 1) / n
+    best_perm, best_val = None, math.inf
+    for perm in itertools.permutations(range(n)):
+        val = float(weights @ scores[list(perm)])
+        if val < best_val:
+            best_perm, best_val = perm, val
+    return np.asarray(best_perm, dtype=np.int64), best_val
+
+
+SCORE_FAMILIES = {
+    "random": lambda rng, n: rng.random(n) * 5,
+    "all_equal": lambda rng, n: np.full(n, 0.1),
+    "repeated": lambda rng, n: rng.choice([0.1, 0.2, 1 / 3], n),
+    "negative": lambda rng, n: -rng.random(n) - rng.choice([0.0, 0.3], n),
+    "spread_1e-8_1e8": lambda rng, n: rng.random(n) * 10.0 ** rng.uniform(-8, 8, n),
+    "signed_zero": lambda rng, n: rng.choice([0.0, -0.0, 1e-300, 2.0], n),
+    "ulps_apart": lambda rng, n: _ulps_apart(rng.choice([0.1, 0.3, 1 / 3, 0.7], n), rng),
+}
+
+
+def _ulps_apart(base, rng):
+    """Near-ties: a batched and a one-by-one dot may round their order apart."""
+    return base + rng.integers(0, 4, base.size) * np.spacing(base)
+
+
+@pytest.mark.parametrize("family", sorted(SCORE_FAMILIES))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brute_force_equals_permutation_loop(n, family):
+    rng = np.random.default_rng(30 + n)
+    for _ in range(4 if n < 8 else 1):
+        scores = SCORE_FAMILIES[family](rng, n)
+        perm, val = brute_force_best_order(scores)
+        want_perm, want_val = _brute_force_loop(scores)
+        assert np.array_equal(perm, want_perm) and perm.dtype == want_perm.dtype
+        assert val == want_val and math.copysign(1.0, val) == math.copysign(1.0, want_val)
+
+
+@pytest.mark.parametrize("scores, message", [
+    ([math.nan, 1.0], "NaN or infinite"),
+    ([math.inf, 1.0], "NaN or infinite"),
+    ([1.0, -math.inf], "NaN or infinite"),
+    (np.ones((2, 2)), r"1-d array, got shape \(2, 2\)"),
+    (1.0, r"1-d array, got shape \(\)"),
+    (np.full(3, 1.7e308), "no order has a finite value"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_brute_force_rejects_bad_scores(scores, message):
+    with pytest.raises(ValueError, match=message):
+        brute_force_best_order(scores)
 
 
 def test_brute_force_agrees_with_fast_order():
@@ -215,6 +270,24 @@ def test_expected_contraction_applies_each_prefix_once(monkeypatch):
     calls.clear()
     _permutation_loop(p, u, v, 1.0)
     assert len(calls) == 2 * 5 * math.factorial(5)
+
+
+def test_expected_contraction_takes_one_prox_per_tree_node(monkeypatch):
+    p = gen_least_squares(1, n=5, d=3, k=5, L=2.0, mu=0.0, regularizer=Regularizer.l1(0.05))
+    rng = np.random.default_rng(12)
+    u, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    calls = []
+    prox_core = oracle.prox_core
+
+    def counted(*args):
+        calls.append(1)
+        return prox_core(*args)
+
+    monkeypatch.setattr(oracle, "prox_core", counted)
+    expected_contraction(p, u, v, 1.0)
+    inner_nodes = sum(math.perm(5, j) for j in range(5))
+    assert inner_nodes == 206  # the root and every node with a child
+    assert len(calls) == 2 * inner_nodes
 
 
 def test_logistic_reference_residual():
