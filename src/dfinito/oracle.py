@@ -58,10 +58,14 @@ def solve_reference(p: ProblemInstance, tol=1e-10):
 def zstar_table(p: ProblemInstance, xstar, alpha):
     """Fixed-point table z_i* = x* - alpha * grad f_i(x*)."""
     xstar = as_vector(xstar, p.d)
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     grad, data = p.unchecked_grad()
-    return np.stack([xstar - alpha * grad(data, i, xstar) for i in range(p.n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.stack([xstar - alpha * grad(data, i, xstar) for i in range(p.n)])
+    if not np.isfinite(table).all():
+        raise ValueError(f"z* table overflows at alpha={alpha!r}")
+    return table
 
 
 @functools.lru_cache(maxsize=8)

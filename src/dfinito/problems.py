@@ -107,8 +107,8 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
         raise ValueError("need 0 < mu < L")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (n, d):
         raise ValueError(f"z0 must have shape ({n}, {d})")

@@ -2,8 +2,11 @@
 ordering oracles, implementation equivalence, and the step-size table.
 
 Each suite returns a list of CheckResult; the CLI prints one line per check
-and exits nonzero when any fails. The acceptance tests exercise the same
-properties at larger scale.
+and exits nonzero when any fails. Each property is one function here that
+returns the observed worst value; the suites call it at quick sizes and
+tests/test_acceptance.py at larger ones. Acceptance criteria 08, 09 and 12
+have no check here, and criterion 11 keeps its own step-size literals as an
+independent reference for the formulas.
 """
 from __future__ import annotations
 
@@ -16,82 +19,129 @@ from .checks import CheckResult, check_leq
 from .model import MemoryState, Regularizer, ordered_mean
 from .prox import prox
 
+CONVEX = ("prox_residual_sq", "bound_convex")
+STRONGLY_CONVEX = ("dist_sq_to_opt", "bound_sc")
 
-def _pairs(rng, count, n, d, scale=1.0):
+
+def _pairs(rng, count, n, d):
     for _ in range(count):
-        yield rng.standard_normal((n, d)) * scale, rng.standard_normal((n, d)) * scale
+        yield rng.standard_normal((n, d)), rng.standard_normal((n, d))
+
+
+def fixed_point_deviation(instances, tol):
+    """(worst ||T_i z* - z*|| over every block, worst ||prox(mean z*) - x*||)
+    at each instance's fixed-point table for alpha = 1/L."""
+    worst_block = worst_prox = 0.0
+    for p in instances:
+        alpha = 1.0 / p.L
+        xstar = oracle.solve_reference(p, tol=tol)
+        zstar = oracle.zstar_table(p, xstar, alpha)
+        for i in range(p.n):
+            dev = float(np.linalg.norm(engine.apply_Ti(p, i, zstar, alpha) - zstar))
+            worst_block = max(worst_block, dev)
+        x = prox(p.regularizer, alpha, ordered_mean(zstar))
+        worst_prox = max(worst_prox, float(np.linalg.norm(x - xstar)))
+    return worst_block, worst_prox
+
+
+def pi_norm_ratio(p, alphas, theta, rate, pairs, rng):
+    """Worst ||S u - S v||^2_pi / (rate ||u - v||^2_pi) for the damped epoch
+    operator S = (1 - theta) I + theta T_pi in the order 0..n-1, over `pairs`
+    random (u, v) per step size; theta = 1 gives T_pi itself."""
+    order = np.arange(p.n)
+    worst = 0.0
+    for alpha in alphas:
+        for u, v in _pairs(rng, pairs, p.n, p.d):
+            su, sv = (engine.apply_Spi(p, order, z, alpha, theta) for z in (u, v))
+            num = diagnostics.pi_norm_sq(su - sv, order)
+            worst = max(worst, num / (rate * diagnostics.pi_norm_sq(u - v, order)))
+    return worst
+
+
+def expected_contraction_ratio(p, alpha, rate, pairs, rng):
+    """Worst E ||T_tau u - T_tau v||^2 / (rate ||u - v||^2) over `pairs`
+    random (u, v), the expectation exact over all orders tau."""
+    worst = 0.0
+    for u, v in _pairs(rng, pairs, p.n, p.d):
+        val = oracle.expected_contraction(p, u, v, alpha)
+        worst = max(worst, val / (rate * float(np.sum((u - v) ** 2))))
+    return worst
+
+
+def cyclic_plan(p):
+    return sampling.SamplingPlan("cyclic", p.n, order=np.arange(p.n))
+
+
+def envelope_ratio(p, plans, alpha, theta, epochs, z0, reference, column):
+    """Worst ratio, record by record, of the mean over one run per plan of
+    the (value, envelope) `column`'s value to the first run's envelope."""
+    cfgs = [engine.DampedRunConfig(alpha, theta, epochs, plan) for plan in plans]
+    traces = [engine.run(p, cfg, z0, reference)[1] for cfg in cfgs]
+    value, bound = column
+    return max(
+        math.fsum(getattr(tr[k], value) for tr in traces) / len(traces)
+        / getattr(traces[0][k], bound)
+        for k in range(len(traces[0]))
+    )
+
+
+def order_rule_deviation(score_vectors):
+    """Worst gap between the sorting rule's order and the brute-force best
+    order: their value gap relative to max(1, |best|), or 1 if they differ."""
+    worst = 0.0
+    for scores in score_vectors:
+        fast = sampling.optimal_cyclic_order(scores)
+        best, best_val = oracle.brute_force_best_order(scores)
+        weights = np.arange(1, scores.size + 1) / scores.size
+        gap = abs(float(weights @ scores[fast]) - best_val) / max(1.0, abs(best_val))
+        worst = max(worst, gap if np.array_equal(fast, best) else 1.0)
+    return worst
+
+
+def literal_lean_deviation(p, z0, alpha, theta, orders):
+    """Worst max |x_literal - x_lean| after each epoch, the literal and the
+    memory-lean epoch run side by side from z0 over `orders`."""
+    literal = MemoryState.from_table(z0, alpha, theta)
+    lean = MemoryState.from_table(z0, alpha, theta)
+    worst = 0.0
+    for order in orders:
+        literal = engine.epoch_step(p, literal, order, theta)
+        lean = engine.epoch_step_efficient(p, lean, order, theta)
+        dev = prox(p.regularizer, alpha, literal.zbar) - prox(p.regularizer, alpha, lean.zbar)
+        worst = max(worst, float(np.max(np.abs(dev))))
+    return worst
 
 
 def suite_operators(seed=0):
     rng = np.random.default_rng(seed)
-    results = []
 
     # fixed point of every block operator at the reference table
     p = problems.gen_least_squares(seed, n=6, d=4, k=6, L=2.0, mu=0.5,
                                    regularizer=Regularizer.l1(0.05))
-    alpha = 1.0 / p.L
-    xstar = oracle.solve_reference(p, tol=1e-12)
-    zstar = oracle.zstar_table(p, xstar, alpha)
-    dev = max(
-        float(np.linalg.norm(engine.apply_Ti(p, i, zstar, alpha) - zstar))
-        for i in range(p.n)
-    )
-    results.append(check_leq("fixed_point_blockwise", dev, 1e-8))
-    results.append(
-        check_leq(
-            "fixed_point_x_recovery",
-            float(np.linalg.norm(prox(p.regularizer, alpha, ordered_mean(zstar)) - xstar)),
-            1e-8,
-        )
-    )
+    block_dev, x_dev = fixed_point_deviation([p], tol=1e-12)
+    results = [
+        check_leq("fixed_point_blockwise", block_dev, 1e-8),
+        check_leq("fixed_point_x_recovery", x_dev, 1e-8),
+    ]
 
     # order-weighted non-expansiveness of the cyclic epoch operator
-    order = np.arange(p.n)
-    worst = -math.inf
-    for alpha_f in (0.5, 1.0, 2.0):
-        a = alpha_f / p.L
-        for u, v in _pairs(rng, 100, p.n, p.d):
-            num = diagnostics.pi_norm_sq(
-                engine.apply_Tpi(p, order, u, a) - engine.apply_Tpi(p, order, v, a), order
-            )
-            den = diagnostics.pi_norm_sq(u - v, order)
-            worst = max(worst, num / den - 1.0)
-    results.append(check_leq("epoch_operator_nonexpansive_pi_norm", worst, 1e-10))
+    ratio = pi_norm_ratio(p, [f / p.L for f in (0.5, 1.0, 2.0)], 1.0, 1.0, 100, rng)
+    results.append(check_leq("epoch_operator_nonexpansive_pi_norm", ratio - 1.0, 1e-10))
 
     # exact expected non-expansiveness over all permutations (n = 5)
     p5 = problems.gen_least_squares(seed + 1, n=5, d=3, k=5, L=2.0, mu=0.0,
                                     regularizer=Regularizer.l1(0.05))
-    a = 2.0 / p5.L
-    worst = -math.inf
-    for u, v in _pairs(rng, 30, p5.n, p5.d):
-        num = oracle.expected_contraction(p5, u, v, a)
-        den = float(np.sum((u - v) ** 2))
-        worst = max(worst, num / den - 1.0)
-    results.append(check_leq("epoch_operator_nonexpansive_expectation", worst, 1e-10))
+    ratio = expected_contraction_ratio(p5, 2.0 / p5.L, 1.0, 30, rng)
+    results.append(check_leq("epoch_operator_nonexpansive_expectation", ratio - 1.0, 1e-10))
 
     # contraction of the damped epoch operator under strong convexity
     psc = problems.gen_least_squares(seed + 2, n=5, d=3, k=5, L=2.0, mu=0.5)
     a = 2.0 / (psc.mu + psc.L)
     theta = 0.7
     rate = 1.0 - 2.0 * theta * a * psc.mu * psc.L / (psc.mu + psc.L)
-    order = np.arange(psc.n)
-    worst = -math.inf
-    for u, v in _pairs(rng, 100, psc.n, psc.d):
-        num = diagnostics.pi_norm_sq(
-            engine.apply_Spi(psc, order, u, a, theta) - engine.apply_Spi(psc, order, v, a, theta),
-            order,
-        )
-        den = diagnostics.pi_norm_sq(u - v, order)
-        worst = max(worst, num / (rate * den) - 1.0)
-    results.append(check_leq("damped_epoch_operator_contracts", worst, 1e-10))
+    ratio = pi_norm_ratio(psc, [a], theta, rate, 100, rng)
+    results.append(check_leq("damped_epoch_operator_contracts", ratio - 1.0, 1e-10))
     return results
-
-
-def _run_cyclic(p, alpha, theta, epochs, z0, reference):
-    order = np.arange(p.n)
-    plan = sampling.SamplingPlan("cyclic", p.n, order=order)
-    cfg = engine.DampedRunConfig(alpha=alpha, theta=theta, epochs=epochs, plan=plan)
-    return engine.run(p, cfg, z0, reference=reference)
 
 
 def suite_bounds(seed=0):
@@ -102,31 +152,13 @@ def suite_bounds(seed=0):
     alpha, theta, epochs = 2.0 / p.L, 0.5, 60
     xstar = oracle.solve_reference(p, tol=1e-10)
     zstar = oracle.zstar_table(p, xstar, alpha)
-    rng = np.random.default_rng(seed)
-    z0 = rng.standard_normal((p.n, p.d))
-    _, trace = _run_cyclic(p, alpha, theta, epochs, z0, (xstar, zstar))
-    worst = max(r.prox_residual_sq / r.bound_convex for r in trace)
+    z0 = np.random.default_rng(seed).standard_normal((p.n, p.d))
+    worst = envelope_ratio(p, [cyclic_plan(p)], alpha, theta, epochs, z0, (xstar, zstar), CONVEX)
     results.append(check_leq("convex_envelope_cyclic", worst, 1.0))
 
     # same instance, reshuffled every epoch, averaged over seeds
-    plan_epochs = [
-        engine.run(
-            p,
-            engine.DampedRunConfig(
-                alpha=alpha, theta=theta, epochs=epochs,
-                plan=sampling.SamplingPlan("reshuffle", p.n, seed=s),
-            ),
-            z0,
-            reference=(xstar, zstar),
-        )[1]
-        for s in range(4)
-    ]
-    bound = plan_epochs[0]
-    worst = max(
-        (sum(tr[k].prox_residual_sq for tr in plan_epochs) / len(plan_epochs))
-        / bound[k].bound_convex
-        for k in range(len(bound))
-    )
+    plans = [sampling.SamplingPlan("reshuffle", p.n, seed=s) for s in range(4)]
+    worst = envelope_ratio(p, plans, alpha, theta, epochs, z0, (xstar, zstar), CONVEX)
     results.append(check_leq("convex_envelope_reshuffle_mean", worst, 1.0))
 
     # linear envelope under strong convexity
@@ -135,14 +167,14 @@ def suite_bounds(seed=0):
     xs = oracle.solve_reference(psc, tol=1e-12)
     zs = oracle.zstar_table(psc, xs, a)
     z0 = np.random.default_rng(seed + 1).standard_normal((psc.n, psc.d))
-    _, tr = _run_cyclic(psc, a, 0.9, 100, z0, (xs, zs))
-    worst = max(r.dist_sq_to_opt / r.bound_sc for r in tr if r.bound_sc > 1e-300)
+    worst = envelope_ratio(psc, [cyclic_plan(psc)], a, 0.9, 100, z0, (xs, zs), STRONGLY_CONVEX)
     results.append(check_leq("strongly_convex_envelope_cyclic", worst, 1.0))
 
     # epoch displacement: non-increasing and sublinearly bounded
     order = np.arange(p.n)
     z0c = np.random.default_rng(seed + 2).standard_normal((p.n, p.d))
-    _, tr = _run_cyclic(p, alpha, theta, epochs, z0c, (xstar, zstar))
+    cfg = engine.DampedRunConfig(alpha=alpha, theta=theta, epochs=epochs, plan=cyclic_plan(p))
+    _, tr = engine.run(p, cfg, z0c, reference=(xstar, zstar))
     init = diagnostics.pi_norm_sq(z0c - zstar, order)
     disp = [r.pi_norm_residual_sq for r in tr if r.pi_norm_residual_sq is not None]
     mono = max(
@@ -157,27 +189,15 @@ def suite_bounds(seed=0):
 
 
 def suite_ordering(seed=0):
-    results = []
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in range(2, 8):
-        for _ in range(20):
-            scores = rng.random(n) * 10.0
-            fast = sampling.optimal_cyclic_order(scores)
-            slow, slow_val = oracle.brute_force_best_order(scores)
-            weights = np.arange(1, n + 1) / n
-            fast_val = float(weights @ scores[fast])
-            worst = max(worst, abs(fast_val - slow_val))
-            if not np.array_equal(fast, slow):
-                worst = max(worst, 1.0)
-    results.append(check_leq("optimal_order_matches_brute_force", worst, 1e-12))
+    scores = [rng.random(n) * 10.0 for n in range(2, 8) for _ in range(20)]
+    results = [check_leq("optimal_order_matches_brute_force", order_rule_deviation(scores), 1e-12)]
 
     n, d, beta = 100, 10, 0.1
     z0 = np.random.default_rng(seed + 3).standard_normal((n, d))
     p, cert = problems.gen_heterogeneous(seed, n, d, k=d, mu=0.1, L=10.0,
                                          alpha=2.0 / 10.1, beta=beta, z0=z0)
-    for res in problems.verify_heterogeneous(p, cert, z0, 2.0 / 10.1):
-        results.append(res)
+    results.extend(problems.verify_heterogeneous(p, cert, z0, 2.0 / 10.1))
     disp = (math.sqrt(beta) ** np.arange(n))[:, None] * cert.t
     profile = np.einsum("ij,ij->i", disp, disp)
     ident = float(np.max(np.abs(sampling.optimal_cyclic_order(profile) - np.arange(n))))
@@ -186,23 +206,14 @@ def suite_ordering(seed=0):
 
 
 def suite_equivalence(seed=0):
-    results = []
     p = problems.gen_least_squares(seed, n=12, d=6, k=8, L=3.0, mu=0.0,
                                    regularizer=Regularizer.l1(0.02))
     alpha, theta = 1.0 / p.L, 0.6
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((p.n, p.d))
-    s1 = MemoryState.from_table(z0, alpha, theta)
-    s3 = MemoryState.from_table(z0, alpha, theta)
-    worst = 0.0
-    for k in range(30):
-        order = rng.permutation(p.n)
-        s1 = engine.epoch_step(p, s1, order, theta)
-        s3 = engine.epoch_step_efficient(p, s3, order, theta)
-        x1 = prox(p.regularizer, alpha, s1.zbar)
-        x3 = prox(p.regularizer, alpha, s3.zbar)
-        worst = max(worst, float(np.max(np.abs(x1 - x3))))
-    results.append(check_leq("literal_vs_efficient_epoch", worst, 1e-12))
+    orders = [rng.permutation(p.n) for _ in range(30)]
+    worst = literal_lean_deviation(p, z0, alpha, theta, orders)
+    results = [check_leq("literal_vs_efficient_epoch", worst, 1e-12)]
 
     s = MemoryState.from_table(z0, alpha, 1.0)
     order = np.arange(p.n)

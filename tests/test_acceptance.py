@@ -5,17 +5,17 @@ Each test prints exactly one line of the form
     PASS criterion_NN_<name> (<measurement>)
 
 and asserts the same condition, so the printed report and the pytest verdict
-cannot diverge.
+cannot diverge. Criteria 01-07 and 10 call the property functions of
+``dfinito verify`` at larger sizes.
 """
 import math
 
 import numpy as np
 
-from dfinito import baselines, engine, oracle, problems, sampling
-from dfinito.diagnostics import pi_norm_sq, rho_ratio
-from dfinito.engine import DampedRunConfig, apply_Ti, apply_Tpi
-from dfinito.model import MemoryState, Regularizer, ordered_mean
-from dfinito.prox import prox
+from dfinito import baselines, engine, oracle, problems, sampling, verify
+from dfinito.diagnostics import rho_ratio
+from dfinito.engine import DampedRunConfig
+from dfinito.model import Regularizer
 from dfinito.sampling import SamplingPlan
 
 
@@ -40,17 +40,7 @@ def test_criterion_01_fixed_point_tables():
         W, y, lam = problems.make_synthetic_logistic(seed, 30, 8, kappa=50.0)
         instances.append(problems.gen_logistic(W, y, lam))
     assert len(instances) == 20
-    worst_block = 0.0
-    worst_prox = 0.0
-    for p in instances:
-        alpha = 1.0 / p.L
-        xstar = oracle.solve_reference(p, tol=1e-11)
-        zstar = oracle.zstar_table(p, xstar, alpha)
-        for i in range(p.n):
-            dev = float(np.linalg.norm(apply_Ti(p, i, zstar, alpha) - zstar))
-            worst_block = max(worst_block, dev)
-        x_rec = prox(p.regularizer, alpha, ordered_mean(zstar))
-        worst_prox = max(worst_prox, float(np.linalg.norm(x_rec - xstar)))
+    worst_block, worst_prox = verify.fixed_point_deviation(instances, tol=1e-11)
     _report("criterion_01_fixed_point_tables",
             worst_block <= 1e-8 and worst_prox <= 1e-8,
             f"max block dev {worst_block:.3e}, max prox dev {worst_prox:.3e}")
@@ -59,120 +49,65 @@ def test_criterion_01_fixed_point_tables():
 def test_criterion_02_cyclic_nonexpansive_pi_norm():
     p = problems.gen_least_squares(0, n=10, d=5, k=5, L=4.0, mu=0.0,
                                    regularizer=Regularizer.l1(0.1))
-    order = np.arange(p.n)
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for alpha in (0.5 / p.L, 1.0 / p.L, 2.0 / p.L):
-        for _ in range(1000):
-            u = rng.standard_normal((p.n, p.d))
-            v = rng.standard_normal((p.n, p.d))
-            num = pi_norm_sq(apply_Tpi(p, order, u, alpha)
-                             - apply_Tpi(p, order, v, alpha), order)
-            den = pi_norm_sq(u - v, order)
-            worst = max(worst, num / den)
+    alphas = (0.5 / p.L, 1.0 / p.L, 2.0 / p.L)
+    worst = verify.pi_norm_ratio(p, alphas, 1.0, 1.0, 1000, np.random.default_rng(2))
     _report("criterion_02_cyclic_nonexpansive_pi_norm", worst <= 1.0 + 1e-10,
             f"max ratio over 3000 pairs = {worst:.15f}")
 
 
 def test_criterion_03_expected_epoch_contraction():
+    rng = np.random.default_rng(3)
     # nonexpansiveness on a merely convex instance at alpha = 2/L
     p_cvx = problems.gen_least_squares(3, n=5, d=4, k=4, L=2.0, mu=0.0,
                                        regularizer=Regularizer.l1(0.05))
-    rng = np.random.default_rng(3)
-    worst_plain = 0.0
-    for _ in range(200):
-        u = rng.standard_normal((p_cvx.n, p_cvx.d))
-        v = rng.standard_normal((p_cvx.n, p_cvx.d))
-        val = oracle.expected_contraction(p_cvx, u, v, 2.0 / p_cvx.L)
-        worst_plain = max(worst_plain, val / float(np.sum((u - v) ** 2)))
+    worst_plain = verify.expected_contraction_ratio(p_cvx, 2.0 / p_cvx.L, 1.0, 200, rng)
     # contraction on a strongly convex instance at alpha = 2/(mu+L)
     p_sc = problems.gen_least_squares(3, n=5, d=4, k=4, L=2.0, mu=0.2)
     alpha = 2.0 / (p_sc.mu + p_sc.L)
     rate = 1.0 - 2.0 * alpha * p_sc.mu * p_sc.L / (p_sc.mu + p_sc.L)
-    worst_sc = 0.0
-    for _ in range(200):
-        u = rng.standard_normal((p_sc.n, p_sc.d))
-        v = rng.standard_normal((p_sc.n, p_sc.d))
-        val = oracle.expected_contraction(p_sc, u, v, alpha)
-        worst_sc = max(worst_sc, val / (rate * float(np.sum((u - v) ** 2))))
+    worst_sc = verify.expected_contraction_ratio(p_sc, alpha, rate, 200, rng)
     _report("criterion_03_expected_epoch_contraction",
             worst_plain <= 1.0 + 1e-10 and worst_sc <= 1.0 + 1e-10,
             f"nonexpansive ratio {worst_plain:.12f}, contraction ratio {worst_sc:.12f}")
 
 
-def _envelope_runs(p, alpha, theta, epochs, reference, z0, n_seeds=8):
-    """(cyclic records, list of per-seed reshuffle records)."""
-    plan_c = SamplingPlan("cyclic", p.n, order=np.arange(p.n))
-    _, recs_c = engine.run(p, DampedRunConfig(alpha, theta, epochs, plan_c),
-                           z0, reference=reference)
-    recs_rr = []
-    for seed in range(n_seeds):
-        plan = SamplingPlan("reshuffle", p.n, seed=seed)
-        _, recs = engine.run(p, DampedRunConfig(alpha, theta, epochs, plan),
-                             z0, reference=reference)
-        recs_rr.append(recs)
-    return recs_c, recs_rr
+def _envelope_ratios(p, alpha, theta, epochs, column):
+    """Worst value/envelope from z0 = 0: (cyclic, mean over 8 reshuffle seeds)."""
+    xstar = oracle.solve_reference(p)
+    reference = (xstar, oracle.zstar_table(p, xstar, alpha))
+    z0 = np.zeros((p.n, p.d))
+    reshuffled = [SamplingPlan("reshuffle", p.n, seed=seed) for seed in range(8)]
+    return [verify.envelope_ratio(p, plans, alpha, theta, epochs, z0, reference, column)
+            for plans in ([verify.cyclic_plan(p)], reshuffled)]
 
 
 def test_criterion_04_convex_envelopes():
     p = problems.gen_least_squares(4, n=50, d=20, k=20, L=10.0, mu=0.0)
-    alpha, theta, epochs = 2.0 / p.L, 0.5, 200
-    xstar = oracle.solve_reference(p)
-    zstar = oracle.zstar_table(p, xstar, alpha)
-    z0 = np.zeros((p.n, p.d))
-    recs_c, recs_rr = _envelope_runs(p, alpha, theta, epochs, (xstar, zstar), z0)
-    margin_c = min(r.bound_convex / r.prox_residual_sq for r in recs_c
-                   if r.prox_residual_sq > 0)
-    ok_c = all(r.prox_residual_sq <= r.bound_convex for r in recs_c)
-    ok_rr = True
-    margin_rr = math.inf
-    for k in range(epochs + 1):
-        mean_res = _mean([recs[k].prox_residual_sq for recs in recs_rr])
-        bound = recs_rr[0][k].bound_convex
-        ok_rr = ok_rr and mean_res <= bound
-        if mean_res > 0:
-            margin_rr = min(margin_rr, bound / mean_res)
-    _report("criterion_04_convex_envelopes", ok_c and ok_rr,
-            f"min bound/residual: cyclic {margin_c:.3g}, reshuffle-mean {margin_rr:.3g}")
+    cyclic, reshuffle = _envelope_ratios(p, 2.0 / p.L, 0.5, 200, verify.CONVEX)
+    _report("criterion_04_convex_envelopes", cyclic <= 1.0 and reshuffle <= 1.0,
+            f"max residual/bound: cyclic {cyclic:.3g}, reshuffle-mean {reshuffle:.3g}")
 
 
 def test_criterion_05_strongly_convex_envelopes():
     p = problems.gen_least_squares(5, n=50, d=20, k=20, L=10.0, mu=0.1)  # kappa 100
-    alpha, epochs = 2.0 / (p.mu + p.L), 300
-    xstar = oracle.solve_reference(p)
-    zstar = oracle.zstar_table(p, xstar, alpha)
-    z0 = np.zeros((p.n, p.d))
-    ok = True
-    margins = []
-    for theta in (0.5, 0.9):
-        recs_c, recs_rr = _envelope_runs(p, alpha, theta, epochs, (xstar, zstar), z0)
-        ok = ok and all(r.dist_sq_to_opt <= r.bound_sc for r in recs_c)
-        margins.append(min(r.bound_sc / r.dist_sq_to_opt for r in recs_c
-                           if r.dist_sq_to_opt > 0))
-        for k in range(epochs + 1):
-            mean_dist = _mean([recs[k].dist_sq_to_opt for recs in recs_rr])
-            ok = ok and mean_dist <= recs_rr[0][k].bound_sc
-    _report("criterion_05_strongly_convex_envelopes", ok,
-            f"min cyclic bound/dist margins theta 0.5/0.9: "
-            f"{margins[0]:.3g}, {margins[1]:.3g}")
+    alpha = 2.0 / (p.mu + p.L)
+    ratios = [_envelope_ratios(p, alpha, theta, 300, verify.STRONGLY_CONVEX)
+              for theta in (0.5, 0.9)]
+    _report("criterion_05_strongly_convex_envelopes", np.max(ratios) <= 1.0,
+            "max dist/bound (cyclic, reshuffle-mean) theta 0.5/0.9: "
+            + ", ".join(f"{c:.3g}/{r:.3g}" for c, r in ratios))
 
 
 def test_criterion_06_order_rule_matches_brute_force():
     rng = np.random.default_rng(6)
-    ok = True
-    for n in range(2, 8):
-        for _ in range(100):
-            scores = rng.uniform(0.0, 1.0, size=n)
-            if rng.integers(0, 4) == 0:  # force ties sometimes
-                scores = np.round(scores, 1)
-            fast = sampling.optimal_cyclic_order(scores)
-            best, best_val = oracle.brute_force_best_order(scores)
-            weights = np.arange(1, n + 1) / n
-            fast_val = float(weights @ scores[fast])
-            ok = ok and np.array_equal(fast, best)
-            ok = ok and abs(fast_val - best_val) <= 1e-12 * max(1.0, abs(best_val))
-    _report("criterion_06_order_rule_matches_brute_force", ok,
-            "600 score vectors, argmin and value identical")
+
+    def score_vector(n):
+        scores = rng.uniform(0.0, 1.0, size=n)
+        return np.round(scores, 1) if rng.integers(0, 4) == 0 else scores  # ties sometimes
+
+    worst = verify.order_rule_deviation([score_vector(n) for n in range(2, 8) for _ in range(100)])
+    _report("criterion_06_order_rule_matches_brute_force", worst <= 1e-12,
+            f"600 score vectors, argmin identical, max rel value gap {worst:.1e}")
 
 
 def test_criterion_07_heterogeneous_construction():
@@ -247,17 +182,9 @@ def test_criterion_10_literal_and_efficient_epochs_agree():
                                    regularizer=Regularizer.l1(0.05))
     alpha, theta = 2.0 / (p.mu + p.L), 0.6
     z0 = np.random.default_rng(10).standard_normal((p.n, p.d))
-    s_lit = MemoryState.from_table(z0, alpha, theta)
-    s_eff = MemoryState.from_table(z0, alpha, theta)
     plan = SamplingPlan("reshuffle", p.n, seed=0)
-    worst = 0.0
-    for k in range(50):
-        order = sampling.epoch_order(plan, k)
-        s_lit = engine.epoch_step(p, s_lit, order, theta)
-        s_eff = engine.epoch_step_efficient(p, s_eff, order, theta)
-        x_lit = prox(p.regularizer, alpha, s_lit.zbar)
-        x_eff = prox(p.regularizer, alpha, s_eff.zbar)
-        worst = max(worst, float(np.max(np.abs(x_lit - x_eff))))
+    orders = [sampling.epoch_order(plan, k) for k in range(50)]
+    worst = verify.literal_lean_deviation(p, z0, alpha, theta, orders)
     _report("criterion_10_literal_and_efficient_epochs_agree", worst <= 1e-12,
             f"max x deviation over 50 epochs = {worst:.3e}")
 

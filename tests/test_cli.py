@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,8 +442,14 @@ def test_order_alpha_zero_is_rejected_and_omitted_alpha_is_the_default(tmp_path,
                    "--k", "3", "--L", "3", "--mu", "0.3", "--out", str(out)) == 0
     instance = str(out / "instance.json")
     capsys.readouterr()
-    assert run_cli("order", "--instance", instance, "--alpha", "0") == 2
-    assert "alpha must be positive" in capsys.readouterr().err
+    for bad, message in (("0", "alpha must be positive"), ("inf", "alpha must be positive"),
+                         ("1e308", "z* table overflows")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            assert run_cli("order", "--instance", instance, "--alpha", bad) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.count("error:") == 1
+        assert message in printed.err
     from dfinito.problems import load_instance
     p, _ = load_instance(instance)
     printed = {}
@@ -454,10 +461,11 @@ def test_order_alpha_zero_is_rejected_and_omitted_alpha_is_the_default(tmp_path,
 
 
 def test_generate_heterogeneous_alpha_zero_is_rejected(tmp_path, capsys):
-    assert run_cli("generate", "--kind", "heterogeneous", "--n", "6", "--d", "3", "--k", "3",
-                   "--alpha", "0", "--out", str(tmp_path)) == 2
-    assert "alpha must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "instance.json").exists()
+    for alpha in ("0", "inf"):
+        assert run_cli("generate", "--kind", "heterogeneous", "--n", "6", "--d", "3", "--k", "3",
+                       "--alpha", alpha, "--out", str(tmp_path)) == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "instance.json").exists()
 
 
 def test_order_requires_instance():

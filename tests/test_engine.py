@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfinito import baselines, kernels
+from dfinito import baselines, kernels, verify
 from dfinito.engine import (
     DampedRunConfig,
     apply_Spi,
@@ -231,15 +231,8 @@ def test_literal_and_efficient_agree_over_epochs(composite_problem):
     rng = np.random.default_rng(6)
     alpha, theta = 1.0 / p.L, 0.6
     z0 = rng.standard_normal((p.n, p.d))
-    s1 = MemoryState.from_table(z0, alpha, theta)
-    s3 = MemoryState.from_table(z0, alpha, theta)
-    for _ in range(50):
-        order = rng.permutation(p.n)
-        s1 = epoch_step(p, s1, order, theta)
-        s3 = epoch_step_efficient(p, s3, order, theta)
-        x1 = prox(p.regularizer, alpha, s1.zbar)
-        x3 = prox(p.regularizer, alpha, s3.zbar)
-        assert np.max(np.abs(x1 - x3)) <= 1e-12
+    orders = [rng.permutation(p.n) for _ in range(50)]
+    assert verify.literal_lean_deviation(p, z0, alpha, theta, orders) <= 1e-12
 
 
 def test_efficient_epoch_rejects_repeats(composite_problem):

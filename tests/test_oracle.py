@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dfinito import model, oracle
+from dfinito import model, oracle, verify
 from dfinito.engine import apply_Tpi
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import (
@@ -183,9 +183,7 @@ def test_expected_contraction_nonexpansive_small():
     p = gen_least_squares(4, n=4, d=3, k=3, L=2.0, mu=0.0,
                           regularizer=Regularizer.l1(0.05))
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        u, v = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        assert expected_contraction(p, u, v, 2.0 / p.L) <= float(np.sum((u - v) ** 2)) * (1 + 1e-10)
+    assert verify.expected_contraction_ratio(p, 2.0 / p.L, 1.0, 20, rng) <= 1 + 1e-10
 
 
 def test_expected_contraction_strongly_convex_rate():
@@ -193,9 +191,7 @@ def test_expected_contraction_strongly_convex_rate():
     alpha = 2.0 / (p.mu + p.L)
     rate = 1 - 2 * alpha * p.mu * p.L / (p.mu + p.L)
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        u, v = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        assert expected_contraction(p, u, v, alpha) <= rate * float(np.sum((u - v) ** 2)) * (1 + 1e-10)
+    assert verify.expected_contraction_ratio(p, alpha, rate, 20, rng) <= 1 + 1e-10
 
 
 def test_expected_contraction_guard():

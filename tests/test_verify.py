@@ -1,16 +1,33 @@
 import numpy as np
 import pytest
 
-from dfinito import engine, problems, verify
-from dfinito.diagnostics import pi_norm_sq
-from dfinito.model import Regularizer
+from dfinito import problems, verify
+
+SEED0_CHECKS = [
+    "fixed_point_blockwise", "fixed_point_x_recovery",
+    "epoch_operator_nonexpansive_pi_norm", "epoch_operator_nonexpansive_expectation",
+    "damped_epoch_operator_contracts",
+    "convex_envelope_cyclic", "convex_envelope_reshuffle_mean",
+    "strongly_convex_envelope_cyclic",
+    "epoch_displacement_nonincreasing", "epoch_displacement_sublinear",
+    "optimal_order_matches_brute_force",
+    "component_spectra_within_[mu,L]", "full_gradient_zero_at_minimizer",
+    "direction_norms_sqrt_n", "residual_vectors_solve_construction",
+    "importance_profile_geometric", "norm_ratio_matches_exact_sum",
+    "planted_optimal_order_is_identity",
+    "literal_vs_efficient_epoch", "undamped_epoch_equals_operator",
+    "step_size_dfinito_rr", "step_size_dfinito_cyclic", "step_size_svrg_rr",
+    "step_size_svrg_cyclic", "step_size_saga_rr", "step_size_saga_cyclic",
+]
 
 
 def test_all_suites_pass_default_seed():
     results = verify.run_suites(seed=0)
-    assert results, "suites produced no checks"
+    assert [r.name for r in results] == SEED0_CHECKS
     failures = [r.line() for r in results if not r.passed]
     assert not failures, failures
+    for name in ("operators", "bounds", "ordering", "equivalence", "steps"):
+        assert verify.SUITES[name] is getattr(verify, f"suite_{name}")
 
 
 def test_unknown_suite_raises():
@@ -33,17 +50,15 @@ def test_checkresult_line_format():
 
 def test_fault_injection_large_step_breaks_nonexpansiveness():
     # with alpha = 3/L the epoch operator expands along the top eigendirection
-    # by a factor (1 - alpha*L)^2 = 4, so the alpha <= 2/L certificate is sharp
-    p = problems.gen_least_squares(0, n=1, d=4, k=5, L=4.0, mu=0.0)
-    alpha = 3.0 / p.L
-    order = np.arange(p.n)
-    hess = p.A[0].T @ p.A[0]
-    _, vecs = np.linalg.eigh(hess)
-    top = vecs[:, -1]
-    v = np.zeros((1, p.d))
-    u = v + top[None, :]
-    num = pi_norm_sq(engine.apply_Tpi(p, order, u, alpha)
-                     - engine.apply_Tpi(p, order, v, alpha), order)
-    den = pi_norm_sq(u - v, order)
-    assert num > den * (1 + 1e-10)
-    assert num / den == pytest.approx(4.0, rel=1e-10)
+    # by a factor (1 - alpha*L)^2 = 4, so the alpha <= 2/L certificate is sharp;
+    # at d = 1 every direction is the top one, so one random pair shows it
+    p = problems.gen_least_squares(0, n=1, d=1, k=5, L=4.0, mu=0.0)
+    ratio = verify.pi_norm_ratio(p, [3.0 / p.L], 1.0, 1.0, 1, np.random.default_rng(0))
+    assert ratio > 1 + 1e-10
+    assert ratio == pytest.approx(4.0, rel=1e-10)
+
+
+def test_fault_injection_large_step_breaks_expected_contraction():
+    p = problems.gen_least_squares(0, n=2, d=1, k=2, L=4.0, mu=0.0)
+    rng = np.random.default_rng(0)
+    assert verify.expected_contraction_ratio(p, 3.0 / p.L, 1.0, 20, rng) > 1 + 1e-10
