@@ -3,10 +3,10 @@ ordering oracles, implementation equivalence, and the step-size table.
 
 Each suite returns a list of CheckResult; the CLI prints one line per check
 and exits nonzero when any fails. Each property is one function here that
-returns the observed worst value; the suites call it at quick sizes and
-tests/test_acceptance.py at larger ones. Acceptance criteria 08, 09 and 12
-have no check here, and criterion 11 keeps its own step-size literals as an
-independent reference for the formulas.
+returns the observed worst value, NaN if any is (np.maximum, not max); the
+suites call it at quick sizes and tests/test_acceptance.py at larger ones.
+Acceptance criteria 08, 09 and 12 have no check here, and criterion 11 keeps
+its own step-size literals as an independent reference for the formulas.
 """
 from __future__ import annotations
 
@@ -38,10 +38,10 @@ def fixed_point_deviation(instances, tol):
         zstar = oracle.zstar_table(p, xstar, alpha)
         for i in range(p.n):
             dev = float(np.linalg.norm(engine.apply_Ti(p, i, zstar, alpha) - zstar))
-            worst_block = max(worst_block, dev)
+            worst_block = np.maximum(worst_block, dev)
         x = prox(p.regularizer, alpha, ordered_mean(zstar))
-        worst_prox = max(worst_prox, float(np.linalg.norm(x - xstar)))
-    return worst_block, worst_prox
+        worst_prox = np.maximum(worst_prox, np.linalg.norm(x - xstar))
+    return float(worst_block), float(worst_prox)
 
 
 def pi_norm_ratio(p, alphas, theta, rate, pairs, rng):
@@ -54,8 +54,8 @@ def pi_norm_ratio(p, alphas, theta, rate, pairs, rng):
         for u, v in _pairs(rng, pairs, p.n, p.d):
             su, sv = (engine.apply_Spi(p, order, z, alpha, theta) for z in (u, v))
             num = diagnostics.pi_norm_sq(su - sv, order)
-            worst = max(worst, num / (rate * diagnostics.pi_norm_sq(u - v, order)))
-    return worst
+            worst = np.maximum(worst, num / (rate * diagnostics.pi_norm_sq(u - v, order)))
+    return float(worst)
 
 
 def expected_contraction_ratio(p, alpha, rate, pairs, rng):
@@ -64,8 +64,8 @@ def expected_contraction_ratio(p, alpha, rate, pairs, rng):
     worst = 0.0
     for u, v in _pairs(rng, pairs, p.n, p.d):
         val = oracle.expected_contraction(p, u, v, alpha)
-        worst = max(worst, val / (rate * float(np.sum((u - v) ** 2))))
-    return worst
+        worst = np.maximum(worst, val / (rate * float(np.sum((u - v) ** 2))))
+    return float(worst)
 
 
 def cyclic_plan(p):
@@ -78,11 +78,11 @@ def envelope_ratio(p, plans, alpha, theta, epochs, z0, reference, column):
     cfgs = [engine.DampedRunConfig(alpha, theta, epochs, plan) for plan in plans]
     traces = [engine.run(p, cfg, z0, reference)[1] for cfg in cfgs]
     value, bound = column
-    return max(
+    return float(np.max([
         math.fsum(getattr(tr[k], value) for tr in traces) / len(traces)
         / getattr(traces[0][k], bound)
         for k in range(len(traces[0]))
-    )
+    ]))
 
 
 def order_rule_deviation(score_vectors):
@@ -94,8 +94,8 @@ def order_rule_deviation(score_vectors):
         best, best_val = oracle.brute_force_best_order(scores)
         weights = np.arange(1, scores.size + 1) / scores.size
         gap = abs(float(weights @ scores[fast]) - best_val) / max(1.0, abs(best_val))
-        worst = max(worst, gap if np.array_equal(fast, best) else 1.0)
-    return worst
+        worst = np.maximum(worst, gap if np.array_equal(fast, best) else 1.0)
+    return float(worst)
 
 
 def literal_lean_deviation(p, z0, alpha, theta, orders):
@@ -108,8 +108,8 @@ def literal_lean_deviation(p, z0, alpha, theta, orders):
         literal = engine.epoch_step(p, literal, order, theta)
         lean = engine.epoch_step_efficient(p, lean, order, theta)
         dev = prox(p.regularizer, alpha, literal.zbar) - prox(p.regularizer, alpha, lean.zbar)
-        worst = max(worst, float(np.max(np.abs(dev))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(dev)))
+    return float(worst)
 
 
 def suite_operators(seed=0):
@@ -177,13 +177,13 @@ def suite_bounds(seed=0):
     _, tr = engine.run(p, cfg, z0c, reference=(xstar, zstar))
     init = diagnostics.pi_norm_sq(z0c - zstar, order)
     disp = [r.pi_norm_residual_sq for r in tr if r.pi_norm_residual_sq is not None]
-    mono = max(
+    mono = np.max([
         (disp[k + 1] - disp[k]) / max(disp[k], 1e-300) for k in range(len(disp) - 1)
-    )
+    ])
     results.append(check_leq("epoch_displacement_nonincreasing", mono, 1e-10))
-    worst = max(
+    worst = np.max([
         disp[k] / (theta / ((k + 1) * (1.0 - theta)) * init) for k in range(len(disp))
-    )
+    ])
     results.append(check_leq("epoch_displacement_sublinear", worst, 1.0))
     return results
 

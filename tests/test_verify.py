@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from dfinito import problems, verify
+from dfinito import engine, problems, verify
+from dfinito.checks import check_leq
+from dfinito.diagnostics import pi_norm_sq
+from dfinito.model import MemoryState
 
 SEED0_CHECKS = [
     "fixed_point_blockwise", "fixed_point_x_recovery",
@@ -50,11 +53,26 @@ def test_checkresult_line_format():
 
 def test_fault_injection_large_step_breaks_nonexpansiveness():
     # with alpha = 3/L the epoch operator expands along the top eigendirection
-    # by a factor (1 - alpha*L)^2 = 4, so the alpha <= 2/L certificate is sharp;
-    # at d = 1 every direction is the top one, so one random pair shows it
-    p = problems.gen_least_squares(0, n=1, d=1, k=5, L=4.0, mu=0.0)
-    ratio = verify.pi_norm_ratio(p, [3.0 / p.L], 1.0, 1.0, 1, np.random.default_rng(0))
-    assert ratio > 1 + 1e-10
+    # by a factor (1 - alpha*L)^2 = 4, so the alpha <= 2/L certificate is sharp
+    p = problems.gen_least_squares(0, n=1, d=4, k=5, L=4.0, mu=0.0)
+    alpha = 3.0 / p.L
+    order = np.arange(p.n)
+    hess = p.A[0].T @ p.A[0]
+    _, vecs = np.linalg.eigh(hess)
+    top = vecs[:, -1]
+    v = np.zeros((1, p.d))
+    u = v + top[None, :]
+    num = pi_norm_sq(engine.apply_Tpi(p, order, u, alpha)
+                     - engine.apply_Tpi(p, order, v, alpha), order)
+    den = pi_norm_sq(u - v, order)
+    assert num > den * (1 + 1e-10)
+    assert num / den == pytest.approx(4.0, rel=1e-10)
+    # the shared check finds the expansion from random pairs, never above 4
+    ratio = verify.pi_norm_ratio(p, [alpha], 1.0, 1.0, 20, np.random.default_rng(0))
+    assert 1 + 1e-10 < ratio <= 4.0 * (1 + 1e-10)
+    # at d = 1 every direction is the top one, so one random pair reports 4
+    p1 = problems.gen_least_squares(0, n=1, d=1, k=5, L=4.0, mu=0.0)
+    ratio = verify.pi_norm_ratio(p1, [3.0 / p1.L], 1.0, 1.0, 1, np.random.default_rng(0))
     assert ratio == pytest.approx(4.0, rel=1e-10)
 
 
@@ -62,3 +80,45 @@ def test_fault_injection_large_step_breaks_expected_contraction():
     p = problems.gen_least_squares(0, n=2, d=1, k=2, L=4.0, mu=0.0)
     rng = np.random.default_rng(0)
     assert verify.expected_contraction_ratio(p, 3.0 / p.L, 1.0, 20, rng) > 1 + 1e-10
+
+
+def test_nan_in_a_later_epoch_stops_literal_lean_check(monkeypatch):
+    # a lean epoch that turns the table into NaN from its second epoch on;
+    # prox rejects the non-finite mean, so the check cannot pass
+    p = problems.gen_least_squares(0, n=4, d=3, k=3, L=2.0, mu=0.0)
+    alpha, theta = 1.0 / p.L, 0.5
+    real, calls = engine.epoch_step_efficient, []
+
+    def broken(p, state, order, theta):
+        calls.append(order)
+        state = real(p, state, order, theta)
+        if len(calls) < 2:
+            return state
+        return MemoryState.from_table(np.full_like(state.z, np.nan), alpha, theta)
+
+    monkeypatch.setattr(engine, "epoch_step_efficient", broken)
+    z0 = np.random.default_rng(0).standard_normal((p.n, p.d))
+    with pytest.raises(ValueError, match="NaN"):
+        verify.literal_lean_deviation(p, z0, alpha, theta, [np.arange(p.n)] * 3)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("column", [verify.CONVEX, verify.STRONGLY_CONVEX])
+def test_nan_in_a_later_record_fails_envelope_check(column, monkeypatch):
+    # the builtin max would keep the finite worst and pass this NaN record
+    real = engine.run
+
+    def run_with_nan_record(*args, **kwargs):
+        state, trace = real(*args, **kwargs)
+        setattr(trace[2], column[0], float("nan"))
+        return state, trace
+
+    monkeypatch.setattr(engine, "run", run_with_nan_record)
+    p = problems.gen_least_squares(0, n=4, d=3, k=3, L=2.0, mu=0.5)
+    alpha = 2.0 / (p.mu + p.L)
+    xstar = verify.oracle.solve_reference(p, tol=1e-12)
+    reference = (xstar, verify.oracle.zstar_table(p, xstar, alpha))
+    worst = verify.envelope_ratio(p, [verify.cyclic_plan(p)], alpha, 0.5, 5,
+                                  np.ones((p.n, p.d)), reference, column)
+    assert np.isnan(worst)
+    assert not check_leq("convex_envelope_cyclic", worst, 1.0).passed
