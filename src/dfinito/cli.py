@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import baselines, engine, oracle, problems, sampling, verify
-from .diagnostics import CSV_COLUMNS, TraceRecord, rho_ratio
+from .diagnostics import CSV_COLUMNS, TraceRecord, rho_ratio, table_norm_sq
 from .model import Regularizer
 from .prox import subgradient_residual
 
@@ -360,8 +360,12 @@ def cmd_order(args):
         z0 = np.zeros((p.n, p.d))
     xstar = oracle.solve_reference(p, tol=1e-10)
     zstar = oracle.zstar_table(p, xstar, alpha)
-    diff = z0 - zstar
-    scores = np.einsum("ij,ij->i", diff, diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = z0 - zstar
+        scores = np.einsum("ij,ij->i", diff, diff)
+        finite = np.isfinite(scores).all() and np.isfinite(table_norm_sq(diff))  # rho's sums
+    if not finite:
+        raise ValueError(f"order scores (squared distances to z*) overflow at alpha={alpha!r}")
     if float(np.max(scores)) <= 1e-24:
         print("warning: start table coincides with the fixed point; all scores ~0, "
               "falling back to the identity order")

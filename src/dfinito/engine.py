@@ -1,11 +1,11 @@
 """The damped Finito optimizer and its block-operator building blocks.
 
-``apply_Ti``/``apply_Tpi`` are the literal fixed-point operators used by the
-theory checks (O(n d) per block application, for the exact table mean).
-Each call checks its indices, alpha and the table once, then applies blocks
-through one unchecked step that resolves the gradient and prox once per call
-(:func:`_literal_step`); ``apply_Tpi`` checks on exit that the composed table
-is finite, so an overflow partway through still raises.
+``apply_Ti``/``apply_Tpi``/``apply_Spi`` are the literal fixed-point operators
+of the theory checks (O(n d) per block, for the exact table mean), on one
+(n, d) table or an (m, n, d) stack. Each call checks its indices, alpha and
+tables once, then steps a block of every table at once with no further checks
+(:func:`_literal_step`, over :meth:`ProblemInstance.grad_rows`); ``apply_Tpi``
+checks on exit that every table is finite, so an overflow partway still raises.
 ``epoch_step`` executes the textbook epoch with an end-of-epoch damping pass,
 ``epoch_step_efficient`` the kernel that folds damping into each block
 correction; for permutation orders the two produce identical x-iterate
@@ -57,25 +57,30 @@ def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
     """Check once what the literal operators check per block; return their step.
 
     Every index in ``blocks`` must name a component, alpha must be positive
-    and the mean of each table in ``tables`` a finite vector of dimension d,
-    with the errors a checked gradient step raises, and then of shape (n, d).
-    The returned ``step(z, i)`` replaces row i of ``z`` in place by
-    x - alpha grad f_i(x), x = prox(mean z), with no further checks.
+    and the mean of every (n, d) table of each (m, n, d) stack in ``tables``
+    a finite vector of dimension d, with the errors a checked gradient step
+    raises. The returned ``step(z, i, parents=slice(None))`` takes an
+    (m, n, d) stack and returns ``z[parents]`` (a view, so in place, for a
+    slice) with row i[s] of table s replaced by x - alpha grad f_i[s](x), x
+    the prox of the mean of its parent table; ``i`` is one block or one per table.
     """
     for i in blocks:
         p._check_index(i)
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     for z in tables:
-        as_vector(ordered_mean(z), p.d)
-        if z.shape != (p.n, p.d):
-            raise ValueError(f"table must have shape ({p.n}, {p.d}), got {z.shape}")
-    grad, data = p.unchecked_grad()
+        for mean in ordered_mean(z).reshape(-1, z.shape[-1]):
+            as_vector(mean, p.d)
+        if z.shape[1:] != (p.n, p.d):
+            raise ValueError(f"table must have shape ({p.n}, {p.d}), got {z.shape[1:]}")
     reg_code, reg_t = prox_args(p.regularizer, alpha)
 
-    def step(z, i):
-        x = prox_core(ordered_mean(z), reg_code, reg_t)
-        z[i] = x - alpha * grad(data, i, x)
+    def step(z, i, parents=slice(None)):
+        x = prox_core(ordered_mean(z), reg_code, reg_t)[parents]
+        z = z[parents]
+        rows = np.broadcast_to(i, len(z))
+        z[np.arange(len(z)), rows] = x - alpha * p.grad_rows(rows, x)
+        return z
 
     return step
 
@@ -87,28 +92,29 @@ def _finite_table(z):
     return z
 
 
-def apply_Ti(p: ProblemInstance, i: int, z, alpha: float):
-    """Block operator: replace block i by (I - alpha grad f_i) o prox(mean z)."""
+def apply_Ti(p: ProblemInstance, i, z, alpha: float):
+    """Block operator: replace block i by (I - alpha grad f_i) o prox(mean z), in a
+    table or in each table of an (m, n, d) stack (``i`` one block or one per table)."""
     z = np.asarray(z, dtype=np.float64)
-    step = _literal_step(p, alpha, (z,), (i,))
-    out = z.copy()
-    step(out, i)
-    return out
+    out = z.reshape((-1,) + z.shape[-2:]).copy()  # an (m, n, d) stack
+    step = _literal_step(p, alpha, (out,), np.ravel(i))
+    return step(out, i).reshape(z.shape)
 
 
 def apply_Tpi(p: ProblemInstance, order, z, alpha: float):
-    """Sequential composition T_{pi(n)} o ... o T_{pi(1)}; raises if it overflows."""
+    """Sequential composition T_{pi(n)} o ... o T_{pi(1)} on a table or an
+    (m, n, d) stack; raises if any table overflows."""
     z = np.asarray(z, dtype=np.float64)
-    order = validate_permutation(order, z.shape[0])
-    step = _literal_step(p, alpha, (z,), order)
-    out = z.copy()
+    out = z.reshape((-1,) + z.shape[-2:]).copy()
+    order = validate_permutation(order, out.shape[1])
+    step = _literal_step(p, alpha, (out,), order)
     for i in order:
         step(out, i)
-    return _finite_table(out)
+    return _finite_table(out.reshape(z.shape))
 
 
 def apply_Spi(p: ProblemInstance, order, z, alpha: float, theta: float):
-    """Damped epoch operator (1 - theta) I + theta T_pi."""
+    """Damped epoch operator (1 - theta) I + theta T_pi, on a table or a stack."""
     z = np.asarray(z, dtype=np.float64)
     if not (0.0 < theta <= 1.0):
         raise ValueError("theta must lie in (0, 1]")

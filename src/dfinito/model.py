@@ -5,7 +5,8 @@ Three component families are supported natively (least squares, ridge-folded
 logistic, and arbitrary user callables); the first two carry their raw data
 arrays. :meth:`ProblemInstance.full_grad` is the one full-gradient path, and
 :meth:`ProblemInstance.unchecked_grad` hands the hot loops a per-component
-gradient that skips input validation.
+gradient that skips input validation; :meth:`ProblemInstance.grad_rows` gives
+the literal operators and oracles the same gradients for a stack of points.
 """
 from __future__ import annotations
 
@@ -33,25 +34,26 @@ def as_vector(x, dim=None):
 
 
 def ordered_sum(rows):
-    """Sum table rows strictly left to right, starting from +0.0.
+    """Sum table rows strictly left to right, starting from +0.0; a stack of
+    (n, d) tables is summed table by table, over its second-to-last axis.
 
     Table means and the custom-problem full gradient use this fixed order so
-    that runs do not depend on a BLAS reduction strategy. numpy's axis-0
-    reduce adds whole rows in turn only on a C-contiguous table with two or
-    more columns; down one column (or in Fortran order) it sums pairwise.
+    that runs do not depend on a BLAS reduction strategy. numpy's reduce over
+    the row axis adds whole rows in turn only on a C-contiguous table with two
+    or more columns; down one column (or in Fortran order) it sums pairwise.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 2 and rows.shape[1] >= 2:
-        return np.add.reduce(np.ascontiguousarray(rows), axis=0, initial=0.0)
-    acc = np.zeros(rows.shape[-1])
-    for r in rows:
+    if rows.ndim >= 2 and rows.shape[-1] >= 2:
+        return np.add.reduce(np.ascontiguousarray(rows), axis=-2, initial=0.0)
+    acc = np.zeros(rows.shape[:-2] + rows.shape[-1:])
+    for r in np.moveaxis(rows, -2, 0):
         acc = acc + r
     return acc
 
 
 def ordered_mean(rows):
     rows = np.asarray(rows, dtype=np.float64)
-    return ordered_sum(rows) / rows.shape[0]
+    return ordered_sum(rows) / rows.shape[-2]
 
 
 def stable_sigmoid(u):
@@ -75,9 +77,9 @@ def _grad_least_squares(data, i, x):
 def _grad_logistic(data, i, x):
     """grad of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 for data = (rows of
     W, labels, ridge); unchecked. The sigmoid branches on the sign of the
-    margin so that exp never overflows; it matches :func:`stable_sigmoid`. It serves
-    logistic+l1 epochs, the literal epoch and operators, the baselines and
-    ``zstar_table``; the blocked epoch of :mod:`kernels` takes its own sigmoid."""
+    margin so that exp never overflows; it matches :func:`stable_sigmoid` at -margin.
+    It serves logistic+l1 epochs, the literal epoch and the baselines; the
+    blocked epoch of :mod:`kernels` takes its own sigmoid."""
     W, y, ridge = data
     w, yi = W[i], y[i]
     m = yi * (w @ x)
@@ -215,6 +217,23 @@ class ProblemInstance:
         if self.kind == "logistic":
             return _grad_logistic, self._rows
         return ProblemInstance.component_grad, self
+
+    def grad_rows(self, idx, X):
+        """Row s is grad f_idx[s] at X[s], bytes equal to :meth:`unchecked_grad` row
+        by row (a stacked ``matmul`` takes each row's BLAS product); unchecked for
+        the built-in kinds. Data are gathered only if ``idx`` is not 0..n-1."""
+        idx = np.asarray(idx, dtype=np.intp)
+        every = np.array_equal(idx, np.arange(self.n))
+        if self.kind == "least_squares":
+            A, b = (self.A, self.b) if every else (self.A[idx], self.b[idx])
+            r = np.matmul(A, X[:, :, None])[..., 0] - b
+            return np.matmul(np.swapaxes(A, 1, 2), r[:, :, None])[..., 0]
+        if self.kind == "logistic":
+            W, y = (self.W, self.y) if every else (self.W[idx], self.y[idx])
+            m = y * np.matmul(W[:, None, :], X[:, :, None])[:, 0, 0]
+            return (-y * stable_sigmoid(-m))[:, None] * W + self.ridge * X
+        grads = [self.component_grad(i, x) for i, x in zip(idx.tolist(), X)]
+        return np.array(grads).reshape(np.shape(X))
 
     @cached_property
     def _rows(self):

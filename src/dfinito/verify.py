@@ -36,9 +36,9 @@ def fixed_point_deviation(instances, tol):
         alpha = 1.0 / p.L
         xstar = oracle.solve_reference(p, tol=tol)
         zstar = oracle.zstar_table(p, xstar, alpha)
-        for i in range(p.n):
-            dev = float(np.linalg.norm(engine.apply_Ti(p, i, zstar, alpha) - zstar))
-            worst_block = np.maximum(worst_block, dev)
+        stack = np.broadcast_to(zstar, (p.n,) + zstar.shape)  # block i of table i
+        for table in engine.apply_Ti(p, np.arange(p.n), stack, alpha):
+            worst_block = np.maximum(worst_block, float(np.linalg.norm(table - zstar)))
         x = prox(p.regularizer, alpha, ordered_mean(zstar))
         worst_prox = np.maximum(worst_prox, np.linalg.norm(x - xstar))
     return float(worst_block), float(worst_prox)
@@ -51,8 +51,9 @@ def pi_norm_ratio(p, alphas, theta, rate, pairs, rng):
     order = np.arange(p.n)
     worst = 0.0
     for alpha in alphas:
-        for u, v in _pairs(rng, pairs, p.n, p.d):
-            su, sv = (engine.apply_Spi(p, order, z, alpha, theta) for z in (u, v))
+        uv = np.array(list(_pairs(rng, pairs, p.n, p.d))).reshape(-1, p.n, p.d)
+        images = engine.apply_Spi(p, order, uv, alpha, theta)  # one stack of all pairs
+        for u, v, su, sv in zip(uv[::2], uv[1::2], images[::2], images[1::2]):
             num = diagnostics.pi_norm_sq(su - sv, order)
             worst = np.maximum(worst, num / (rate * diagnostics.pi_norm_sq(u - v, order)))
     return float(worst)

@@ -460,6 +460,23 @@ def test_order_alpha_zero_is_rejected_and_omitted_alpha_is_the_default(tmp_path,
     assert printed[None] == printed[2.0 / (p.L + p.mu)] != printed[0.5 / p.L]
 
 
+def test_order_exits_2_when_its_scores_overflow(tmp_path, capsys):
+    # z* is finite at alpha=1e160, but squaring z0 - z* into scores and rho overflows
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "6", "--d", "3", "--k", "3",
+                   "--L", "4", "--mu", "0.2", "--beta", "0.2", "--out", str(tmp_path)) == 0
+    instance = str(tmp_path / "instance.json")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        assert run_cli("order", "--instance", instance, "--alpha", "1e160") == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.count("\n") == 1
+        assert printed.err.startswith("error:") and "alpha=1e+160" in printed.err
+        assert run_cli("order", "--instance", instance, "--alpha", "1e150") == 0
+    rho = float(capsys.readouterr().out.split("rho=")[1].split()[0])
+    assert math.isfinite(rho) and 1 / 6 <= rho <= 1
+
+
 def test_generate_heterogeneous_alpha_zero_is_rejected(tmp_path, capsys):
     for alpha in ("0", "inf"):
         assert run_cli("generate", "--kind", "heterogeneous", "--n", "6", "--d", "3", "--k", "3",
@@ -476,12 +493,13 @@ def test_no_command_prints_help(capsys):
     assert run_cli() == 2
 
 
-def _run_in_subprocess(cfg_path, out, blas_threads):
+def _run_in_subprocess(args, blas_threads):
+    """stdout of ``dfinito *args`` in a fresh process with that many BLAS threads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.path.dirname(os.path.dirname(dfinito.__file__)))
     code = "import sys; from dfinito.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg_path),
-                    "--out", str(out)], env=env, check=True, capture_output=True)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          check=True, capture_output=True).stdout
 
 
 @pytest.mark.parametrize("kind", ["least_squares_l1", "logistic_file"])
@@ -506,6 +524,12 @@ def test_traces_independent_of_blas_threads(tmp_path, kind):
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
         out.mkdir()
-        _run_in_subprocess(cfg_path, out, threads)
+        _run_in_subprocess(["run", "--config", cfg_path, "--out", out], threads)
         traces.append((out / "trace_seed0.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_verify_output_independent_of_blas_threads():
+    # the stacked block steps run one BLAS product per table, as the per-table loop did
+    printed = [_run_in_subprocess(["verify", "--seed", "0"], threads) for threads in (1, 2)]
+    assert printed[0] == printed[1] and b"26/26 checks passed" in printed[0]

@@ -92,6 +92,44 @@ def test_literal_operators_equal_checked_block_steps(kind):
     assert np.array_equal(apply_Spi(p, order, z, alpha, 0.3), 0.7 * z + 0.3 * want)
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+def test_literal_operators_on_a_stack_equal_one_call_per_table(kind, m):
+    rng = np.random.default_rng(17 + m)
+    if kind == "least_squares":
+        p = gen_least_squares(2, n=6, d=3, k=4, L=3.0, mu=0.0, regularizer=Regularizer.l1(0.1))
+    elif kind == "logistic":
+        W = rng.standard_normal((6, 3))
+        p = gen_logistic(W, np.where(rng.random(6) < 0.5, -1.0, 1.0), 0.2)
+    else:
+        p = _custom_problem(6, 3, rng, Regularizer.l2sq(0.2))
+    alpha = 1.5 / p.L
+    stack = rng.standard_normal((m, p.n, p.d)) * 10.0 ** rng.integers(-2, 3, (m, 1, 1))
+    order = rng.permutation(p.n)
+    blocks = rng.integers(0, p.n, m)
+    for got, want in (
+        (apply_Tpi(p, order, stack, alpha), [apply_Tpi(p, order, z, alpha) for z in stack]),
+        (apply_Spi(p, order, stack, alpha, 0.3),
+         [apply_Spi(p, order, z, alpha, 0.3) for z in stack]),
+        (apply_Ti(p, blocks, stack, alpha),
+         [apply_Ti(p, int(i), z, alpha) for i, z in zip(blocks, stack)]),
+    ):
+        assert got.shape == stack.shape
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_one_overflowing_table_of_a_stack_raises():
+    # f_i(x) = 0.5 (a_i x)^2; only the first table's gradient step of block 2 overflows
+    a = np.array([1.0, 1.0, 1e10])
+    p = ProblemInstance(kind="least_squares", n=3, d=1, regularizer=Regularizer.none(),
+                        L=1e20, mu=0.0, A=a.reshape(3, 1, 1), b=np.zeros((3, 1)))
+    stack = np.stack([np.full((3, 1), 1e300), np.zeros((3, 1)), np.ones((3, 1))])
+    with np.errstate(all="ignore"):
+        assert np.isfinite(apply_Tpi(p, [0, 1, 2], stack[1:], 1.0)).all()
+        with pytest.raises(ValueError, match="vector contains NaN or infinite entries"):
+            apply_Tpi(p, [0, 1, 2], stack, 1.0)
+
+
 def _table(p, rows=None, cols=None, bad=None):
     z = np.zeros((p.n if rows is None else rows, p.d if cols is None else cols))
     if bad is not None:
@@ -146,6 +184,12 @@ CHECK_CASES = {
                       ValueError, "table must have shape (5, 3), got (6, 3)"),
     "Spi_rows_short": (lambda: apply_Spi(LS5, range(4), _table(LS5, rows=4), 0.5, 0.5),
                        ValueError, "table must have shape (5, 3), got (4, 3)"),
+    "Tpi_stack_nan": (lambda: apply_Tpi(LS5, range(5), np.stack([ZERO, NAN]), 0.5),
+                      ValueError, "vector contains NaN or infinite entries"),
+    "Ti_stack_rows": (lambda: apply_Ti(LS5, 0, np.ones((2, 4, 3)), 0.5),
+                      ValueError, "table must have shape (5, 3), got (4, 3)"),
+    "Ti_stack_index": (lambda: apply_Ti(LS5, [0, 5], np.stack([ZERO, ZERO]), 0.5),
+                       IndexError, "component index 5 out of range [0, 5)"),
 }
 
 

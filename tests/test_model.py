@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,84 @@ def test_full_grad_matches_component_sum():
     custom = ProblemInstance(kind="custom", n=5, d=4, regularizer=Regularizer.none(),
                              L=1.0, mu=0.0, grads=[lambda v, c=c: v - c for c in C])
     assert np.array_equal(custom.full_grad(x), _component_sum(custom, x))
+
+
+def _row_by_row(p, idx, X):
+    """grad_rows' reference: the per-component unchecked gradient, one row at a time."""
+    grad, data = p.unchecked_grad()
+    return [grad(data, i, x) for i, x in zip(idx.tolist(), X)]
+
+
+def _assert_grad_rows_bytes(p, idx, X):
+    got = p.grad_rows(idx, X)
+    assert got.shape == X.shape
+    for row, want in zip(got, _row_by_row(p, idx, X)):
+        assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kd", [1, 4, 5, 20, 50])
+def test_grad_rows_least_squares_bytes_equal_unchecked_grad(kd):
+    p = gen_least_squares(kd, n=12, d=kd, k=kd, L=3.0, mu=0.0)
+    rng = np.random.default_rng(kd)
+    for idx in (rng.integers(0, p.n, 40), np.arange(p.n), np.arange(p.n)[::-1]):
+        X = rng.standard_normal((idx.size, kd)) * 10.0 ** rng.integers(-3, 4, (idx.size, 1))
+        X[rng.random(X.shape) < 0.1] = 0.0
+        _assert_grad_rows_bytes(p, idx, X)
+    # every row at one point, as zstar_table asks
+    _assert_grad_rows_bytes(p, np.arange(p.n), np.broadcast_to(X[0], (p.n, kd)))
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.1])
+@pytest.mark.parametrize("d", [1, 3, 8, 50, 200])
+def test_grad_rows_logistic_bytes_equal_unchecked_grad(d, ridge):
+    rng = np.random.default_rng(d)
+    p = gen_logistic(rng.standard_normal((30, d)), np.where(rng.random(30) < 0.5, -1.0, 1.0),
+                     ridge)
+    for scale in (0.01, 1.0, 40.0):  # sigmoid near 1/2, moderate, saturated
+        for idx in (rng.integers(0, p.n, 60), np.arange(p.n)):
+            X = rng.standard_normal((idx.size, d)) * scale
+            margins = p.y[idx] * np.einsum("ij,ij->i", p.W[idx], X)
+            assert (margins > 0).any() and (margins < 0).any()
+            _assert_grad_rows_bytes(p, idx, X)
+
+
+def test_grad_rows_custom_calls_each_component():
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((4, 3))
+    p = ProblemInstance(kind="custom", n=4, d=3, regularizer=Regularizer.none(),
+                        L=1.0, mu=0.0, grads=[lambda v, c=c: v * v - c for c in C])
+    idx = np.array([3, 0, 0, 2, 1])
+    X = rng.standard_normal((5, 3))
+    _assert_grad_rows_bytes(p, idx, X)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        p.grad_rows(idx, np.full((5, 3), np.inf))  # the checked component_grad
+
+
+def test_grad_rows_of_every_row_gathers_no_data():
+    p = gen_least_squares(0, n=200, d=20, k=20, L=2.0, mu=0.0)  # A holds 640 KB
+    X = np.broadcast_to(np.ones(p.d), (p.n, p.d))
+    p.grad_rows(np.arange(p.n), X)  # warm-up
+    tracemalloc.start()
+    try:
+        p.grad_rows(np.arange(p.n), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.A.nbytes / 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_ordered_sum_of_a_stack_equals_each_table(n, d):
+    rng = np.random.default_rng(n * d)
+    stack = rng.standard_normal((6, n, d)) * 10.0 ** rng.integers(-8, 17, size=(6, n, d))
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    for tables in (stack, np.asfortranarray(stack)):
+        sums, means = ordered_sum(tables), ordered_mean(tables)
+        assert sums.shape == means.shape == (6, d)
+        for table, s, m in zip(stack, sums, means):
+            assert s.tobytes() == ordered_sum(table).tobytes() == _left_to_right(table).tobytes()
+            assert m.tobytes() == ordered_mean(table).tobytes()
 
 
 def test_gram_pair_is_computed_once():

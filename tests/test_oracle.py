@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dfinito import model, oracle, verify
+from dfinito import engine, verify
 from dfinito.engine import apply_Tpi
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import (
@@ -14,7 +15,7 @@ from dfinito.oracle import (
     zstar_table,
 )
 from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
-from dfinito.prox import prox, subgradient_residual
+from dfinito.prox import prox, prox_args, prox_core, subgradient_residual
 from dfinito.sampling import optimal_cyclic_order
 
 
@@ -251,39 +252,90 @@ def test_expected_contraction_applies_each_prefix_once(monkeypatch):
     p = gen_least_squares(1, n=5, d=3, k=5, L=2.0, mu=0.0, regularizer=Regularizer.l1(0.05))
     rng = np.random.default_rng(12)
     u, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-    calls = []
-    grad = model._grad_least_squares
+    rows = []
+    grad_rows = ProblemInstance.grad_rows
 
-    def counted(data, i, x):
-        calls.append(i)
-        return grad(data, i, x)
+    def counted(self, idx, X):
+        rows.extend(np.asarray(idx).tolist())
+        return grad_rows(self, idx, X)
 
-    monkeypatch.setattr(model, "_grad_least_squares", counted)
+    monkeypatch.setattr(ProblemInstance, "grad_rows", counted)
     expected_contraction(p, u, v, 1.0)
     per_table = sum(math.perm(5, j) for j in range(1, 6))
     assert per_table == 325  # one application per node of the permutation tree
-    assert len(calls) == 2 * per_table
-    calls.clear()
+    assert len(rows) == 2 * per_table
+    rows.clear()
     _permutation_loop(p, u, v, 1.0)
-    assert len(calls) == 2 * 5 * math.factorial(5)
+    assert len(rows) == 2 * 5 * math.factorial(5)
 
 
 def test_expected_contraction_takes_one_prox_per_tree_node(monkeypatch):
     p = gen_least_squares(1, n=5, d=3, k=5, L=2.0, mu=0.0, regularizer=Regularizer.l1(0.05))
     rng = np.random.default_rng(12)
     u, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-    calls = []
-    prox_core = oracle.prox_core
+    rows = []
+    prox_core = engine.prox_core
 
-    def counted(*args):
-        calls.append(1)
-        return prox_core(*args)
+    def counted(means, *args):
+        rows.append(len(means))  # one prox per table of the stack
+        return prox_core(means, *args)
 
-    monkeypatch.setattr(oracle, "prox_core", counted)
+    monkeypatch.setattr(engine, "prox_core", counted)
     expected_contraction(p, u, v, 1.0)
     inner_nodes = sum(math.perm(5, j) for j in range(5))
     assert inner_nodes == 206  # the root and every node with a child
-    assert len(calls) == 2 * inner_nodes
+    assert sum(rows) == 2 * inner_nodes
+    assert len(rows) == 2 * 5  # one stacked step per tree depth and table
+
+
+def _recursive_walk(p, u, v, alpha):
+    """The exact expectation as the depth-first walk of the permutation tree,
+    one node (a prefix, and one prox per node) at a time."""
+    grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    total = 0.0
+    count = 0
+
+    def walk(tu, tv, left):
+        nonlocal total, count
+        if not left:
+            du = engine._finite_table(tu) - engine._finite_table(tv)
+            total += float(np.sum(du * du))
+            count += 1
+            return
+        xu = prox_core(ordered_mean(tu), reg_code, reg_t)
+        xv = prox_core(ordered_mean(tv), reg_code, reg_t)
+        for j in left:
+            cu, cv = tu.copy(), tv.copy()
+            cu[j] = xu - alpha * grad(data, j, xu)
+            cv[j] = xv - alpha * grad(data, j, xv)
+            walk(cu, cv, [k for k in left if k != j])
+
+    walk(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64), list(range(p.n)))
+    return total / count
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+@pytest.mark.parametrize("reg", ["none", "l1", "l2sq"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_expected_contraction_equals_recursive_walk_bitwise(n, reg, kind):
+    rng = np.random.default_rng(100 * n + len(reg))
+    regularizer = Regularizer(reg, 0.0 if reg == "none" else 0.1)
+    d = 1 + n % 4  # d = 1 takes the row-loop mean
+    if kind == "least_squares":
+        p = gen_least_squares(n, n=n, d=d, k=d + 1, L=2.0, mu=0.0, regularizer=regularizer)
+    elif kind == "logistic":
+        W = rng.standard_normal((n, d))
+        p = dataclasses.replace(
+            gen_logistic(W, np.where(rng.random(n) < 0.5, -1.0, 1.0), 0.1),
+            regularizer=regularizer)
+    else:
+        p = _custom(n, d, rng, regularizer)
+    for scale in (0.1, 10.0):
+        u = rng.standard_normal((n, d)) * scale
+        v = rng.standard_normal((n, d)) * scale
+        alpha = 1.5 / p.L
+        assert expected_contraction(p, u, v, alpha) == _recursive_walk(p, u, v, alpha)
 
 
 def test_logistic_reference_residual():
