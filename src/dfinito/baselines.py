@@ -2,10 +2,13 @@
 
 All baselines share the epoch/grad-eval accounting of the main engine: the
 x-axis unit is individual gradient evaluations, so variance-reduction
-snapshot and table-initialization costs are charged explicitly. The
-proximal baselines check their inputs once per run and step with the
-unchecked :func:`prox.prox_core`; a diverging run is caught where its
-iterate is next checked (a full gradient or a trace record).
+snapshot and table-initialization costs are charged explicitly, as the
+textbook methods count them (an SVRG inner step is charged two gradients,
+though it reads the snapshot's from an n-by-d table). The proximal baselines
+check their inputs once per run and step with the unchecked
+:func:`prox.prox_core`, or with none for the ``none`` regularizer; a
+diverging run is caught where its iterate is next checked (a full gradient
+or a trace record).
 """
 from __future__ import annotations
 
@@ -90,9 +93,9 @@ def sgd_run(p: ProblemInstance, plan: SamplingPlan, alpha: float, epochs: int, x
     _record(trace, 0, 0, x)
     t = 0
     for k in range(1, epochs + 1):
-        for i in epoch_order(plan, k - 1):
+        for i in epoch_order(plan, k - 1).tolist():
             step = alpha if schedule == "constant" else alpha / math.sqrt(t + 1.0)
-            x = x - step * grad(data, int(i), x)
+            x = x - step * grad(data, i, x)
             t += 1
         _record(trace, k, t, x)
     return trace
@@ -109,11 +112,13 @@ def svrg_run(
 ):
     """Variance reduction with a periodic full-gradient snapshot.
 
-    The snapshot (anchor point plus its full gradient) refreshes every
-    ``snapshot_every`` epochs at a cost of n gradient evaluations; each inner
-    step evaluates two component gradients. ``correction=False`` drops the
-    control variate, reducing the method to plain incremental gradient
-    descent (used by the reduction tests).
+    The snapshot (anchor point y, its full gradient and the n-by-d table of
+    its component gradients, one :meth:`ProblemInstance.grad_rows` call)
+    refreshes every ``snapshot_every`` epochs and is charged n gradient
+    evaluations. Each inner step is charged two, grad f_i at x and at y, but
+    evaluates only the first and reads grad f_i(y) from the table.
+    ``correction=False`` drops the control variate, reducing the method to
+    plain incremental gradient descent (used by the reduction tests).
     """
     if not (alpha > 0) or snapshot_every < 1:
         raise ValueError("need alpha > 0 and snapshot_every >= 1")
@@ -123,20 +128,20 @@ def svrg_run(
     trace = []
     _record(trace, 0, 0, x)
     evals = 0
-    y = gy = None
+    gy = snapshot = None
     for k in range(1, epochs + 1):
         if correction and (k - 1) % snapshot_every == 0:
-            y = x.copy()
-            gy = p.full_grad(y)
+            gy = p.full_grad(x)
+            snapshot = list(p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0)))
             evals += p.n
-        for i in epoch_order(plan, k - 1):
-            i = int(i)
+        for i in epoch_order(plan, k - 1).tolist():
             g = grad(data, i, x)
             evals += 1
             if correction:
-                g = g - grad(data, i, y) + gy
+                g = g - snapshot[i] + gy
                 evals += 1
-            x = prox_core(x - alpha * g, reg_code, reg_t)
+            v = x - alpha * g
+            x = v if reg_code == 0 else prox_core(v, reg_code, reg_t)
         _record(trace, k, evals, x)
     return trace
 
@@ -166,25 +171,25 @@ def saga_run(
     evals = 0
     if correction:
         if table_init is None:
-            table = np.stack([grad(data, i, x) for i in range(p.n)])
+            table = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
             evals += p.n
         else:
             table = np.asarray(table_init, dtype=np.float64).copy()
             if table.shape != (p.n, p.d):
                 raise ValueError("table_init must have shape (n, d)")
         gmean = ordered_mean(table)
+        rows = list(table)
     _record(trace, 0, evals, x)
     for k in range(1, epochs + 1):
-        for i in epoch_order(plan, k - 1):
-            i = int(i)
+        for i in epoch_order(plan, k - 1).tolist():
             g = grad(data, i, x)
             evals += 1
             if correction:
-                step_dir = g - table[i] + gmean
-                gmean = gmean + (g - table[i]) / p.n
-                table[i] = g
-            else:
-                step_dir = g
-            x = prox_core(x - alpha * step_dir, reg_code, reg_t)
+                change = g - rows[i]
+                rows[i][...] = g
+                g = change + gmean
+                gmean = gmean + change / p.n
+            v = x - alpha * g
+            x = v if reg_code == 0 else prox_core(v, reg_code, reg_t)
         _record(trace, k, evals, x)
     return trace

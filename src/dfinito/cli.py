@@ -212,6 +212,11 @@ def _cells(cfg, p):
     epochs = _number(cfg["epochs"], int, "epochs")
     trace_every = _number(cfg["trace_every"], int, "trace_every")
     snapshot_every = _number(cfg["snapshot_every"], int, "snapshot_every")
+    if cfg["algorithm"] == "svrg" and snapshot_every < 1:
+        raise UsageError(f"snapshot_every must be >= 1 for svrg, got {snapshot_every}")
+    if cfg["algorithm"] == "sgd" and p.regularizer.kind != "none":
+        raise UsageError("algorithm 'sgd' supports smooth problems only, but the problem's "
+                         f"regularizer is {p.regularizer.kind!r}")
     cells = []
     for alpha, theta, smp in itertools.product(*axes):
         smp = _fill(smp, SAMPLING_KEYS, "sampling")

@@ -59,16 +59,18 @@ class TraceRecord:
         ]
 
 
-def pi_norm_sq(z, order) -> float:
-    """Order-weighted squared norm: sum_{i=1..n} (i/n) ||z_{pi(i)}||^2."""
+def pi_norm_sq(z, order):
+    """Order-weighted squared norm: sum_{i=1..n} (i/n) ||z_{pi(i)}||^2, a float for
+    one (n, d) table, an array of m for an (m, n, d) stack (``order`` checked once)."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("z must be a 2-d table")
-    n = z.shape[0]
+    if z.ndim != 2 and z.ndim != 3:
+        raise ValueError("z must be a 2-d table or a 3-d stack of tables")
+    n = z.shape[-2]
     order = validate_permutation(order, n)
-    weights = np.arange(1, n + 1) / n
-    block_sq = np.einsum("ij,ij->i", z, z)
-    return float(weights @ block_sq[order])
+    weights = np.arange(1.0, n + 1) / n  # a float range: the bytes of i/n, no int cast
+    if z.ndim == 2:
+        return float(weights @ np.einsum("ij,ij->i", z, z)[order])
+    return np.array([weights @ np.einsum("ij,ij->i", t, t)[order] for t in z])
 
 
 def table_norm_sq(z) -> float:

@@ -141,11 +141,13 @@ def epoch_step(p: ProblemInstance, s: MemoryState, order, theta: float) -> Memor
     z0 = s.z.copy()
     z = s.z.copy()
     zbar = s.zbar.copy()
-    for i in order:
-        x = prox_core(zbar, reg_code, reg_t)
+    rows = list(z)
+    for i in order.tolist():
+        # zbar is rebound, never written, so the identity prox need not copy it
+        x = zbar if reg_code == 0 else prox_core(zbar, reg_code, reg_t)
         znew = x - s.alpha * grad(data, i, x)
-        zbar = zbar + (znew - z[i]) / n
-        z[i] = znew
+        zbar = zbar + (znew - rows[i]) / n
+        rows[i][...] = znew
     z = (1.0 - theta) * z0 + theta * z
     return MemoryState(z=z, zbar=ordered_mean(z), alpha=s.alpha, theta=s.theta)
 

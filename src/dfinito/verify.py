@@ -53,9 +53,9 @@ def pi_norm_ratio(p, alphas, theta, rate, pairs, rng):
     for alpha in alphas:
         uv = np.array(list(_pairs(rng, pairs, p.n, p.d))).reshape(-1, p.n, p.d)
         images = engine.apply_Spi(p, order, uv, alpha, theta)  # one stack of all pairs
-        for u, v, su, sv in zip(uv[::2], uv[1::2], images[::2], images[1::2]):
-            num = diagnostics.pi_norm_sq(su - sv, order)
-            worst = np.maximum(worst, num / (rate * diagnostics.pi_norm_sq(u - v, order)))
+        num = diagnostics.pi_norm_sq(images[::2] - images[1::2], order)
+        den = diagnostics.pi_norm_sq(uv[::2] - uv[1::2], order)
+        worst = np.maximum.reduce(num / (rate * den), initial=worst)
     return float(worst)
 
 

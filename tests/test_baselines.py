@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from dfinito.baselines import (
     svrg_run,
     theoretical_step_size,
 )
-from dfinito.model import ProblemInstance, Regularizer
+from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import solve_reference
-from dfinito.problems import gen_least_squares
-from dfinito.sampling import SamplingPlan
+from dfinito.problems import gen_least_squares, gen_logistic
+from dfinito.prox import prox_args, prox_core
+from dfinito.sampling import SamplingPlan, epoch_order
 
 
 def test_step_size_table_hand_values():
@@ -191,3 +193,136 @@ def test_grad_evals_strictly_increasing():
                   saga_run(p, plan, 0.01, 5, np.zeros(2))):
         evals = [r.grad_evals for r in trace]
         assert all(b > a for a, b in zip(evals, evals[1:]))
+
+
+REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
+                "l2sq": Regularizer.l2sq(0.3)}
+
+
+def _problem(kind, reg, n=7, d=3):
+    """A small least squares, logistic or custom (callable) problem under ``reg``."""
+    rng = np.random.default_rng(11)
+    r = REGULARIZERS[reg]
+    if kind == "least_squares":
+        return gen_least_squares(1, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
+    if kind == "logistic":
+        W, y = rng.standard_normal((n, d)), np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        return dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
+    c, a = rng.uniform(0.5, 2.0, size=n), rng.standard_normal((n, d))
+    grads = [lambda x, ci=ci, ai=ai: ci * (x - ai) for ci, ai in zip(c, a)]
+    return ProblemInstance(kind="custom", n=n, d=d, regularizer=r, L=float(c.max()),
+                           mu=float(c.min()), grads=grads)
+
+
+def _plans(n):
+    order = np.random.default_rng(n).permutation(n)
+    return (SamplingPlan("cyclic", n, order=order), SamplingPlan("reshuffle", n, seed=3),
+            SamplingPlan("uniform", n, seed=4))
+
+
+def _reference_svrg(p, plan, alpha, epochs, x0, snapshot_every, correction):
+    """svrg_run before the snapshot table: grad f_i(y) evaluated on every inner step."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    trace, evals, y, gy = [(0, x.copy())], 0, None, None
+    for k in range(1, epochs + 1):
+        if correction and (k - 1) % snapshot_every == 0:
+            y = x.copy()
+            gy = p.full_grad(y)
+            evals += p.n
+        for i in epoch_order(plan, k - 1):
+            i = int(i)
+            g = grad(data, i, x)
+            evals += 1
+            if correction:
+                g = g - grad(data, i, y) + gy
+                evals += 1
+            x = prox_core(x - alpha * g, reg_code, reg_t)
+        trace.append((evals, x.copy()))
+    return trace
+
+
+def _reference_saga(p, plan, alpha, epochs, x0, correction, table_init):
+    """saga_run before the stacked initial table and the in-place row write."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    evals = 0
+    if correction:
+        if table_init is None:
+            table = np.stack([grad(data, i, x) for i in range(p.n)])
+            evals += p.n
+        else:
+            table = np.asarray(table_init, dtype=np.float64).copy()
+        gmean = ordered_mean(table)
+    trace = [(evals, x.copy())]
+    for k in range(1, epochs + 1):
+        for i in epoch_order(plan, k - 1):
+            i = int(i)
+            g = grad(data, i, x)
+            evals += 1
+            if correction:
+                step_dir = g - table[i] + gmean
+                gmean = gmean + (g - table[i]) / p.n
+                table[i] = g
+            else:
+                step_dir = g
+            x = prox_core(x - alpha * step_dir, reg_code, reg_t)
+        trace.append((evals, x.copy()))
+    return trace
+
+
+def _assert_trace_bytes(got, want):
+    assert len(got) == len(want)
+    for rec, (evals, x) in zip(got, want):
+        assert rec.grad_evals == evals
+        assert rec.x.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+def test_svrg_equals_reference_loop_bytes(kind, reg):
+    p = _problem(kind, reg)
+    x0 = np.random.default_rng(2).standard_normal(p.d)
+    for plan in _plans(p.n):
+        for snapshot_every in (1, 2, 3):
+            for correction in (True, False):
+                args = (p, plan, 0.3 / p.L, 5, x0, snapshot_every, correction)
+                _assert_trace_bytes(svrg_run(*args), _reference_svrg(*args))
+
+
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+def test_saga_equals_reference_loop_bytes(kind, reg):
+    p = _problem(kind, reg)
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal(p.d)
+    for plan in _plans(p.n):
+        for correction, table_init in ((True, None), (True, rng.standard_normal((p.n, p.d))),
+                                       (False, None)):
+            args = (p, plan, 0.3 / p.L, 5, x0, correction, table_init)
+            _assert_trace_bytes(saga_run(*args), _reference_saga(*args))
+
+
+def test_svrg_evaluates_one_gradient_per_inner_step_and_one_stack_per_snapshot(monkeypatch):
+    p = gen_least_squares(2, n=6, d=2, k=2, L=1.0, mu=0.0)
+    calls = {"grad": 0, "grad_rows": 0}
+    grad, data = p.unchecked_grad()
+    grad_rows = ProblemInstance.grad_rows
+
+    def counted_grad(data, i, x):
+        calls["grad"] += 1
+        return grad(data, i, x)
+
+    def counted_grad_rows(self, idx, X):
+        calls["grad_rows"] += 1
+        return grad_rows(self, idx, X)
+
+    monkeypatch.setattr(ProblemInstance, "unchecked_grad", lambda self: (counted_grad, data))
+    monkeypatch.setattr(ProblemInstance, "grad_rows", counted_grad_rows)
+    trace = svrg_run(p, SamplingPlan("reshuffle", 6, seed=0), 0.01, 5, np.zeros(2),
+                     snapshot_every=2)
+    # snapshots at epochs 1, 3 and 5; the charge stays two gradients per inner step
+    assert calls == {"grad": 5 * 6, "grad_rows": 3}
+    assert trace[-1].grad_evals == 3 * 6 + 5 * 6 * 2

@@ -315,6 +315,28 @@ def test_unknown_schedule_exits_2_before_reference_solve(tmp_path, ls_instance, 
     assert capsys.readouterr().err == "error: unknown schedule 'x'\n"
 
 
+L1_PROBLEM = {"generator": {"kind": "least_squares", "n": 8, "d": 4, "L": 5,
+                            "reg": "l1", "reg_lam": 0.1}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"algorithm": "svrg", "snapshot_every": 0}, "snapshot_every must be >= 1 for svrg, got 0"),
+    ({"algorithm": "sgd", "problem": L1_PROBLEM},
+     "algorithm 'sgd' supports smooth problems only, but the problem's regularizer is 'l1'"),
+], ids=["svrg_snapshot_every_0", "sgd_on_l1"])
+def test_baseline_config_errors_exit_2_before_reference_solve(tmp_path, ls_instance, monkeypatch,
+                                                              capsys, overrides, message):
+    def fail(p, tol):
+        raise AssertionError("x* was solved before the config was checked")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    cfg = _config(tmp_path, ls_instance, alpha=0.1, **overrides)
+    capsys.readouterr()
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_diverging_saga_exits_2_on_non_finite_iterate(tmp_path, ls_instance, capsys):
     # each inner step multiplies the error by about alpha * L = 5e10, so the
     # iterate overflows within the 48 steps of six epochs

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dfinito import diagnostics
 from dfinito.diagnostics import (
     CSV_COLUMNS,
     TraceRecord,
@@ -54,6 +55,25 @@ def test_pi_norm_validation():
         pi_norm_sq(np.zeros(3), [0, 1, 2])
     with pytest.raises(ValueError):
         pi_norm_sq(np.zeros((3, 2)), [0, 0, 1])
+    with pytest.raises(ValueError):
+        pi_norm_sq(np.zeros((4, 3, 2)), [0, 0, 1])
+    with pytest.raises(ValueError):
+        pi_norm_sq(np.zeros((1, 4, 3, 2)), [0, 1, 2])
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 3), (7, 4)])
+def test_pi_norm_of_a_stack_equals_each_table_and_checks_the_order_once(n, d, monkeypatch):
+    rng = np.random.default_rng(n * d)
+    stack = rng.standard_normal((6, n, d)) * 10.0 ** rng.integers(-8, 9, size=(6, n, 1))
+    order = rng.permutation(n)
+    want = [pi_norm_sq(table.copy(), order) for table in stack]
+    checked = []
+    validate = diagnostics.validate_permutation
+    monkeypatch.setattr(diagnostics, "validate_permutation",
+                        lambda o, m: checked.append(m) or validate(o, m))
+    got = pi_norm_sq(stack, order)
+    assert checked == [n] and got.shape == (6,)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_rho_ratio_equal_norms_and_degenerate():

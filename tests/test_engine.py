@@ -21,9 +21,9 @@ from dfinito.engine import (
 from dfinito.model import MemoryState, ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic, make_synthetic_logistic
-from dfinito.prox import prox, prox_args
+from dfinito.prox import prox, prox_args, prox_core
 from dfinito.baselines import prox_gd_run
-from dfinito.sampling import REGIMES, SEEDED, SamplingPlan
+from dfinito.sampling import REGIMES, SEEDED, SamplingPlan, epoch_order
 
 
 @pytest.fixture(scope="module")
@@ -549,6 +549,37 @@ def _assert_loop_equals_reference_bytes(kind, reg, epoch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_loop_equals_reference_loop_bytes(kind, reg):
     _assert_loop_equals_reference_bytes(kind, reg, kernels._lean_epoch)
+
+
+def _reference_epoch_step(p, s, order, theta):
+    """epoch_step before the row views and the uncopied identity prox; (z, zbar)."""
+    grad, data = p.unchecked_grad()
+    reg_code, reg_t = prox_args(p.regularizer, s.alpha)
+    z0, z, zbar = s.z.copy(), s.z.copy(), s.zbar.copy()
+    for i in np.asarray(order, dtype=np.int64):
+        x = prox_core(zbar, reg_code, reg_t)
+        znew = x - s.alpha * grad(data, i, x)
+        zbar = zbar + (znew - z[i]) / p.n
+        z[i] = znew
+    z = (1.0 - theta) * z0 + theta * z
+    return z, ordered_mean(z)
+
+
+@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_epoch_step_equals_reference_loop_bytes(kind, reg):
+    rng = np.random.default_rng(23)
+    p = _problem(kind, reg, 9, 3, rng, 4)
+    for regime in ("cyclic", "reshuffle", "uniform"):  # uniform orders repeat indices
+        order = rng.permutation(p.n) if regime == "cyclic" else None
+        plan = SamplingPlan(regime, p.n, order=order, seed=5)
+        s = MemoryState.from_table(rng.standard_normal((p.n, p.d)), 0.9 / p.L, 0.6)
+        for epoch in range(3):
+            order = epoch_order(plan, epoch)
+            want_z, want_zbar = _reference_epoch_step(p, s, order, 0.6)
+            s = epoch_step(p, s, order, 0.6)
+            assert s.z.tobytes() == want_z.tobytes()
+            assert s.zbar.tobytes() == want_zbar.tobytes()
 
 
 LEAN_PAIRS = [(k, r) for k in KINDS for r in sorted(REGULARIZERS)

@@ -175,8 +175,10 @@ def test_grad_rows_least_squares_bytes_equal_unchecked_grad(kd):
         X = rng.standard_normal((idx.size, kd)) * 10.0 ** rng.integers(-3, 4, (idx.size, 1))
         X[rng.random(X.shape) < 0.1] = 0.0
         _assert_grad_rows_bytes(p, idx, X)
-    # every row at one point, as zstar_table asks
+    # every row at one point, as zstar_table asks, and as the SVRG/SAGA snapshot
+    # table asks, the point repeated into a contiguous stack
     _assert_grad_rows_bytes(p, np.arange(p.n), np.broadcast_to(X[0], (p.n, kd)))
+    _assert_grad_rows_bytes(p, np.arange(p.n), np.repeat(X[:1], p.n, axis=0))
 
 
 @pytest.mark.parametrize("ridge", [0.0, 0.1])
@@ -191,6 +193,7 @@ def test_grad_rows_logistic_bytes_equal_unchecked_grad(d, ridge):
             margins = p.y[idx] * np.einsum("ij,ij->i", p.W[idx], X)
             assert (margins > 0).any() and (margins < 0).any()
             _assert_grad_rows_bytes(p, idx, X)
+        _assert_grad_rows_bytes(p, np.arange(p.n), np.repeat(X[:1], p.n, axis=0))
 
 
 def test_grad_rows_custom_calls_each_component():
@@ -201,6 +204,7 @@ def test_grad_rows_custom_calls_each_component():
     idx = np.array([3, 0, 0, 2, 1])
     X = rng.standard_normal((5, 3))
     _assert_grad_rows_bytes(p, idx, X)
+    _assert_grad_rows_bytes(p, np.arange(p.n), np.repeat(X[:1], p.n, axis=0))
     with pytest.raises(ValueError, match="NaN or infinite"):
         p.grad_rows(idx, np.full((5, 3), np.inf))  # the checked component_grad
 

@@ -4,7 +4,7 @@ import pytest
 from dfinito import engine, problems, verify
 from dfinito.checks import check_leq
 from dfinito.diagnostics import pi_norm_sq
-from dfinito.model import MemoryState
+from dfinito.model import MemoryState, Regularizer
 
 SEED0_CHECKS = [
     "fixed_point_blockwise", "fixed_point_x_recovery",
@@ -74,6 +74,28 @@ def test_fault_injection_large_step_breaks_nonexpansiveness():
     p1 = problems.gen_least_squares(0, n=1, d=1, k=5, L=4.0, mu=0.0)
     ratio = verify.pi_norm_ratio(p1, [3.0 / p1.L], 1.0, 1.0, 1, np.random.default_rng(0))
     assert ratio == pytest.approx(4.0, rel=1e-10)
+
+
+def _reference_pi_norm_ratio(p, alphas, theta, rate, pairs, rng):
+    """pi_norm_ratio before the stacked pi-norm: two pi_norm_sq calls per pair."""
+    order = np.arange(p.n)
+    worst = 0.0
+    for alpha in alphas:
+        uv = np.array(list(verify._pairs(rng, pairs, p.n, p.d))).reshape(-1, p.n, p.d)
+        images = engine.apply_Spi(p, order, uv, alpha, theta)
+        for u, v, su, sv in zip(uv[::2], uv[1::2], images[::2], images[1::2]):
+            num = pi_norm_sq(su - sv, order)
+            worst = np.maximum(worst, num / (rate * pi_norm_sq(u - v, order)))
+    return float(worst)
+
+
+@pytest.mark.parametrize("theta, rate, pairs", [(1.0, 1.0, 30), (0.5, 0.9, 30), (1.0, 1.0, 0)])
+def test_pi_norm_ratio_equals_per_pair_reference(theta, rate, pairs):
+    p = problems.gen_least_squares(3, n=5, d=3, k=3, L=4.0, mu=0.0,
+                                   regularizer=Regularizer.l1(0.1))
+    args = (p, [0.5 / p.L, 2.0 / p.L], theta, rate, pairs)
+    got = verify.pi_norm_ratio(*args, np.random.default_rng(4))
+    assert got == _reference_pi_norm_ratio(*args, np.random.default_rng(4))
 
 
 def test_fault_injection_large_step_breaks_expected_contraction():
