@@ -112,13 +112,14 @@ def svrg_run(
 ):
     """Variance reduction with a periodic full-gradient snapshot.
 
-    The snapshot (anchor point y, its full gradient and the n-by-d table of
-    its component gradients, one :meth:`ProblemInstance.grad_rows` call)
-    refreshes every ``snapshot_every`` epochs and is charged n gradient
-    evaluations. Each inner step is charged two, grad f_i at x and at y, but
-    evaluates only the first and reads grad f_i(y) from the table.
-    ``correction=False`` drops the control variate, reducing the method to
-    plain incremental gradient descent (used by the reduction tests).
+    The snapshot (anchor point y, the n-by-d table of its component gradients,
+    one :meth:`ProblemInstance.grad_rows` call, and its full gradient, for a
+    custom problem the table's mean, so each callable runs once) refreshes
+    every ``snapshot_every`` epochs and is charged n gradient evaluations.
+    Each inner step is charged two, grad f_i at x and at y, but evaluates only
+    the first and reads grad f_i(y) from the table. ``correction=False`` drops
+    the control variate, reducing the method to plain incremental gradient
+    descent (used by the reduction tests).
     """
     if not (alpha > 0) or snapshot_every < 1:
         raise ValueError("need alpha > 0 and snapshot_every >= 1")
@@ -131,8 +132,9 @@ def svrg_run(
     gy = snapshot = None
     for k in range(1, epochs + 1):
         if correction and (k - 1) % snapshot_every == 0:
-            gy = p.full_grad(x)
-            snapshot = list(p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0)))
+            snapshot = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
+            gy = ordered_mean(snapshot) if p.kind == "custom" else p.full_grad(x)
+            snapshot = list(snapshot)
             evals += p.n
         for i in epoch_order(plan, k - 1).tolist():
             g = grad(data, i, x)

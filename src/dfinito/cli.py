@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification/check failure, 2 usage or config
 error. Trace CSVs use the fixed column schema from diagnostics.CSV_COLUMNS,
 UTF-8, '.' decimals, and '\\n' newlines; files are written atomically. Seeds
 and sweep cells run one after another; the seeds of a cell that reads no seed
-share one run.
+share one run. ``run`` solves x* once per command when ``reference`` is on;
+``sweep`` solves none, because its summary has no column that reads x*.
 """
 from __future__ import annotations
 
@@ -277,8 +278,9 @@ def run_experiment(cell, p, seed, reference):
 
 
 def _prepare(args):
-    """Output directory, seeds, problem, cells and x* (None if off) of a run
-    or sweep; every config error comes before the reference solve."""
+    """Output directory, seeds, problem, cells and x* of a run or sweep; x* is None
+    if off or for a sweep, which writes no column that reads it. Every config error
+    comes before the reference solve."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -298,7 +300,8 @@ def _prepare(args):
         raise UsageError(f"seed {twice[0]} is given more than once")
     p = _resolve_problem(cfg["problem"])
     cells = _cells(cfg, p)
-    xstar = oracle.solve_reference(p, tol=1e-10) if cfg["reference"] else None
+    solve = cfg["reference"] and args.command == "run"
+    xstar = oracle.solve_reference(p, tol=1e-10) if solve else None
     return out_dir, seeds, p, cells, xstar
 
 

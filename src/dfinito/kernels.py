@@ -15,11 +15,13 @@ z_k = z0_k + theta (a zbar_k + c_k w_k - z0_k) and zbar_{k+1} = beta zbar_k +
 block of ``BLOCK`` steps from mean m, zbar_k = beta^k m + sum_{j<k} beta^(k-1-j)
 (c_j w_j - z0_j)/n is thus linear in the scalars c_j: the margins need only
 W_B m, W_B Z0_B^T and W_B W_B^T, a scalar recursion yields the c_k, and one
-lower-triangular product the block's means, rows and next mean. A permutation
-epoch reads each row once, before writing it, so this is the lean epoch in
-exact arithmetic; the last bits differ. Block products reduce over d or over
-at most ``BLOCK`` components, never over n, so no result depends on the BLAS
-thread count. ``BACKEND``, ``HAVE_NUMBA`` and ``backend`` remain, inert.
+lower-triangular product the block's means, rows and next mean. The order-only
+data (the W_B, T * W_B W_B^T and labels of each block) is kept on the problem
+for the last (alpha, regularizer, ridge, order), so a run whose order repeats
+(cyclic, shuffle-once) builds it once. A permutation epoch reads each row once,
+before writing it, so this is the lean epoch in exact arithmetic; the last bits
+differ. Block products reduce over d or over at most ``BLOCK`` components,
+never over n, so no result depends on the BLAS thread count. ``BACKEND``, ``HAVE_NUMBA`` and ``backend`` remain, inert.
 """
 from __future__ import annotations
 
@@ -71,26 +73,40 @@ def _lean_epoch(problem, z, zbar, alpha, theta, order):
     zbar[:] = ordered_mean(z)
 
 
-def _blocked_epoch(problem, z, zbar, alpha, theta, order):
-    """One logistic epoch under a linear prox, ``BLOCK`` steps at a time."""
-    n, W, y = z.shape[0], problem.W, problem.y
+def _blocks(problem, alpha, order):
+    """(gamma, a, powers, [(idx, W_B, T, rows of T * W_B W_B^T, labels), ...]) of an
+    epoch along ``order``, memoised; W and y must not change in place."""
+    key = (alpha, problem.regularizer, problem.ridge)
+    memo = problem._blocks_memo
+    if memo is not None and memo[0] == key and np.array_equal(memo[1], order):
+        return memo[2]
+    n, W, y, order = problem.n, problem.W, problem.y, order.copy()
     reg_code, reg_t = prox_args(problem.regularizer, alpha)
     gamma = 1.0 / (1.0 + reg_t) if reg_code == 2 else 1.0
     a = gamma * (1.0 - alpha * problem.ridge)
     beta = 1.0 + a / n
     ks = np.arange(min(BLOCK, n))
     tri = np.tril(beta ** np.maximum(ks[:, None] - 1 - ks, 0), -1) / n  # beta^(k-1-j)/n, j < k
-    powers = beta ** ks
-    labels = y[order].tolist()
+    blocks = []
     for s in range(0, n, BLOCK):
         idx = order[s:s + BLOCK]
+        Wb, T = W[idx], tri[:len(idx), :len(idx)]
+        blocks.append((idx, Wb, T, list(T * (Wb @ Wb.T)), y[idx].tolist()))
+    problem._blocks_memo = (key, order, (gamma, a, beta ** ks, blocks))
+    return problem._blocks_memo[2]
+
+
+def _blocked_epoch(problem, z, zbar, alpha, theta, order):
+    """One logistic epoch under a linear prox, ``BLOCK`` steps at a time."""
+    n = z.shape[0]
+    gamma, a, powers, blocks = _blocks(problem, alpha, order)
+    for idx, Wb, T, rows, labels in blocks:
         b = len(idx)
-        Wb, Z0, T = W[idx], z[idx], tri[:b, :b]
+        Z0 = z[idx]
         V = powers[:b, None] * zbar - T @ Z0  # the means without the c_j terms
         base = np.einsum("ij,ij->i", Wb, V).tolist()
-        rows = list(T * (Wb @ Wb.T))
         c = np.zeros(b)
-        for k, yk in enumerate(labels[s:s + b]):
+        for k, yk in enumerate(labels):
             m = yk * gamma * (base[k] + float(rows[k].dot(c)))
             e = math.exp(-abs(m))  # sigmoid(-m) as the lean loop takes it, without overflow
             c[k] = alpha * yk * ((1.0 if m <= 0.0 else e) / (1.0 + e))

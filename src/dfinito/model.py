@@ -147,6 +147,8 @@ class ProblemInstance:
     values: list | None = None  # custom value oracles f_i(x) -> float
     grads: list | None = None  # custom gradient oracles grad f_i(x) -> (d,)
     metadata: dict = field(default_factory=dict)
+    # the blocked epoch's last order-only data, kept by kernels._blocks
+    _blocks_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:

@@ -326,3 +326,24 @@ def test_svrg_evaluates_one_gradient_per_inner_step_and_one_stack_per_snapshot(m
     # snapshots at epochs 1, 3 and 5; the charge stays two gradients per inner step
     assert calls == {"grad": 5 * 6, "grad_rows": 3}
     assert trace[-1].grad_evals == 3 * 6 + 5 * 6 * 2
+
+
+def test_svrg_calls_each_custom_callable_once_per_snapshot():
+    rng = np.random.default_rng(12)
+    c, a = rng.uniform(0.5, 2.0, size=6), rng.standard_normal((6, 2))
+    calls = []
+
+    def component(i):
+        def grad(x):
+            calls.append(i)
+            return c[i] * (x - a[i])
+        return grad
+
+    p = ProblemInstance(kind="custom", n=6, d=2, regularizer=Regularizer.none(),
+                        L=float(c.max()), mu=float(c.min()), grads=[component(i) for i in range(6)])
+    plan, x0 = SamplingPlan("reshuffle", 6, seed=1), rng.standard_normal(2)
+    trace = svrg_run(p, plan, 0.1, 1, x0, snapshot_every=1)
+    # one snapshot table (6 calls) and one gradient per inner step (6); the full
+    # gradient is the table's mean, not 6 more calls
+    assert len(calls) == 12
+    _assert_trace_bytes(trace, _reference_svrg(p, plan, 0.1, 1, x0, 1, True))

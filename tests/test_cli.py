@@ -176,7 +176,48 @@ def test_sweep_summary(tmp_path, ls_instance):
     assert sum(line.endswith(",1") for line in lines[1:]) == 1
 
 
-def test_sweep_solves_reference_once(tmp_path, ls_instance, monkeypatch):
+LOGISTIC_PROBLEM = {"generator": {"kind": "logistic", "n": 70, "d": 5, "kappa": 10, "seed": 0}}
+
+
+@pytest.mark.parametrize("problem, regimes", [
+    ("ls_file", ["reshuffle", "cyclic"]),
+    (LOGISTIC_PROBLEM, ["cyclic", "shuffle_once", "reshuffle"]),
+], ids=["least_squares_file", "logistic_generator"])
+def test_sweep_solves_no_reference(tmp_path, ls_instance, monkeypatch, problem, regimes):
+    calls = []
+
+    def fail(p, tol):
+        calls.append(tol)
+        raise oracle.OracleError("no convergence within 10 iterations")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    problem = {"path": ls_instance} if problem == "ls_file" else problem
+    grid = {"alpha": ["theory", 0.1], "theta": [0.5, 0.9],
+            "sampling": [{"regime": regime} for regime in regimes]}
+
+    def sweep(tag, grid):
+        out, cfg_path = tmp_path / tag, tmp_path / f"{tag}.json"
+        out.mkdir()
+        cfg_path.write_text(json.dumps({
+            "problem": problem, "algorithm": "dfinito", "epochs": 3, "seeds": [0, 1],
+            "grid": grid,
+        }), encoding="utf-8")
+        assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        # alpha, theta, regime and final residual; "best" differs by design
+        return [line.rsplit(",", 1)[0] for line in
+                (out / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()[1:]]
+
+    rows = sweep("all", grid)
+    assert len(rows) == 4 * len(regimes)
+    # each cell swept alone ends at the same residual, though the whole grid's
+    # blocked logistic epochs share one problem and its order-data memo
+    for idx, (alpha, theta, smp) in enumerate(itertools.product(*grid.values())):
+        assert sweep(f"cell{idx}", {"alpha": [alpha], "theta": [theta], "sampling": [smp]}) \
+            == [rows[idx]]
+    assert calls == []
+
+
+def test_run_solves_reference_once(tmp_path, ls_instance, monkeypatch):
     calls = []
     solve = oracle.solve_reference
 
@@ -185,28 +226,11 @@ def test_sweep_solves_reference_once(tmp_path, ls_instance, monkeypatch):
         return solve(p, tol=tol)
 
     monkeypatch.setattr(oracle, "solve_reference", counted)
-    grid = {"alpha": ["theory", 0.1], "theta": [0.5, 0.9],
-            "sampling": [{"regime": "reshuffle"}, {"regime": "cyclic"}]}
-
-    def sweep(tag, grid):
-        out, cfg_path = tmp_path / tag, tmp_path / f"{tag}.json"
-        out.mkdir()
-        cfg_path.write_text(json.dumps({
-            "problem": {"path": ls_instance}, "algorithm": "dfinito", "epochs": 3,
-            "seeds": [0, 1], "grid": grid,
-        }), encoding="utf-8")
-        assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
-        # alpha, theta, regime and final residual; "best" differs by design
-        return [line.rsplit(",", 1)[0] for line in
-                (out / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()[1:]]
-
-    rows = sweep("all", grid)
-    assert len(rows) == 8 and len(calls) == 1
-    # each cell swept alone, with its own x*, ends at the same residual
-    for idx, (alpha, theta, smp) in enumerate(itertools.product(*grid.values())):
-        assert sweep(f"cell{idx}", {"alpha": [alpha], "theta": [theta], "sampling": [smp]}) \
-            == [rows[idx]]
-    assert len(calls) == 1 + 8
+    cfg = _config(tmp_path, ls_instance, sampling={"regime": "cyclic"}, seeds=[0, 1])
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 0
+    assert calls == [1e-10]
+    for name in ("trace_seed0.csv", "trace_seed1.csv"):
+        assert all(row["dist_sq_to_opt"] is not None for row in read_trace_csv(tmp_path / name))
 
 
 @pytest.mark.parametrize("algorithm, regime, runs", [

@@ -701,6 +701,83 @@ def test_blocked_epoch_equals_split_block_loop_bytes(n, reg, ridge):
         assert got_zbar.tobytes() == want_zbar.tobytes()
 
 
+def _memo_problem(n, reg, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((n, 4))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    p = dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=REGULARIZERS[reg])
+    return p, rng
+
+
+def _epochs_match_split_loop(p, z, steps):
+    """Each (alpha, order) of ``steps`` runs as one kernel epoch and as one epoch of
+    the split reference loop; the tables and means must agree byte for byte."""
+    want_z, want_zbar = z.copy(), ordered_mean(z)
+    got_z, got_zbar = z.copy(), ordered_mean(z)
+    for alpha, order in steps:
+        _blocked_epoch_split(p, want_z, want_zbar, alpha, 0.6, np.array(order))
+        kernels.epoch_inplace(p, got_z, got_zbar, alpha, 0.6, order)
+        assert got_z.tobytes() == want_z.tobytes()
+        assert got_zbar.tobytes() == want_zbar.tobytes()
+
+
+@pytest.mark.parametrize("reg", ["none", "l2sq"])
+@pytest.mark.parametrize("n", [1, 31, 33, 65])
+def test_blocked_epoch_memo_keeps_split_block_loop_bytes(n, reg):
+    p, rng = _memo_problem(n, reg, 40 + n)
+    z = rng.standard_normal((n, 4))
+    fixed, other = rng.permutation(n), rng.permutation(n)
+    small, large = 1.0 / p.L, 2.0 / p.L
+    _epochs_match_split_loop(p, z, [(small, fixed)] * 5)  # memo hits
+    _epochs_match_split_loop(p, z, [(small, fixed), (large, fixed), (small, fixed),
+                                    (small, other), (large, other), (small, fixed)])
+    # another regularizer or ridge, on a replaced instance and on this one, whose
+    # memo holds (small, fixed) under the old values
+    for change in ({"regularizer": REGULARIZERS["l2sq" if reg == "none" else "none"]},
+                   {"ridge": 0.3}):
+        q = dataclasses.replace(p, **change)
+        assert q._blocks_memo is None
+        _epochs_match_split_loop(q, z, [(small, fixed)] * 2)
+        for key, value in change.items():
+            setattr(p, key, value)
+        _epochs_match_split_loop(p, z, [(small, fixed)] * 2)
+
+
+@pytest.mark.parametrize("reg", ["none", "l2sq"])
+@pytest.mark.parametrize("n", [1, 31, 33, 65])
+def test_blocked_epoch_memo_ignores_later_changes_to_the_callers_order(n, reg):
+    p, rng = _memo_problem(n, reg, 50 + n)
+    z = rng.standard_normal((n, 4))
+    alpha, first = 1.0 / p.L, rng.permutation(n)
+    kept, second = first.copy(), rng.permutation(n)
+    want_z, want_zbar = z.copy(), ordered_mean(z)
+    got_z, got_zbar = z.copy(), ordered_mean(z)
+    kernels.epoch_inplace(p, got_z, got_zbar, alpha, 0.6, first)
+    _blocked_epoch_split(p, want_z, want_zbar, alpha, 0.6, kept)
+    first[:] = second  # the caller reuses its array for the next order
+    for order in (second.copy(), kept.copy(), first, kept.copy()):
+        _blocked_epoch_split(p, want_z, want_zbar, alpha, 0.6, order.copy())
+        kernels.epoch_inplace(p, got_z, got_zbar, alpha, 0.6, order)
+        assert got_z.tobytes() == want_z.tobytes()
+        assert got_zbar.tobytes() == want_zbar.tobytes()
+
+
+@pytest.mark.parametrize("regime, builds", [("cyclic", 1), ("shuffle_once", 1),
+                                            ("reshuffle", 6)])
+def test_blocked_epoch_builds_order_data_once_per_order(regime, builds):
+    p, rng = _memo_problem(40, "l2sq", 60)
+    memos = []  # a build replaces the memo, so each distinct one is a build
+
+    def sink(rec):
+        if p._blocks_memo is not None and all(m is not p._blocks_memo for m in memos):
+            memos.append(p._blocks_memo)
+
+    plan = SamplingPlan(regime, p.n, order=np.arange(p.n) if regime == "cyclic" else None,
+                        seed=5)
+    run(p, DampedRunConfig(1.0 / p.L, 0.5, 6, plan, 1), np.zeros((p.n, p.d)), sink=sink)
+    assert len(memos) == builds
+
+
 @pytest.mark.parametrize("reg", sorted(REGULARIZERS))
 def test_custom_gradient_argument_never_changes_later(reg):
     seen = []
