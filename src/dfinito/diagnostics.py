@@ -120,18 +120,20 @@ def _convex_constant(alpha, L, n, z0, zstar, regime, order=None) -> float:
     raise ValueError(f"no convex bound for regime {regime!r}")
 
 
-def bound_convex(k, alpha, theta, L, n, z0, zstar, regime, order=None) -> float:
-    """Sublinear envelope on the (expected) gradient-mapping residual."""
+def convex_envelope(alpha, theta, L, n, z0, zstar, regime, order=None):
+    """The sublinear envelope as a function of the epoch k, its regime
+    constant computed once; ValueError where the bound does not apply."""
     if not (0.0 < theta < 1.0):
         raise ValueError("convex envelope needs theta strictly inside (0, 1)")
     if not (0.0 < alpha <= 2.0 / L):
         raise ValueError("convex envelope needs 0 < alpha <= 2/L")
-    C = _convex_constant(alpha, L, n, z0, zstar, regime, order)
-    return C * L**2 / ((k + 1) * theta * (1.0 - theta))
+    scaled = _convex_constant(alpha, L, n, z0, zstar, regime, order) * L**2
+    return lambda k: scaled / ((k + 1) * theta * (1.0 - theta))
 
 
-def bound_strongly_convex(k, alpha, theta, L, mu, n, z0, zstar, regime, order=None) -> float:
-    """Linear envelope on the (expected) squared distance to the optimum."""
+def strongly_convex_envelope(alpha, theta, L, mu, n, z0, zstar, regime, order=None):
+    """The linear envelope as a function of the epoch k, its regime constant
+    computed once; ValueError where the bound does not apply."""
     if not (mu > 0):
         raise ValueError("strongly convex envelope needs mu > 0")
     if not (0.0 < alpha <= 2.0 / (mu + L)):
@@ -151,4 +153,14 @@ def bound_strongly_convex(k, alpha, theta, L, mu, n, z0, zstar, regime, order=No
     else:
         raise ValueError(f"no strongly convex bound for regime {regime!r}")
     rate = 1.0 - 2.0 * theta * alpha * mu * L / (mu + L)
-    return rate**k * C
+    return lambda k: rate**k * C
+
+
+def bound_convex(k, alpha, theta, L, n, z0, zstar, regime, order=None) -> float:
+    """Sublinear envelope on the (expected) gradient-mapping residual."""
+    return convex_envelope(alpha, theta, L, n, z0, zstar, regime, order)(k)
+
+
+def bound_strongly_convex(k, alpha, theta, L, mu, n, z0, zstar, regime, order=None) -> float:
+    """Linear envelope on the (expected) squared distance to the optimum."""
+    return strongly_convex_envelope(alpha, theta, L, mu, n, z0, zstar, regime, order)(k)

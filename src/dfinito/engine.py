@@ -22,10 +22,10 @@ import numpy as np
 from . import kernels
 from .diagnostics import (
     TraceRecord,
-    bound_convex,
-    bound_strongly_convex,
+    convex_envelope,
     grad_map_residual,
     pi_norm_sq,
+    strongly_convex_envelope,
 )
 from .model import MemoryState, ProblemInstance, as_vector, ordered_mean, validate_permutation
 from .prox import prox, prox_args, prox_core
@@ -179,6 +179,14 @@ def _stepsize_flags(p: ProblemInstance, alpha: float, theta: float) -> str:
     return ";".join(flags)
 
 
+def _envelope(make, *args):
+    """``make(*args)``, or None where the bound does not apply."""
+    try:
+        return make(*args)
+    except ValueError:
+        return None
+
+
 def run(
     p: ProblemInstance,
     config: DampedRunConfig,
@@ -210,6 +218,14 @@ def run(
         diff = z0 - state.zbar
         w = np.einsum("ij,ij->i", diff, diff)
     z_init = z0.copy()
+    convex = strongly_convex = None
+    if zstar is not None and plan.regime in ("cyclic", "reshuffle", "shuffle_once"):
+        # each envelope is decided and its constant computed once per run
+        fixed_order = plan.order if plan.regime == "cyclic" else None
+        convex = _envelope(convex_envelope, config.alpha, config.theta, p.L, p.n, z_init,
+                           zstar, plan.regime, fixed_order)
+        strongly_convex = _envelope(strongly_convex_envelope, config.alpha, config.theta, p.L,
+                                    p.mu, p.n, z_init, zstar, plan.regime, fixed_order)
 
     def make_record(k, grad_evals, pre_z, order):
         true_min, certified = grad_map_residual(p, state.zbar, config.alpha)
@@ -225,22 +241,10 @@ def run(
         if xstar is not None:
             x = prox(p.regularizer, config.alpha, state.zbar)
             rec.dist_sq_to_opt = float(np.sum((x - xstar) ** 2))
-        if zstar is not None and plan.regime in ("cyclic", "reshuffle", "shuffle_once"):
-            order_arg = plan.order if plan.regime == "cyclic" else None
-            try:
-                rec.bound_convex = bound_convex(
-                    k, config.alpha, config.theta, p.L, p.n, z_init, zstar,
-                    plan.regime, order_arg,
-                )
-            except ValueError:
-                pass
-            try:
-                rec.bound_sc = bound_strongly_convex(
-                    k, config.alpha, config.theta, p.L, p.mu, p.n, z_init, zstar,
-                    plan.regime, order_arg,
-                )
-            except ValueError:
-                pass
+        if convex is not None:
+            rec.bound_convex = convex(k)
+        if strongly_convex is not None:
+            rec.bound_sc = strongly_convex(k)
         if sink is not None:
             sink(rec)
         return rec

@@ -313,27 +313,23 @@ def save_libsvm(path, W, y):
             fh.write(" ".join(parts) + "\n")
 
 
-ENCODED_DTYPE = "<f8"  # little-endian float64, the one encoded array dtype
+ENCODED_DTYPE = "<f8"  # little-endian float64, the one stored array dtype
 FIELD_KINDS = {"text": str, "integer": int, "number": (int, float), "object": dict}
 CERTIFICATE_FIELDS = {"v": "array", "t": "array", "delta": "array", "beta": "number",
                       "alpha_used": "number"}
 
 
-def _encode(value):
-    """An ndarray as {"dtype", "shape", "base64"} of its little-endian float64
-    bytes, which load back bit for bit; any other value as it is."""
-    if not isinstance(value, np.ndarray):
-        return value
-    a = np.ascontiguousarray(value, dtype=ENCODED_DTYPE)
-    return {"dtype": ENCODED_DTYPE, "shape": list(a.shape),
-            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+def _is_array(value):
+    """Whether a metadata value is a stored array, in either object form."""
+    return isinstance(value, dict) and ("offset" in value or "base64" in value)
 
 
-def _decode(value, name):
-    """Field ``name`` as a writable float64 array, from the encoded form or
-    nested lists of JSON numbers; every entry must be finite."""
+def _decode(value, name, data=None):
+    """Field ``name`` as a writable float64 array, from a slice of the
+    sidecar bytes ``data``, the base64 form or nested lists of JSON numbers;
+    every entry must be finite."""
     try:
-        a = _decode_array(value)
+        a = _decode_array(value, data)
         if not np.isfinite(a).all():
             raise ValueError(f"non-finite entry {float(a[~np.isfinite(a)][0])!r}")
         return a
@@ -341,8 +337,8 @@ def _decode(value, name):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _decode_array(value):
-    """The float64 array in ``value``, either form; finiteness is the caller's check."""
+def _decode_array(value, data):
+    """The float64 array in ``value``, any form; finiteness is the caller's check."""
     if isinstance(value, list):
         a = np.array(value, dtype=np.float64)
         # float64 conversion also takes null, true and numeric strings
@@ -351,22 +347,60 @@ def _decode_array(value):
             bad = next(x for x in entries if type(x) not in (int, float))
             raise ValueError(f"non-numeric entry {json.dumps(bad)}")
         return a
-    if not isinstance(value, dict) or sorted(value) != ["base64", "dtype", "shape"]:
-        raise ValueError("expected a list or an object of dtype, shape and base64")
+    if not isinstance(value, dict) or sorted(value) not in (["dtype", "offset", "shape"],
+                                                            ["base64", "dtype", "shape"]):
+        raise ValueError("expected a list or an object of dtype, shape and offset or base64")
     if value["dtype"] != ENCODED_DTYPE:
         raise ValueError(f"dtype {value['dtype']!r} is not {ENCODED_DTYPE!r}")
     shape = value["shape"]
     if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
         raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
-    raw = base64.b64decode(value["base64"], validate=True)
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} bytes do not fill shape {shape}")
-    return np.frombuffer(raw, dtype=ENCODED_DTYPE).reshape(shape).astype(np.float64)
+    count = math.prod(shape)
+    if "base64" in value:
+        raw = base64.b64decode(value["base64"], validate=True)
+        if len(raw) != 8 * count:
+            raise ValueError(f"{len(raw)} bytes do not fill shape {shape}")
+        return np.frombuffer(raw, dtype=ENCODED_DTYPE).reshape(shape).astype(np.float64)
+    offset = value["offset"]
+    if type(offset) is not int or offset < 0:
+        raise ValueError(f"offset {offset!r} is not a non-negative integer")
+    if data is None:
+        raise ValueError("an offset needs the sidecar that a top-level data field names")
+    if offset + 8 * count > len(data):
+        raise ValueError(f"offset {offset} + {8 * count} bytes of shape {shape} run past "
+                         f"the end of the {len(data)}-byte sidecar")
+    a = np.frombuffer(data, dtype=ENCODED_DTYPE, count=count, offset=offset)
+    return a.reshape(shape).astype(np.float64)
 
 
-def _field(doc, name, kind, default=None):
+def _sidecar(path, doc):
+    """The bytes of the sidecar named by ``doc``'s data field, checked against
+    its byte count and crc32; None for a file without a data field."""
+    if "data" not in doc:
+        return None
+    name = _field(doc, "data.file", "text")
+    size = _field(doc, "data.bytes", "integer")
+    crc = _field(doc, "data.crc32", "integer")
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValueError(f"data.file: {name!r} is not a file name")
+    try:
+        with open(os.path.join(os.path.dirname(path), name), "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValueError(f"data: cannot read {name}: {exc.strerror}") from None
+    if len(raw) != size:
+        raise ValueError(f"data: {name} holds {len(raw)} bytes, not {size}")
+    import zlib  # imported where used: only the instance file reader and writer need it
+
+    if zlib.crc32(raw) != crc:
+        raise ValueError(f"data: {name} fails its crc32 check; it belongs to another save")
+    return raw
+
+
+def _field(doc, name, kind, default=None, data=None):
     """The value of dotted field ``name`` in ``doc``, checked to be of
-    ``kind``; a None default makes it required. An error names the field."""
+    ``kind``; a None default makes it required. An array is decoded against
+    the sidecar bytes ``data``. An error names the field."""
     parent, _, key = name.rpartition(".")
     if parent:
         doc = _field(doc, parent, "object")
@@ -376,17 +410,45 @@ def _field(doc, name, kind, default=None):
         return default
     value = doc[key]
     if kind == "array":
-        return _decode(value, name)
+        return _decode(value, name, data)
     if isinstance(value, bool) or not isinstance(value, FIELD_KINDS[kind]):
         raise ValueError(f"{name}: expected {kind}, got {type(value).__name__}")
     return value
 
 
-def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | None = None):
-    """Serialize an instance (and optional certificate) to JSON, atomically.
+def _write_atomically(path, chunks):
+    """Write the byte strings ``chunks`` to ``path`` through a temporary file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    os.replace(tmp, path)
 
-    Every float array, array-valued metadata included, is stored encoded.
+
+def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | None = None):
+    """Serialize an instance (and optional certificate), atomically.
+
+    Every float array, array-valued metadata included, goes to the sidecar
+    ``<path>.f8`` as little-endian float64 bytes in C order, one array after
+    another; the JSON at ``path`` holds each array's dtype, shape and byte
+    offset, and a top-level ``data`` field with the sidecar's file name,
+    byte count and crc32. The sidecar is written first, so a save that fails
+    before its JSON is replaced leaves the old JSON naming a sidecar whose
+    checksum no longer matches.
     """
+    import zlib
+
+    arrays = []
+
+    def encode(value):
+        if not isinstance(value, np.ndarray):
+            return value
+        a = np.ascontiguousarray(value, dtype=ENCODED_DTYPE)
+        entry = {"dtype": ENCODED_DTYPE, "shape": list(a.shape),
+                 "offset": sum(b.nbytes for b in arrays)}
+        arrays.append(a)
+        return entry
+
     doc = {
         "kind": p.kind,
         "n": p.n,
@@ -394,28 +456,34 @@ def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | Non
         "L": p.L,
         "mu": p.mu,
         "regularizer": {"kind": p.regularizer.kind, "lam": p.regularizer.lam},
-        "metadata": {key: _encode(value) for key, value in p.metadata.items()},
+        "metadata": {key: encode(value) for key, value in p.metadata.items()},
     }
     if p.kind == "least_squares":
-        doc.update(A=_encode(p.A), b=_encode(p.b))
+        doc.update(A=encode(p.A), b=encode(p.b))
     elif p.kind == "logistic":
-        doc.update(W=_encode(p.W), y=_encode(p.y), ridge=p.ridge)
+        doc.update(W=encode(p.W), y=encode(p.y), ridge=p.ridge)
     else:
         raise ValueError("custom problems are not serializable")
     if cert is not None:
-        doc["certificate"] = {key: _encode(value) for key, value in vars(cert).items()}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+        doc["certificate"] = {key: encode(value) for key, value in vars(cert).items()}
+    chunks = [a.data for a in arrays]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    name = os.path.basename(path) + ".f8"
+    doc["data"] = {"file": name, "bytes": sum(a.nbytes for a in arrays), "crc32": crc}
+    _write_atomically(os.path.join(os.path.dirname(path), name), chunks)
+    _write_atomically(path, [json.dumps(doc).encode("utf-8")])
 
 
 def load_instance(path):
     """Load (instance, certificate-or-None) written by save_instance.
 
-    Arrays may be encoded or plain nested lists; both load bit for bit, and
-    every entry must be a finite number. A malformed file raises ValueError
-    naming the file and the field.
+    Arrays may be stored in the sidecar, base64-encoded or as plain nested
+    lists; all three load bit for bit, and every entry must be a finite
+    number. The sidecar is read once and must match the byte count and
+    crc32 that the JSON records. A malformed file raises ValueError naming
+    the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -427,17 +495,17 @@ def load_instance(path):
             raise ValueError(f"kind: unknown serialized kind {kind!r}")
         reg = Regularizer(_field(doc, "regularizer.kind", "text"),
                           _field(doc, "regularizer.lam", "number"))
-        metadata = {key: _decode(value, f"metadata.{key}")
-                    if isinstance(value, dict) and "base64" in value else value
+        data = _sidecar(path, doc)
+        metadata = {key: _decode(value, f"metadata.{key}", data) if _is_array(value) else value
                     for key, value in _field(doc, "metadata", "object", {}).items()}
         arrays = ("A", "b") if kind == "least_squares" else ("W", "y")
         p = ProblemInstance(
             kind=kind, n=_field(doc, "n", "integer"), d=_field(doc, "d", "integer"),
             regularizer=reg, L=_field(doc, "L", "number"), mu=_field(doc, "mu", "number"),
             ridge=_field(doc, "ridge", "number", 0.0), metadata=metadata,
-            **{key: _field(doc, key, "array") for key in arrays})
+            **{key: _field(doc, key, "array", data=data) for key in arrays})
         cert = None if "certificate" not in doc else HeterogeneityCertificate(**{
-            key: _field(doc, f"certificate.{key}", field_kind)
+            key: _field(doc, f"certificate.{key}", field_kind, data=data)
             for key, field_kind in CERTIFICATE_FIELDS.items()})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

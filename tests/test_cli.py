@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dfinito
-from dfinito import baselines, cli, engine, oracle
+from dfinito import baselines, cli, engine, oracle, problems
 from dfinito.cli import main, read_trace_csv
 from dfinito.diagnostics import CSV_COLUMNS
 from dfinito.problems import gen_logistic, save_instance
@@ -284,18 +284,37 @@ def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, co
 
 
 def _encoded(values, shape):
-    """An instance-file array in its encoded form, written out by hand."""
+    """An instance-file array in its base64 form, written out by hand."""
     raw = np.asarray(values, dtype="<f8").tobytes()
     return {"dtype": "<f8", "shape": shape, "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _stale_sidecar(raw, tmp_path):
+    """The sidecar of another save of the same sizes (seed 1)."""
+    other = tmp_path / "other"
+    other.mkdir()
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4", "--k", "4",
+                   "--seed", "1", "--out", str(other)) == 0
+    return (other / SIDECAR).read_bytes()
+
+
+# the field "instance.json.f8" edits the sidecar: its value maps (bytes, tmp_path) to the
+# new bytes, None to delete it. The generated sidecar holds z0, A, b, v, t and delta,
+# 964 floats in that order, so A starts at byte 960 and delta at 6752.
+SIDECAR = "instance.json.f8"
+ZEROS = [0.0] * 120
 
 
 @pytest.mark.parametrize("field, value, named", [
     ("regularizer", None, "missing field regularizer"),
     ("n", "30", "n: expected integer, got str"),
     ("kind", "quadratic", "kind: unknown serialized kind 'quadratic'"),
-    ("certificate.t.dtype", "<f4", "certificate.t: dtype '<f4' is not '<f8'"),
-    ("certificate.t.base64", "!!!!", "certificate.t: Only base64 data is allowed"),
-    ("certificate.t.shape", [30, 5], "certificate.t: 960 bytes do not fill shape [30, 5]"),
+    ("certificate.t", {**_encoded(ZEROS, [30, 4]), "dtype": "<f4"},
+     "certificate.t: dtype '<f4' is not '<f8'"),
+    ("certificate.t", {**_encoded(ZEROS, [30, 4]), "base64": "!!!!"},
+     "certificate.t: Only base64 data is allowed"),
+    ("certificate.t", _encoded(ZEROS, [30, 5]),
+     "certificate.t: 960 bytes do not fill shape [30, 5]"),
     ("A", [[0.0] * 4] * 30, "A must have shape (n, k, d), got (30, 4)"),
     ("A", [[[None] + [0.0] * 3] + [[0.0] * 4] * 3] + [[[0.0] * 4] * 4] * 29,
      "A: non-numeric entry null"),
@@ -304,28 +323,75 @@ def _encoded(values, shape):
     ("b", _encoded([0.0] * 119 + [math.nan], [30, 4]), "b: non-finite entry nan"),
     ("certificate.t", _encoded([-math.inf] + [0.0] * 119, [30, 4]),
      "certificate.t: non-finite entry -inf"),
+    (SIDECAR, lambda raw, tmp_path: None,
+     f"data: cannot read {SIDECAR}: No such file or directory"),
+    (SIDECAR, lambda raw, tmp_path: raw[:-8], f"data: {SIDECAR} holds 7704 bytes, not 7712"),
+    (SIDECAR, lambda raw, tmp_path: raw + bytes(8), f"data: {SIDECAR} holds 7720 bytes, not 7712"),
+    (SIDECAR, _stale_sidecar,
+     f"data: {SIDECAR} fails its crc32 check; it belongs to another save"),
+    ("data.file", "../instance.json.f8", "data.file: '../instance.json.f8' is not a file name"),
+    ("data", None,
+     "metadata.z0: an offset needs the sidecar that a top-level data field names"),
+    ("A.offset", 4000,
+     "A: offset 4000 + 3840 bytes of shape [30, 4, 4] run past the end of the 7712-byte sidecar"),
+    ("certificate.delta.shape", [30, 5], "certificate.delta: offset 6752 + 1200 bytes of shape "
+     "[30, 5] run past the end of the 7712-byte sidecar"),
+    ("b.offset", -8, "b: offset -8 is not a non-negative integer"),
+    ("b.offset", 4800.0, "b: offset 4800.0 is not a non-negative integer"),
+    ("A.dtype", ">f8", "A: dtype '>f8' is not '<f8'"),
 ], ids=["missing_key", "wrong_type", "unknown_kind", "bad_dtype", "bad_base64",
         "bytes_do_not_fill_shape", "wrong_rank", "list_null", "list_true", "encoded_nan",
-        "encoded_inf"])
+        "encoded_inf", "sidecar_missing", "sidecar_truncated", "sidecar_extra_bytes",
+        "sidecar_stale", "sidecar_not_a_file_name", "no_data_field", "offset_past_end",
+        "shape_past_end", "negative_offset", "float_offset", "sidecar_dtype"])
 def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, field, value,
                                                           named):
     assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4",
                    "--k", "4", "--out", str(tmp_path)) == 0
     doc = json.loads((tmp_path / "instance.json").read_text(encoding="utf-8"))
-    *parents, key = field.split(".")
-    node = doc
-    for part in parents:
-        node = node[part]
-    if value is None:
-        del node[key]
+    if field == SIDECAR:
+        raw = value((tmp_path / SIDECAR).read_bytes(), tmp_path)
+        (tmp_path / SIDECAR).unlink()
+        if raw is not None:
+            (tmp_path / SIDECAR).write_bytes(raw)
     else:
-        node[key] = value
+        *parents, key = field.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("run", "--config", _config(tmp_path, str(bad)), "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {bad}: {named}\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_save_failing_after_its_sidecar_leaves_the_old_file_unloadable(tmp_path, ls_instance,
+                                                                       monkeypatch, capsys):
+    p, _ = problems.load_instance(ls_instance)
+    p.b[0, 0] += 1.0
+    write = problems._write_atomically
+
+    def fail_on_json(path, chunks):
+        if path.endswith(".json"):
+            raise OSError(28, "No space left on device")
+        write(path, chunks)
+
+    monkeypatch.setattr(problems, "_write_atomically", fail_on_json)
+    with pytest.raises(OSError):
+        save_instance(ls_instance, p)
+    monkeypatch.undo()
+    # the new sidecar is in place under the old JSON: same size, other bytes
+    assert run_cli("run", "--config", _config(tmp_path, ls_instance), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ls_instance}: data: {SIDECAR} fails its crc32 check; it belongs to another save\n")
+    save_instance(ls_instance, p)
+    assert problems.load_instance(ls_instance)[0].b.tobytes() == p.b.tobytes()
 
 
 def test_unknown_schedule_exits_2_before_reference_solve(tmp_path, ls_instance, monkeypatch,
@@ -578,4 +644,6 @@ def test_traces_independent_of_blas_threads(tmp_path, kind):
 def test_verify_output_independent_of_blas_threads():
     # the stacked block steps run one BLAS product per table, as the per-table loop did
     printed = [_run_in_subprocess(["verify", "--seed", "0"], threads) for threads in (1, 2)]
-    assert printed[0] == printed[1] and printed[0].endswith(b" checks passed\n")
+    assert printed[0] == printed[1]
+    # every check ran and passed: the summary line reads K/K with the same K
+    assert re.fullmatch(rb"(\d+)/\1 checks passed", printed[0].splitlines()[-1])

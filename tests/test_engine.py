@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfinito import baselines, kernels, verify
+from dfinito import baselines, diagnostics, kernels, verify
 from dfinito.engine import (
     DampedRunConfig,
     apply_Spi,
@@ -327,6 +327,37 @@ def test_run_constant_at_fixed_point(composite_problem):
     for rec in trace:
         assert rec.dist_sq_to_opt <= 1e-20
         assert rec.prox_residual_sq <= 1e-18
+
+
+@pytest.mark.parametrize("theta, mu", [(0.7, 0.5), (1.0, 0.5), (0.7, 0.0)])
+@pytest.mark.parametrize("regime", ["cyclic", "reshuffle", "shuffle_once"])
+def test_run_bound_columns_match_the_per_record_formulas_bit_for_bit(regime, theta, mu):
+    # the envelopes as each record evaluated them before their constants were computed
+    # once per run; theta = 1 has no convex bound and mu = 0 no strongly convex one
+    p = gen_least_squares(4, n=7, d=3, k=3, L=4.0, mu=mu)
+    alpha = 2.0 / (p.mu + p.L)
+    xstar = solve_reference(p, tol=1e-12)
+    zstar = zstar_table(p, xstar, alpha)
+    z0 = np.random.default_rng(5).standard_normal((p.n, p.d))
+    order = np.random.default_rng(6).permutation(p.n)
+    plan = (SamplingPlan("cyclic", p.n, order=order) if regime == "cyclic"
+            else SamplingPlan(regime, p.n, seed=3))
+    _, trace = run(p, DampedRunConfig(alpha=alpha, theta=theta, epochs=6, plan=plan), z0,
+                   reference=(xstar, zstar))
+    n, L, diff = p.n, p.L, z0 - zstar
+    logn, total = math.log(n) + 1.0, float(np.sum(diff * diff))
+    convex_c = diagnostics._convex_constant(alpha, L, n, z0, zstar, regime, order)
+    sc_c = {"cyclic": (logn / n) * diagnostics.pi_norm_sq(diff, order),
+            "reshuffle": total / n,
+            "shuffle_once": ((n + 1) * logn / (2.0 * n**2)) * total}[regime]
+    rate = 1.0 - 2.0 * theta * alpha * mu * L / (mu + L)
+    assert [rec.epoch for rec in trace] == list(range(7))
+    for rec in trace:
+        k = rec.epoch
+        want_convex = convex_c * L**2 / ((k + 1) * theta * (1.0 - theta)) if theta < 1 else None
+        want_sc = rate**k * sc_c if mu > 0 else None
+        assert rec.bound_convex == want_convex and rec.bound_sc == want_sc, k
+        assert rec.to_row()[6:8] == ["" if v is None else repr(v) for v in (want_convex, want_sc)]
 
 
 def test_run_n1_theta1_matches_prox_gd():

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -277,22 +278,35 @@ def test_logistic_json_round_trip(tmp_path):
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308]
 
 
-def _save_as_lists(path, p, cert=None):
-    """Write ``p`` with every array as nested lists, as earlier writers did."""
+def _save_by_hand(path, p, cert, store):
+    """Write ``p`` as a JSON file alone, every array in the form ``store`` gives it,
+    as earlier writers did."""
     def plain(values):
-        return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values.items()}
+        return {key: store(v) if isinstance(v, np.ndarray) else v for key, v in values.items()}
 
     doc = {"kind": p.kind, "n": p.n, "d": p.d, "L": p.L, "mu": p.mu,
            "regularizer": {"kind": p.regularizer.kind, "lam": p.regularizer.lam},
            "metadata": plain(p.metadata)}
     if p.kind == "least_squares":
-        doc.update(A=p.A.tolist(), b=p.b.tolist())
+        doc.update(A=store(p.A), b=store(p.b))
     else:
-        doc.update(W=p.W.tolist(), y=p.y.tolist(), ridge=p.ridge)
+        doc.update(W=store(p.W), y=store(p.y), ridge=p.ridge)
     if cert is not None:
         doc["certificate"] = plain(vars(cert))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+
+
+def _save_as_lists(path, p, cert=None):
+    """Every array as nested lists of JSON numbers."""
+    _save_by_hand(path, p, cert, lambda a: a.tolist())
+
+
+def _save_as_base64(path, p, cert=None):
+    """Every array as the base64 of its little-endian float64 bytes."""
+    _save_by_hand(path, p, cert, lambda a: {
+        "dtype": "<f8", "shape": list(a.shape),
+        "base64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")})
 
 
 def _instances_with_extremes():
@@ -319,46 +333,61 @@ def _arrays(p, cert):
     return out
 
 
-@pytest.mark.parametrize("writer", ["encoded", "lists"])
+# writer -> how a stored array looks in the JSON: an object with this key, or a list
+WRITERS = {"sidecar": (save_instance, "offset"), "base64": (_save_as_base64, "base64"),
+           "lists": (_save_as_lists, None)}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
 def test_instance_arrays_load_bit_exact(tmp_path, writer):
+    save, key_of_form = WRITERS[writer]
     for idx, (p, cert) in enumerate(_instances_with_extremes()):
         path = str(tmp_path / f"inst{idx}.json")
-        (save_instance if writer == "encoded" else _save_as_lists)(path, p, cert)
+        save(path, p, cert)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        assert ("data" in doc) == (writer == "sidecar")
         q, cert2 = load_instance(path)
         want, got = _arrays(p, cert), _arrays(q, cert2)
         for key in want:
             stored = doc
             for part in key.split("."):
                 stored = stored[part]
-            assert isinstance(stored, dict if writer == "encoded" else list), key
+            if key_of_form is None:
+                assert isinstance(stored, list), key
+            else:
+                assert isinstance(stored, dict) and key_of_form in stored, key
         assert sorted(got) == sorted(want)
         for key, a in want.items():
             assert got[key].dtype == np.float64 and got[key].shape == a.shape, key
+            assert got[key].flags.writeable and got[key].flags.owndata, key
             assert got[key].tobytes() == a.tobytes(), key
         assert (q.L, q.mu, q.ridge, q.regularizer) == (p.L, p.mu, p.ridge, p.regularizer)
 
 
-def test_instance_file_holds_at_most_11_bytes_per_float(tmp_path):
-    # base64 of float64 takes 32/3 bytes per value; decimal text took about 20
+def test_instance_files_hold_at_most_8_bytes_per_float(tmp_path):
+    # the sidecar holds 8 bytes per value and the JSON only names the arrays; base64 of
+    # float64 took 32/3 bytes per value and decimal text about 20
     assert main(["generate", "--kind", "heterogeneous", "--n", "100", "--d", "5", "--k", "5",
                  "--out", str(tmp_path)]) == 0
-    path = tmp_path / "instance.json"
+    path, sidecar = tmp_path / "instance.json", tmp_path / "instance.json.f8"
     floats = sum(a.size for a in _arrays(*load_instance(str(path))).values())
     assert floats == 100 * 5 * 5 + 100 * 5 + 5 + 100 * 5 + 100 * 5 + 100 * 5
-    assert path.stat().st_size <= 11 * floats + 4096
+    assert sidecar.stat().st_size == 8 * floats
+    assert path.stat().st_size + sidecar.stat().st_size <= 8 * floats + 4096
 
 
 def test_list_and_encoded_instances_run_and_order_alike(tmp_path, capsys):
     assert main(["generate", "--kind", "heterogeneous", "--n", "30", "--d", "4", "--k", "4",
                  "--beta", "0.5", "--out", str(tmp_path)]) == 0
     rho = capsys.readouterr().out.split("rho=")[1].split()[0]
-    encoded = str(tmp_path / "instance.json")
-    lists = str(tmp_path / "lists.json")
-    _save_as_lists(lists, *load_instance(encoded))
+    sidecar = str(tmp_path / "instance.json")
+    paths = {"sidecar": sidecar}
+    for tag, save in (("base64", _save_as_base64), ("lists", _save_as_lists)):
+        paths[tag] = str(tmp_path / f"{tag}.json")
+        save(paths[tag], *load_instance(sidecar))
     outputs = []
-    for tag, path in (("encoded", encoded), ("lists", lists)):
+    for tag, path in paths.items():
         out = tmp_path / tag
         out.mkdir()
         cfg = out / "cfg.json"
@@ -369,7 +398,7 @@ def test_list_and_encoded_instances_run_and_order_alike(tmp_path, capsys):
         capsys.readouterr()
         assert main(["order", "--instance", path]) == 0
         outputs.append(((out / "trace_seed0.csv").read_bytes(), capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     # the order command reads the planted start table z0 back from the file
     printed = outputs[0][1]
     assert "optimal order: " + " ".join(str(i) for i in range(1, 31)) in printed
