@@ -118,6 +118,7 @@ def cmd_generate(args):
                                        regularizer=reg)
     elif args.kind == "heterogeneous":
         alpha = 2.0 / (args.L + args.mu) if args.alpha is None else args.alpha
+        problems.check_sizes(n=args.n, d=args.d)  # before z0 is drawn
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
         z0 = rng.standard_normal((args.n, args.d))
         p, cert = problems.gen_heterogeneous(

@@ -91,7 +91,7 @@ def _blocks(problem, alpha, order):
     for s in range(0, n, BLOCK):
         idx = order[s:s + BLOCK]
         Wb, T = W[idx], tri[:len(idx), :len(idx)]
-        blocks.append((idx, Wb, T, list(T * (Wb @ Wb.T)), y[idx].tolist()))
+        blocks.append((idx, Wb, T, list(T * Wb.dot(Wb.T)), y[idx].tolist()))
     problem._blocks_memo = (key, order, (gamma, a, beta ** ks, blocks))
     return problem._blocks_memo[2]
 
@@ -103,7 +103,7 @@ def _blocked_epoch(problem, z, zbar, alpha, theta, order):
     for idx, Wb, T, rows, labels in blocks:
         b = len(idx)
         Z0 = z[idx]
-        V = powers[:b, None] * zbar - T @ Z0  # the means without the c_j terms
+        V = powers[:b, None] * zbar - T.dot(Z0)  # the means without the c_j terms
         base = np.einsum("ij,ij->i", Wb, V).tolist()
         c = np.zeros(b)
         for k, yk in enumerate(labels):
@@ -111,7 +111,7 @@ def _blocked_epoch(problem, z, zbar, alpha, theta, order):
             e = math.exp(-abs(m))  # sigmoid(-m) as the lean loop takes it, without overflow
             c[k] = alpha * yk * ((1.0 if m <= 0.0 else e) / (1.0 + e))
         E = c[:, None] * Wb
-        means = V + T @ E
+        means = V + T.dot(E)
         D = a * means + E - Z0
         z[idx] = Z0 + theta * D
         zbar[:] = means[b - 1] + D[b - 1] / n

@@ -71,7 +71,7 @@ def _grad_least_squares(data, i, x):
     """grad of 0.5 ||A_i x - b_i||^2 for data = (rows of A, their transposes,
     rows of b); unchecked."""
     A, At, b = data
-    return At[i] @ (A[i] @ x - b[i])
+    return At[i].dot(A[i].dot(x) - b[i])
 
 
 def _grad_logistic(data, i, x):
@@ -82,7 +82,7 @@ def _grad_logistic(data, i, x):
     blocked epoch of :mod:`kernels` takes its own sigmoid."""
     W, y, ridge = data
     w, yi = W[i], y[i]
-    m = yi * (w @ x)
+    m = yi * w.dot(x)
     if m <= 0.0:
         s = 1.0 / (1.0 + np.exp(m))
     else:

@@ -56,6 +56,15 @@ def test_generate_missing_out_dir_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, size", [("least_squares", "--d"), ("heterogeneous", "--n"),
+                                        ("logistic", "--n")])
+def test_generate_size_below_one_exits_2_naming_it(tmp_path, capsys, kind, size):
+    assert run_cli("generate", "--kind", kind, size, "0", "--kappa", "5",
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {size[2:]} must be an integer >= 1, got 0\n"
+    assert not (tmp_path / "instance.json").exists()
+
+
 def test_generate_heterogeneous_prints_rho(tmp_path, capsys):
     out = tmp_path / "het"
     out.mkdir()
@@ -273,6 +282,16 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
     ("run", {"problem": {"generator": {"kind": "quadratic", "n": 8}}}, "'quadratic'"),
     ("sweep", {"grid": {"alpha": [0.1], "gamma": [0.5]}}, "'gamma'"),
     ("sweep", {"grid": {"sampling": [{"regime": "cyclic", "oder": [0]}]}}, "'oder'"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4.5, "d": 2, "L": 5.0}}},
+     "n must be an integer >= 1, got 4.5"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": True, "d": 2, "L": 5.0}}},
+     "n must be an integer >= 1, got True"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 0, "d": 2, "L": 5.0}}},
+     "n must be an integer >= 1, got 0"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 0, "d": 2, "kappa": 10}}},
+     "n must be an integer >= 1, got 0"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 0, "kappa": 10}}},
+     "d must be an integer >= 1, got 0"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
                                                overrides, named):

@@ -1,9 +1,12 @@
 import base64
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dfinito import problems
 from dfinito.cli import main
 from dfinito.model import Regularizer
 from dfinito.oracle import solve_reference
@@ -64,6 +67,82 @@ def test_least_squares_rejects_bad_shapes():
         gen_least_squares(0, n=4, d=5, k=3, L=1.0, mu=0.5)  # k < d with mu > 0
     with pytest.raises(ValueError):
         gen_least_squares(0, n=4, d=5, k=5, L=1.0, mu=2.0)  # mu > L
+
+
+def test_least_squares_generator_allocates_no_second_stack():
+    # the stack is built in place: no list of n matrices beside it
+    gen_least_squares(0, n=4, d=3, k=3, L=1.0, mu=0.1)  # warm up
+    tracemalloc.start()
+    p = gen_least_squares(0, n=256, d=32, k=32, L=1.0, mu=0.1)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1.25 * (p.A.nbytes + p.b.nbytes)
+
+
+# The per-component generator the stacked one replaced, kept as its reference:
+# one QR factorisation, sign fix and product per component, then np.stack.
+
+
+def _reference_orthonormal(rng, rows, cols):
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return q * np.sign(np.diag(r))
+
+
+def _reference_component(rng, k, d, L, mu):
+    r = min(k, d)
+    s = np.sqrt(rng.uniform(mu, L, size=r))
+    s[0] = math.sqrt(L)
+    if r > 1:
+        s[-1] = math.sqrt(mu)
+    u = _reference_orthonormal(rng, k, r)
+    v = _reference_orthonormal(rng, d, r)
+    return (u * s) @ v.T
+
+
+def _reference_least_squares(seed, n, d, k, L, mu):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    A = np.stack([_reference_component(rng, k, d, L, mu) for _ in range(n)])
+    return A, rng.standard_normal((n, k))
+
+
+def _reference_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    t = rng.standard_normal((n, d))
+    t *= math.sqrt(n) / np.linalg.norm(t, axis=1, keepdims=True)
+    scale = math.sqrt(beta) ** np.arange(n)
+    v = problems._fsum_mean(z0 - scale[:, None] * t)
+    A = np.stack([_reference_component(rng, k, d, L, mu) for _ in range(n)])
+    c = (z0 - v[None, :] - scale[:, None] * t) / alpha
+    delta = np.empty((n, k))
+    for i in range(n):
+        delta[i] = A[i] @ np.linalg.solve(A[i].T @ A[i], c[i])
+    return A, A @ v + delta, delta, v, t
+
+
+GENERATOR_SHAPES = {  # (n, d, k, mu)
+    "k_below_d": (2 * problems.CHUNK, 6, 4, 0.0),
+    "k_equals_d": (2 * problems.CHUNK, 5, 5, 0.3),
+    "k_above_d": (2 * problems.CHUNK, 4, 7, 0.3),
+    "d_is_1": (2 * problems.CHUNK, 1, 3, 0.3),
+    "mu_0": (2 * problems.CHUNK, 4, 4, 0.0),
+    "n_below_chunk": (problems.CHUNK - 1, 4, 5, 0.3),
+    "n_not_a_multiple_of_chunk": (3 * problems.CHUNK + 5, 3, 3, 0.3),
+}
+
+
+@pytest.mark.parametrize("shape", GENERATOR_SHAPES)
+def test_stacked_generators_match_the_per_component_reference_bytes(shape):
+    n, d, k, mu = GENERATOR_SHAPES[shape]
+    p = gen_least_squares(11, n, d, k, L=2.0, mu=mu)
+    want = _reference_least_squares(11, n, d, k, L=2.0, mu=mu)
+    assert [a.tobytes() for a in (p.A, p.b)] == [a.tobytes() for a in want]
+    if k < d or mu == 0.0:
+        return  # outside the planted construction
+    z0 = np.random.default_rng(12).standard_normal((n, d))
+    p, cert = gen_heterogeneous(13, n, d, k, mu=mu, L=2.0, alpha=0.4, beta=0.6, z0=z0)
+    want = _reference_heterogeneous(13, n, d, k, mu=mu, L=2.0, alpha=0.4, beta=0.6, z0=z0)
+    got = (p.A, p.b, cert.delta, cert.v, cert.t)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # -------------------------------------------------------- heterogeneous
