@@ -1,8 +1,8 @@
 """Damped proximal Finito: optimizer, theory checks, and benchmark harness."""
 
-from .model import MemoryState, ProblemInstance, Regularizer
+from .model import ProblemInstance, Regularizer
 from .sampling import SamplingPlan, epoch_order, optimal_cyclic_order
-from .engine import DampedRunConfig, apply_Spi, apply_Ti, apply_Tpi, epoch_step, epoch_step_efficient, run
+from .engine import DampedRunConfig, apply_Spi, apply_Ti, apply_Tpi, epoch_step, run
 from .diagnostics import TraceRecord, bound_convex, bound_strongly_convex, grad_map_residual, pi_norm_sq, rho_ratio
 from .prox import prox, subgradient_residual
 from .problems import (
@@ -20,7 +20,6 @@ from .oracle import brute_force_best_order, expected_contraction, solve_referenc
 from .baselines import prox_gd_run, saga_run, sgd_run, svrg_run, theoretical_step_size
 
 __all__ = [
-    "MemoryState",
     "ProblemInstance",
     "Regularizer",
     "SamplingPlan",
@@ -35,7 +34,6 @@ __all__ = [
     "brute_force_best_order",
     "epoch_order",
     "epoch_step",
-    "epoch_step_efficient",
     "expected_contraction",
     "gen_heterogeneous",
     "gen_least_squares",

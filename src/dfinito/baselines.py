@@ -108,7 +108,6 @@ def svrg_run(
     epochs: int,
     x0,
     snapshot_every: int = 2,
-    correction: bool = True,
 ):
     """Variance reduction with a periodic full-gradient snapshot.
 
@@ -117,9 +116,7 @@ def svrg_run(
     custom problem the table's mean, so each callable runs once) refreshes
     every ``snapshot_every`` epochs and is charged n gradient evaluations.
     Each inner step is charged two, grad f_i at x and at y, but evaluates only
-    the first and reads grad f_i(y) from the table. ``correction=False`` drops
-    the control variate, reducing the method to plain incremental gradient
-    descent (used by the reduction tests).
+    the first and reads grad f_i(y) from the table.
     """
     if not (alpha > 0) or snapshot_every < 1:
         raise ValueError("need alpha > 0 and snapshot_every >= 1")
@@ -129,19 +126,15 @@ def svrg_run(
     trace = []
     _record(trace, 0, 0, x)
     evals = 0
-    gy = snapshot = None
     for k in range(1, epochs + 1):
-        if correction and (k - 1) % snapshot_every == 0:
+        if (k - 1) % snapshot_every == 0:
             snapshot = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
             gy = ordered_mean(snapshot) if p.kind == "custom" else p.full_grad(x)
             snapshot = list(snapshot)
             evals += p.n
         for i in epoch_order(plan, k - 1).tolist():
-            g = grad(data, i, x)
-            evals += 1
-            if correction:
-                g = g - snapshot[i] + gy
-                evals += 1
+            g = grad(data, i, x) - snapshot[i] + gy
+            evals += 2
             v = x - alpha * g
             x = v if reg_code == 0 else prox_core(v, reg_code, reg_t)
         _record(trace, k, evals, x)
@@ -154,15 +147,11 @@ def saga_run(
     alpha: float,
     epochs: int,
     x0,
-    correction: bool = True,
-    table_init=None,
 ):
     """Per-component gradient-table variance reduction.
 
-    The table starts at grad f_i(x0) (n evaluations, charged) unless an
-    explicit ``table_init`` is given; the table mean is maintained
-    incrementally. ``correction=False`` reduces to plain incremental
-    gradient descent.
+    The table starts at grad f_i(x0), one :meth:`ProblemInstance.grad_rows`
+    call charged n evaluations; the table mean is maintained incrementally.
     """
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
@@ -170,27 +159,19 @@ def saga_run(
     grad, data = p.unchecked_grad()
     reg_code, reg_t = prox_args(p.regularizer, alpha)
     trace = []
-    evals = 0
-    if correction:
-        if table_init is None:
-            table = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
-            evals += p.n
-        else:
-            table = np.asarray(table_init, dtype=np.float64).copy()
-            if table.shape != (p.n, p.d):
-                raise ValueError("table_init must have shape (n, d)")
-        gmean = ordered_mean(table)
-        rows = list(table)
+    evals = p.n
+    table = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
+    gmean = ordered_mean(table)
+    rows = list(table)
     _record(trace, 0, evals, x)
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1).tolist():
             g = grad(data, i, x)
             evals += 1
-            if correction:
-                change = g - rows[i]
-                rows[i][...] = g
-                g = change + gmean
-                gmean = gmean + change / p.n
+            change = g - rows[i]
+            rows[i][...] = g
+            g = change + gmean
+            gmean = gmean + change / p.n
             v = x - alpha * g
             x = v if reg_code == 0 else prox_core(v, reg_code, reg_t)
         _record(trace, k, evals, x)

@@ -105,19 +105,20 @@ def grad_map_residual(p: ProblemInstance, zbar, alpha) -> tuple[float, float]:
     return true_min, certified
 
 
-def _convex_constant(alpha, L, n, z0, zstar, regime, order=None) -> float:
+def _regime_constant(factor, n, z0, zstar, regime, order=None) -> float:
+    """An envelope's constant: ``factor`` times the regime's weighted squared
+    distance of z0 to z*; ValueError for a regime without a bound."""
     diff = np.asarray(z0, dtype=np.float64) - np.asarray(zstar, dtype=np.float64)
-    base = (2.0 / (alpha * L)) ** 2
     logn = math.log(n) + 1.0
     if regime == "cyclic":
         if order is None:
             raise ValueError("cyclic bound needs the fixed order")
-        return base * (logn / n) * pi_norm_sq(diff, order)
+        return factor * (logn / n) * pi_norm_sq(diff, order)
     if regime == "reshuffle":
-        return (5.0 / (3.0 * alpha * L)) ** 2 * table_norm_sq(diff) / n
+        return factor * table_norm_sq(diff) / n
     if regime == "shuffle_once":
-        return base * ((n + 1) * logn / (2.0 * n**2)) * table_norm_sq(diff)
-    raise ValueError(f"no convex bound for regime {regime!r}")
+        return factor * ((n + 1) * logn / (2.0 * n**2)) * table_norm_sq(diff)
+    raise ValueError(f"no bound for regime {regime!r}")
 
 
 def convex_envelope(alpha, theta, L, n, z0, zstar, regime, order=None):
@@ -127,7 +128,8 @@ def convex_envelope(alpha, theta, L, n, z0, zstar, regime, order=None):
         raise ValueError("convex envelope needs theta strictly inside (0, 1)")
     if not (0.0 < alpha <= 2.0 / L):
         raise ValueError("convex envelope needs 0 < alpha <= 2/L")
-    scaled = _convex_constant(alpha, L, n, z0, zstar, regime, order) * L**2
+    factor = (5.0 / (3.0 * alpha * L) if regime == "reshuffle" else 2.0 / (alpha * L)) ** 2
+    scaled = _regime_constant(factor, n, z0, zstar, regime, order) * L**2
     return lambda k: scaled / ((k + 1) * theta * (1.0 - theta))
 
 
@@ -140,18 +142,7 @@ def strongly_convex_envelope(alpha, theta, L, mu, n, z0, zstar, regime, order=No
         raise ValueError("strongly convex envelope needs 0 < alpha <= 2/(mu+L)")
     if not (0.0 < theta <= 1.0):
         raise ValueError("theta must lie in (0, 1]")
-    diff = np.asarray(z0, dtype=np.float64) - np.asarray(zstar, dtype=np.float64)
-    logn = math.log(n) + 1.0
-    if regime == "cyclic":
-        if order is None:
-            raise ValueError("cyclic bound needs the fixed order")
-        C = (logn / n) * pi_norm_sq(diff, order)
-    elif regime == "reshuffle":
-        C = table_norm_sq(diff) / n
-    elif regime == "shuffle_once":
-        C = ((n + 1) * logn / (2.0 * n**2)) * table_norm_sq(diff)
-    else:
-        raise ValueError(f"no strongly convex bound for regime {regime!r}")
+    C = _regime_constant(1.0, n, z0, zstar, regime, order)
     rate = 1.0 - 2.0 * theta * alpha * mu * L / (mu + L)
     return lambda k: rate**k * C
 

@@ -6,12 +6,14 @@ of the theory checks (O(n d) per block, for the exact table mean), on one
 tables once, then steps a block of every table at once with no further checks
 (:func:`_literal_step`, over :meth:`ProblemInstance.grad_rows`); ``apply_Tpi``
 checks on exit that every table is finite, so an overflow partway still raises.
-``epoch_step`` executes the textbook epoch with an end-of-epoch damping pass,
-``epoch_step_efficient`` the kernel that folds damping into each block
-correction; for permutation orders the two produce identical x-iterate
-sequences. ``run`` drives whole experiments and records diagnostics. An epoch
-takes one of three paths: literal for the uniform regime, whose orders repeat
-indices; blocked or lean (:func:`kernels.epoch_path`) for permutation regimes.
+The optimizer state is the table z and its mean z-bar, two plain arrays.
+``epoch_step`` executes the textbook epoch on them in place, with an
+end-of-epoch damping pass; :func:`kernels.epoch_inplace`, with the same
+signature, folds damping into each block update, and for permutation
+orders the two produce identical x-iterate sequences. ``run`` drives whole
+experiments and records diagnostics. An epoch takes one of three paths:
+literal for the uniform regime, whose orders repeat indices; blocked or lean
+(:func:`kernels.epoch_path`) for permutation regimes.
 """
 from __future__ import annotations
 
@@ -27,11 +29,9 @@ from .diagnostics import (
     pi_norm_sq,
     strongly_convex_envelope,
 )
-from .model import MemoryState, ProblemInstance, as_vector, ordered_mean, validate_permutation
+from .model import ProblemInstance, as_vector, ordered_mean, validate_permutation
 from .prox import prox, prox_args, prox_core
 from .sampling import SamplingPlan, epoch_order, update_importance
-
-WITHOUT_REPLACEMENT = ("cyclic", "reshuffle", "shuffle_once", "adaptive")
 
 
 @dataclass
@@ -121,48 +121,44 @@ def apply_Spi(p: ProblemInstance, order, z, alpha: float, theta: float):
     return (1.0 - theta) * z + theta * apply_Tpi(p, order, z, alpha)
 
 
-def epoch_step(p: ProblemInstance, s: MemoryState, order, theta: float) -> MemoryState:
-    """One literal epoch: n inner updates, then damp the table by theta
-    against the epoch-start snapshot and recompute the average exactly.
+def epoch_step(p: ProblemInstance, z, zbar, alpha: float, theta: float, order):
+    """One literal epoch in place on (z, zbar): n inner updates, then damp the
+    table by theta against the epoch-start snapshot and recompute the mean exactly.
 
     ``order`` may contain repeats (uniform regime); permutation orders make
     this equal to (1-theta) z + theta T_pi z. Like the memory-lean loop it
-    checks the table and ``order`` once, then steps with the unchecked
-    gradient and prox.
+    checks alpha, theta, the table, its mean and ``order`` once, then steps
+    with the unchecked gradient and prox.
     """
     n = p.n
-    if s.z.shape != (n, p.d):
-        raise ValueError(f"z table must have shape ({n}, {p.d})")
+    if not (alpha > 0):
+        raise ValueError("alpha must be positive")
+    if not (0.0 < theta <= 1.0):
+        raise ValueError("theta must lie in (0, 1]")
+    if z.shape != (n, p.d) or zbar.shape != (p.d,):
+        raise ValueError(f"table and mean must be ({n}, {p.d}) and ({p.d},), "
+                         f"got {z.shape}, {zbar.shape}")
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,) or order.min() < 0 or order.max() >= n:
         raise ValueError("order must contain n valid indices")
     grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, s.alpha)
-    z0 = s.z.copy()
-    z = s.z.copy()
-    zbar = s.zbar.copy()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    z0 = z.copy()
     rows = list(z)
+    mean = zbar
     for i in order.tolist():
-        # zbar is rebound, never written, so the identity prox need not copy it
-        x = zbar if reg_code == 0 else prox_core(zbar, reg_code, reg_t)
-        znew = x - s.alpha * grad(data, i, x)
-        zbar = zbar + (znew - rows[i]) / n
+        # mean is rebound, never written, so the identity prox need not copy it
+        x = mean if reg_code == 0 else prox_core(mean, reg_code, reg_t)
+        znew = x - alpha * grad(data, i, x)
+        mean = mean + (znew - rows[i]) / n
         rows[i][...] = znew
-    z = (1.0 - theta) * z0 + theta * z
-    return MemoryState(z=z, zbar=ordered_mean(z), alpha=s.alpha, theta=s.theta)
+    z[...] = (1.0 - theta) * z0 + theta * z
+    zbar[...] = ordered_mean(z)
 
 
 def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
     """Memory-lean epoch mutating (z, zbar); no second n-by-d table."""
     kernels.epoch_inplace(p, z, zbar, alpha, theta, order)
-
-
-def epoch_step_efficient(p: ProblemInstance, s: MemoryState, order, theta: float) -> MemoryState:
-    """Same contract as :func:`epoch_step` for permutation orders."""
-    z = s.z.copy()
-    zbar = s.zbar.copy()
-    epoch_step_efficient_inplace(p, z, zbar, s.alpha, theta, order)
-    return MemoryState(z=z, zbar=zbar, alpha=s.alpha, theta=s.theta)
 
 
 def _stepsize_flags(p: ProblemInstance, alpha: float, theta: float) -> str:
@@ -192,12 +188,12 @@ def run(
     config: DampedRunConfig,
     z0,
     reference=None,
-    sink=None,
 ):
-    """Execute a full damped-Finito run.
+    """Execute a full damped-Finito run from the table z0.
 
     reference: optional (xstar, zstar) pair enabling distance-to-optimum and
-    bound-envelope columns. Returns (final MemoryState, list of TraceRecord).
+    bound-envelope columns. Returns (final z table, list of TraceRecord); the
+    final mean is ``ordered_mean`` of that table.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (p.n, p.d):
@@ -205,7 +201,7 @@ def run(
     plan = config.plan
     if plan.n != p.n:
         raise ValueError("sampling plan size mismatch")
-    state = MemoryState.from_table(z0, config.alpha, config.theta)
+    z, zbar = z0.copy(), ordered_mean(z0)  # z0 itself is never written
     flags = _stepsize_flags(p, config.alpha, config.theta)
     xstar = zstar = None
     if reference is not None:
@@ -215,20 +211,19 @@ def run(
 
     w = None
     if plan.regime == "adaptive":
-        diff = z0 - state.zbar
+        diff = z0 - zbar
         w = np.einsum("ij,ij->i", diff, diff)
-    z_init = z0.copy()
     convex = strongly_convex = None
     if zstar is not None and plan.regime in ("cyclic", "reshuffle", "shuffle_once"):
         # each envelope is decided and its constant computed once per run
         fixed_order = plan.order if plan.regime == "cyclic" else None
-        convex = _envelope(convex_envelope, config.alpha, config.theta, p.L, p.n, z_init,
+        convex = _envelope(convex_envelope, config.alpha, config.theta, p.L, p.n, z0,
                            zstar, plan.regime, fixed_order)
         strongly_convex = _envelope(strongly_convex_envelope, config.alpha, config.theta, p.L,
-                                    p.mu, p.n, z_init, zstar, plan.regime, fixed_order)
+                                    p.mu, p.n, z0, zstar, plan.regime, fixed_order)
 
     def make_record(k, grad_evals, pre_z, order):
-        true_min, certified = grad_map_residual(p, state.zbar, config.alpha)
+        true_min, certified = grad_map_residual(p, zbar, config.alpha)
         rec = TraceRecord(
             epoch=k,
             grad_evals=grad_evals,
@@ -236,32 +231,30 @@ def run(
             prox_residual_sq=certified,
             flags=flags,
         )
-        if pre_z is not None and order is not None and plan.regime != "uniform":
-            rec.pi_norm_residual_sq = pi_norm_sq(state.z - pre_z, order)
+        if pre_z is not None:
+            rec.pi_norm_residual_sq = pi_norm_sq(z - pre_z, order)
         if xstar is not None:
-            x = prox(p.regularizer, config.alpha, state.zbar)
+            x = prox(p.regularizer, config.alpha, zbar)
             rec.dist_sq_to_opt = float(np.sum((x - xstar) ** 2))
         if convex is not None:
             rec.bound_convex = convex(k)
         if strongly_convex is not None:
             rec.bound_sc = strongly_convex(k)
-        if sink is not None:
-            sink(rec)
         return rec
 
+    # the uniform regime's orders repeat indices: no lean epoch and no pi-norm
+    permutation = plan.regime != "uniform"
+    step = kernels.epoch_inplace if permutation else epoch_step
     records = [make_record(0, 0, None, None)]
     grad_evals = 0
     for k in range(1, config.epochs + 1):
         order = epoch_order(plan, k - 1, w)
         tracing = (k % config.trace_every == 0) or (k == config.epochs)
-        pre_z = state.z.copy() if tracing else None
-        if plan.regime == "uniform":
-            state = epoch_step(p, state, order, config.theta)
-        else:
-            kernels.epoch_inplace(p, state.z, state.zbar, config.alpha, config.theta, order)
+        pre_z = z.copy() if tracing and permutation else None
+        step(p, z, zbar, config.alpha, config.theta, order)
         grad_evals += p.n
         if plan.regime == "adaptive":
-            w = update_importance(w, z_init, state.z, plan.gamma)
+            w = update_importance(w, z0, z, plan.gamma)
         if tracing:
             records.append(make_record(k, grad_evals, pre_z, order))
-    return state, records
+    return z, records

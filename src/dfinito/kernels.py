@@ -1,8 +1,8 @@
 """The epoch loops of the damped Finito update.
 
 A step takes the prox at the running table mean, refreshes block i with step
-alpha, adds theta times that correction to z_i and moves the mean by the
-undamped correction over n, with no second n-by-d table; the epoch ends with
+alpha, adds theta times that change to z_i and moves the mean by the
+undamped change over n, with no second n-by-d table; the epoch ends with
 the exact fixed-order mean. :func:`epoch_inplace` checks the table and order
 once and dispatches by :func:`epoch_path`. The lean loop serves every kind,
 one step at a time over row views, via ``unchecked_grad`` and ``prox_core``.

@@ -1,4 +1,4 @@
-"""Problem abstraction and mutable optimizer state.
+"""Problem abstraction and the fixed-order table sums.
 
 A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
 Three component families are supported natively (least squares, ridge-folded
@@ -276,33 +276,6 @@ class ProblemInstance:
 
     def objective(self, x):
         return self.full_value(x) + self.regularizer.value(x)
-
-
-@dataclass
-class MemoryState:
-    """The z-table, its running average, and the run's step/damping parameters."""
-
-    z: np.ndarray  # (n, d)
-    zbar: np.ndarray  # (d,)
-    alpha: float
-    theta: float
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        self.zbar = np.asarray(self.zbar, dtype=np.float64)
-        if self.z.ndim != 2:
-            raise ValueError("z table must be 2-d (n, d)")
-        if self.zbar.shape != (self.z.shape[1],):
-            raise ValueError("zbar dimension mismatch")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError("theta must lie in (0, 1]")
-
-    @classmethod
-    def from_table(cls, z, alpha, theta):
-        z = np.asarray(z, dtype=np.float64)
-        return cls(z=z.copy(), zbar=ordered_mean(z), alpha=float(alpha), theta=float(theta))
 
 
 def validate_permutation(order, n):

@@ -241,12 +241,14 @@ def verify_heterogeneous(p: ProblemInstance, cert: HeterogeneityCertificate, z0,
     return results
 
 
-def logistic_constants(W, y, lam):
+def _logistic_smoothness(W):
+    """lmax(W^T W) / (4n), the smoothness constant of the mean logistic loss over the rows of W."""
+    return float(np.linalg.eigvalsh(W.T @ W)[-1]) / (4.0 * W.shape[0])
+
+
+def logistic_constants(W, lam):
     """(L, mu) for the ridge-folded logistic loss: L = lmax(W^T W)/(4n) + lam."""
-    W = np.asarray(W, dtype=np.float64)
-    n = W.shape[0]
-    lmax = float(np.linalg.eigvalsh(W.T @ W)[-1])
-    return lmax / (4.0 * n) + lam, float(lam)
+    return _logistic_smoothness(np.asarray(W, dtype=np.float64)) + lam, float(lam)
 
 
 def gen_logistic(W, y, lam):
@@ -258,7 +260,7 @@ def gen_logistic(W, y, lam):
     y = np.asarray(y, dtype=np.float64)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    L, mu = logistic_constants(W, y, lam)
+    L, mu = logistic_constants(W, lam)
     n, d = W.shape
     per_component_L = np.einsum("ij,ij->i", W, W) / 4.0 + lam
     return ProblemInstance(
@@ -286,8 +288,7 @@ def make_synthetic_logistic(seed, n, d, kappa=None, lam=None):
     if lam is None:
         if kappa is None or kappa <= 1:
             raise ValueError("need lam, or a condition number kappa > 1")
-        smooth = float(np.linalg.eigvalsh(W.T @ W)[-1]) / (4.0 * n)
-        lam = smooth / (kappa - 1.0)
+        lam = _logistic_smoothness(W) / (kappa - 1.0)
     return W, y, float(lam)
 
 

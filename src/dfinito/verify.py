@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from . import baselines, diagnostics, engine, oracle, problems, sampling
+from . import baselines, diagnostics, engine, kernels, oracle, problems, sampling
 from .checks import CheckResult, check_leq
-from .model import MemoryState, Regularizer, ordered_mean
+from .model import Regularizer, ordered_mean
 from .prox import prox
 
 CONVEX = ("prox_residual_sq", "bound_convex")
@@ -102,13 +102,13 @@ def order_rule_deviation(score_vectors):
 def literal_lean_deviation(p, z0, alpha, theta, orders):
     """Worst max |x_literal - x_lean| after each epoch, the literal and the
     memory-lean epoch run side by side from z0 over `orders`."""
-    literal = MemoryState.from_table(z0, alpha, theta)
-    lean = MemoryState.from_table(z0, alpha, theta)
+    literal, lean = z0.copy(), z0.copy()
+    literal_mean, lean_mean = ordered_mean(z0), ordered_mean(z0)
     worst = 0.0
     for order in orders:
-        literal = engine.epoch_step(p, literal, order, theta)
-        lean = engine.epoch_step_efficient(p, lean, order, theta)
-        dev = prox(p.regularizer, alpha, literal.zbar) - prox(p.regularizer, alpha, lean.zbar)
+        engine.epoch_step(p, literal, literal_mean, alpha, theta, order)
+        kernels.epoch_inplace(p, lean, lean_mean, alpha, theta, order)
+        dev = prox(p.regularizer, alpha, literal_mean) - prox(p.regularizer, alpha, lean_mean)
         worst = np.maximum(worst, np.max(np.abs(dev)))
     return float(worst)
 
@@ -216,12 +216,12 @@ def suite_equivalence(seed=0):
     worst = literal_lean_deviation(p, z0, alpha, theta, orders)
     results = [check_leq("literal_vs_efficient_epoch", worst, 1e-12)]
 
-    s = MemoryState.from_table(z0, alpha, 1.0)
     order = np.arange(p.n)
-    undamped = engine.epoch_step(p, s, order, 1.0)
+    undamped = z0.copy()
+    engine.epoch_step(p, undamped, ordered_mean(z0), alpha, 1.0, order)
     direct = engine.apply_Tpi(p, order, z0, alpha)
     results.append(
-        check_leq("undamped_epoch_equals_operator", float(np.max(np.abs(undamped.z - direct))), 1e-12)
+        check_leq("undamped_epoch_equals_operator", float(np.max(np.abs(undamped - direct))), 1e-12)
     )
     return results
 

@@ -125,11 +125,10 @@ def test_svrg_grad_eval_accounting():
 
 
 def test_saga_stationary_with_oracle_table():
+    # started at x*, the table starts at the oracle table grad f_i(x*)
     p = gen_least_squares(3, n=5, d=3, k=3, L=2.0, mu=0.5)
     xstar = solve_reference(p, tol=1e-13)
-    table = np.stack([p.component_grad(i, xstar) for i in range(p.n)])
-    trace = saga_run(p, SamplingPlan("reshuffle", 5, seed=0), 0.1, 6, xstar,
-                     table_init=table)
+    trace = saga_run(p, SamplingPlan("reshuffle", 5, seed=0), 0.1, 6, xstar)
     for rec in trace:
         assert np.linalg.norm(rec.x - xstar) <= 1e-10
 
@@ -163,18 +162,6 @@ def test_saga_incremental_mean_matches_batch():
             x = x - alpha * (g - table[i] + gmean)
             table[i] = g
     assert np.max(np.abs(trace[-1].x - x)) <= 1e-12
-
-
-def test_vr_without_correction_reduces_to_sgd():
-    p = gen_least_squares(5, n=5, d=3, k=3, L=2.0, mu=0.3)
-    plan = SamplingPlan("reshuffle", 5, seed=3)
-    x0 = np.ones(3)
-    sgd = sgd_run(p, plan, 0.05, 10, x0)
-    svrg = svrg_run(p, plan, 0.05, 10, x0, correction=False)
-    saga = saga_run(p, plan, 0.05, 10, x0, correction=False)
-    for a, b, c in zip(sgd, svrg, saga):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.x, c.x)
 
 
 def test_baselines_deterministic():
@@ -220,54 +207,43 @@ def _plans(n):
             SamplingPlan("uniform", n, seed=4))
 
 
-def _reference_svrg(p, plan, alpha, epochs, x0, snapshot_every, correction):
+def _reference_svrg(p, plan, alpha, epochs, x0, snapshot_every):
     """svrg_run before the snapshot table: grad f_i(y) evaluated on every inner step."""
     x = np.asarray(x0, dtype=np.float64).copy()
     grad, data = p.unchecked_grad()
     reg_code, reg_t = prox_args(p.regularizer, alpha)
     trace, evals, y, gy = [(0, x.copy())], 0, None, None
     for k in range(1, epochs + 1):
-        if correction and (k - 1) % snapshot_every == 0:
+        if (k - 1) % snapshot_every == 0:
             y = x.copy()
             gy = p.full_grad(y)
             evals += p.n
         for i in epoch_order(plan, k - 1):
             i = int(i)
-            g = grad(data, i, x)
-            evals += 1
-            if correction:
-                g = g - grad(data, i, y) + gy
-                evals += 1
+            g = grad(data, i, x) - grad(data, i, y) + gy
+            evals += 2
             x = prox_core(x - alpha * g, reg_code, reg_t)
         trace.append((evals, x.copy()))
     return trace
 
 
-def _reference_saga(p, plan, alpha, epochs, x0, correction, table_init):
+def _reference_saga(p, plan, alpha, epochs, x0):
     """saga_run before the stacked initial table and the in-place row write."""
     x = np.asarray(x0, dtype=np.float64).copy()
     grad, data = p.unchecked_grad()
     reg_code, reg_t = prox_args(p.regularizer, alpha)
-    evals = 0
-    if correction:
-        if table_init is None:
-            table = np.stack([grad(data, i, x) for i in range(p.n)])
-            evals += p.n
-        else:
-            table = np.asarray(table_init, dtype=np.float64).copy()
-        gmean = ordered_mean(table)
+    evals = p.n
+    table = np.stack([grad(data, i, x) for i in range(p.n)])
+    gmean = ordered_mean(table)
     trace = [(evals, x.copy())]
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1):
             i = int(i)
             g = grad(data, i, x)
             evals += 1
-            if correction:
-                step_dir = g - table[i] + gmean
-                gmean = gmean + (g - table[i]) / p.n
-                table[i] = g
-            else:
-                step_dir = g
+            step_dir = g - table[i] + gmean
+            gmean = gmean + (g - table[i]) / p.n
+            table[i] = g
             x = prox_core(x - alpha * step_dir, reg_code, reg_t)
         trace.append((evals, x.copy()))
     return trace
@@ -287,22 +263,18 @@ def test_svrg_equals_reference_loop_bytes(kind, reg):
     x0 = np.random.default_rng(2).standard_normal(p.d)
     for plan in _plans(p.n):
         for snapshot_every in (1, 2, 3):
-            for correction in (True, False):
-                args = (p, plan, 0.3 / p.L, 5, x0, snapshot_every, correction)
-                _assert_trace_bytes(svrg_run(*args), _reference_svrg(*args))
+            args = (p, plan, 0.3 / p.L, 5, x0, snapshot_every)
+            _assert_trace_bytes(svrg_run(*args), _reference_svrg(*args))
 
 
 @pytest.mark.parametrize("reg", sorted(REGULARIZERS))
 @pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
 def test_saga_equals_reference_loop_bytes(kind, reg):
     p = _problem(kind, reg)
-    rng = np.random.default_rng(3)
-    x0 = rng.standard_normal(p.d)
+    x0 = np.random.default_rng(3).standard_normal(p.d)
     for plan in _plans(p.n):
-        for correction, table_init in ((True, None), (True, rng.standard_normal((p.n, p.d))),
-                                       (False, None)):
-            args = (p, plan, 0.3 / p.L, 5, x0, correction, table_init)
-            _assert_trace_bytes(saga_run(*args), _reference_saga(*args))
+        args = (p, plan, 0.3 / p.L, 5, x0)
+        _assert_trace_bytes(saga_run(*args), _reference_saga(*args))
 
 
 def test_svrg_evaluates_one_gradient_per_inner_step_and_one_stack_per_snapshot(monkeypatch):
@@ -346,4 +318,4 @@ def test_svrg_calls_each_custom_callable_once_per_snapshot():
     # one snapshot table (6 calls) and one gradient per inner step (6); the full
     # gradient is the table's mean, not 6 more calls
     assert len(calls) == 12
-    _assert_trace_bytes(trace, _reference_svrg(p, plan, 0.1, 1, x0, 1, True))
+    _assert_trace_bytes(trace, _reference_svrg(p, plan, 0.1, 1, x0, 1))

@@ -14,11 +14,10 @@ from dfinito.engine import (
     apply_Ti,
     apply_Tpi,
     epoch_step,
-    epoch_step_efficient,
     epoch_step_efficient_inplace,
     run,
 )
-from dfinito.model import MemoryState, ProblemInstance, Regularizer, ordered_mean
+from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic, make_synthetic_logistic
 from dfinito.prox import prox, prox_args, prox_core
@@ -226,14 +225,20 @@ def test_fixed_point_of_block_operators(composite_problem):
     assert np.linalg.norm(apply_Tpi(p, np.arange(p.n), zstar, alpha) - zstar) <= 1e-9
 
 
+def _stepped(p, z, alpha, theta, order):
+    """(table, mean) after one literal epoch from table z, which is left unchanged."""
+    table, mean = z.copy(), ordered_mean(z)
+    epoch_step(p, table, mean, alpha, theta, order)
+    return table, mean
+
+
 def test_epoch_step_theta_one_equals_operator(composite_problem):
     p = composite_problem
     rng = np.random.default_rng(3)
     z = rng.standard_normal((p.n, p.d))
     order = rng.permutation(p.n)
-    s = MemoryState.from_table(z, 1.0 / p.L, 1.0)
-    stepped = epoch_step(p, s, order, 1.0)
-    assert np.max(np.abs(stepped.z - apply_Tpi(p, order, z, s.alpha))) <= 1e-12
+    stepped, _ = _stepped(p, z, 1.0 / p.L, 1.0, order)
+    assert np.max(np.abs(stepped - apply_Tpi(p, order, z, 1.0 / p.L))) <= 1e-12
 
 
 def test_epoch_step_equals_damped_operator(composite_problem):
@@ -243,10 +248,9 @@ def test_epoch_step_equals_damped_operator(composite_problem):
     for theta in (0.3, 0.9):
         z = rng.standard_normal((p.n, p.d))
         for order in (np.arange(p.n), rng.permutation(p.n)):
-            s = MemoryState.from_table(z, alpha, theta)
-            stepped = epoch_step(p, s, order, theta)
+            stepped, _ = _stepped(p, z, alpha, theta, order)
             want = apply_Spi(p, order, z, alpha, theta)
-            assert np.max(np.abs(stepped.z - want)) <= 1e-12
+            assert np.max(np.abs(stepped - want)) <= 1e-12
 
 
 def test_epoch_step_small_theta_scales_linearly(composite_problem):
@@ -254,10 +258,9 @@ def test_epoch_step_small_theta_scales_linearly(composite_problem):
     rng = np.random.default_rng(5)
     z = rng.standard_normal((p.n, p.d))
     order = np.arange(p.n)
-    s = MemoryState.from_table(z, 1.0 / p.L, 1e-8)
-    stepped = epoch_step(p, s, order, 1e-8)
-    move = apply_Tpi(p, order, z, s.alpha) - z
-    assert np.max(np.abs(stepped.z - z - 1e-8 * move)) <= 1e-12
+    stepped, _ = _stepped(p, z, 1.0 / p.L, 1e-8, order)
+    move = apply_Tpi(p, order, z, 1.0 / p.L) - z
+    assert np.max(np.abs(stepped - z - 1e-8 * move)) <= 1e-12
 
 
 def test_epoch_step_fixed_point_any_theta(composite_problem):
@@ -265,9 +268,8 @@ def test_epoch_step_fixed_point_any_theta(composite_problem):
     alpha = 1.0 / p.L
     zstar = zstar_table(p, solve_reference(p, tol=1e-12), alpha)
     for theta in (0.2, 1.0):
-        s = MemoryState.from_table(zstar, alpha, theta)
-        stepped = epoch_step(p, s, np.arange(p.n), theta)
-        assert np.max(np.abs(stepped.z - zstar)) <= 1e-10
+        stepped, _ = _stepped(p, zstar, alpha, theta, np.arange(p.n))
+        assert np.max(np.abs(stepped - zstar)) <= 1e-10
 
 
 def test_literal_and_efficient_agree_over_epochs(composite_problem):
@@ -281,9 +283,30 @@ def test_literal_and_efficient_agree_over_epochs(composite_problem):
 
 def test_efficient_epoch_rejects_repeats(composite_problem):
     p = composite_problem
-    s = MemoryState.from_table(np.zeros((p.n, p.d)), 0.1, 0.5)
     with pytest.raises(ValueError):
-        epoch_step_efficient(p, s, [0] * p.n, 0.5)
+        kernels.epoch_inplace(p, np.zeros((p.n, p.d)), np.zeros(p.d), 0.1, 0.5, [0] * p.n)
+
+
+def test_epoch_step_validation(composite_problem):
+    # the literal epoch checks its step, damping, table, mean and order before any step
+    p = composite_problem
+    z = np.ones((p.n, p.d))
+    zbar = ordered_mean(z)
+    order = np.arange(p.n)
+    for alpha, theta, table, mean, match in (
+        (0.0, 0.9, z, zbar, "alpha must be positive"),
+        (-0.5, 0.9, z, zbar, "alpha must be positive"),
+        (0.5, 0.0, z, zbar, r"theta must lie in \(0, 1\]"),
+        (0.5, 1.5, z, zbar, r"theta must lie in \(0, 1\]"),
+        (0.5, 0.9, z, np.ones(p.d + 1), "table and mean must be"),
+        (0.5, 0.9, np.ones((p.n, p.d + 1)), zbar, "table and mean must be"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            epoch_step(p, table, mean, alpha, theta, order)
+    for bad in ([0] * (p.n - 1), [-1] + [0] * (p.n - 1), [p.n] * p.n):
+        with pytest.raises(ValueError, match="order must contain n valid indices"):
+            epoch_step(p, z, zbar, 0.5, 0.9, bad)
+    assert np.array_equal(z, np.ones((p.n, p.d))) and np.array_equal(zbar, np.ones(p.d))
 
 
 def test_efficient_inplace_allocates_no_second_table():
@@ -346,7 +369,10 @@ def test_run_bound_columns_match_the_per_record_formulas_bit_for_bit(regime, the
                    reference=(xstar, zstar))
     n, L, diff = p.n, p.L, z0 - zstar
     logn, total = math.log(n) + 1.0, float(np.sum(diff * diff))
-    convex_c = diagnostics._convex_constant(alpha, L, n, z0, zstar, regime, order)
+    base = (2.0 / (alpha * L)) ** 2
+    convex_c = {"cyclic": base * (logn / n) * diagnostics.pi_norm_sq(diff, order),
+                "reshuffle": (5.0 / (3.0 * alpha * L)) ** 2 * total / n,
+                "shuffle_once": base * ((n + 1) * logn / (2.0 * n**2)) * total}[regime]
     sc_c = {"cyclic": (logn / n) * diagnostics.pi_norm_sq(diff, order),
             "reshuffle": total / n,
             "shuffle_once": ((n + 1) * logn / (2.0 * n**2)) * total}[regime]
@@ -368,8 +394,8 @@ def test_run_n1_theta1_matches_prox_gd():
     plan = SamplingPlan("cyclic", 1, order=[0])
     cfg = DampedRunConfig(alpha=alpha, theta=1.0, epochs=epochs, plan=plan)
     gd = prox_gd_run(p, alpha, epochs, x0)
-    state, _ = run(p, cfg, z0)
-    x_engine = prox(p.regularizer, alpha, state.zbar)
+    z, _ = run(p, cfg, z0)
+    x_engine = prox(p.regularizer, alpha, ordered_mean(z))
     assert np.max(np.abs(x_engine - gd[-1].x)) <= 1e-12
 
 
@@ -429,10 +455,10 @@ def test_config_validation():
 
 def _loop_gap(p, z, alpha, theta, order, backend=None):
     """Largest entry gap between the memory-lean loop and the literal epoch."""
-    want = epoch_step(p, MemoryState.from_table(z, alpha, theta), order, theta)
+    want_z, want_zbar = _stepped(p, z, alpha, theta, order)
     got_z, got_zbar = z.copy(), ordered_mean(z)
     kernels.epoch_inplace(p, got_z, got_zbar, alpha, theta, order, backend=backend)
-    return max(np.max(np.abs(got_z - want.z)), np.max(np.abs(got_zbar - want.zbar)))
+    return max(np.max(np.abs(got_z - want_z)), np.max(np.abs(got_zbar - want_zbar)))
 
 
 def _kernel_agreement(p):
@@ -484,21 +510,21 @@ def test_literal_epoch_steps_unchecked(kind, monkeypatch):
     else:
         W = rng.standard_normal((12, 4))
         p = gen_logistic(W, np.where(rng.random(12) < 0.5, -1.0, 1.0), 0.2)
-    s = MemoryState.from_table(rng.standard_normal((p.n, p.d)), 0.2, 0.5)
+    z0 = rng.standard_normal((p.n, p.d))
     order = rng.integers(0, p.n, size=p.n)
     # reference: the validated prox and gradient on every inner step
-    z, zbar = s.z.copy(), s.zbar.copy()
+    z, zbar = z0.copy(), ordered_mean(z0)
     for i in order:
-        x = prox(p.regularizer, s.alpha, zbar)
-        znew = x - s.alpha * p.component_grad(int(i), x)
+        x = prox(p.regularizer, 0.2, zbar)
+        znew = x - 0.2 * p.component_grad(int(i), x)
         zbar = zbar + (znew - z[i]) / p.n
         z[i] = znew
     monkeypatch.setattr(ProblemInstance, "component_grad",
                         lambda *args: pytest.fail("validated gradient in the epoch"))
-    got = epoch_step(p, s, order, 0.5)
-    assert np.array_equal(got.z, 0.5 * s.z + 0.5 * z)
+    got, _ = _stepped(p, z0, 0.2, 0.5, order)
+    assert np.array_equal(got, 0.5 * z0 + 0.5 * z)
     with pytest.raises(ValueError):
-        epoch_step(p, MemoryState.from_table(np.zeros((p.n, p.d + 1)), 0.2, 0.5), order, 0.5)
+        epoch_step(p, np.zeros((p.n, p.d + 1)), np.zeros(p.d + 1), 0.2, 0.5, order)
 
 
 REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
@@ -582,14 +608,15 @@ def test_loop_equals_reference_loop_bytes(kind, reg):
     _assert_loop_equals_reference_bytes(kind, reg, kernels._lean_epoch)
 
 
-def _reference_epoch_step(p, s, order, theta):
-    """epoch_step before the row views and the uncopied identity prox; (z, zbar)."""
+def _reference_epoch_step(p, z, zbar, alpha, theta, order):
+    """epoch_step before the row views, the uncopied identity prox and the in-place
+    update; returns the new (z, zbar)."""
     grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, s.alpha)
-    z0, z, zbar = s.z.copy(), s.z.copy(), s.zbar.copy()
+    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    z0, z, zbar = z.copy(), z.copy(), zbar.copy()
     for i in np.asarray(order, dtype=np.int64):
         x = prox_core(zbar, reg_code, reg_t)
-        znew = x - s.alpha * grad(data, i, x)
+        znew = x - alpha * grad(data, i, x)
         zbar = zbar + (znew - z[i]) / p.n
         z[i] = znew
     z = (1.0 - theta) * z0 + theta * z
@@ -604,13 +631,14 @@ def test_epoch_step_equals_reference_loop_bytes(kind, reg):
     for regime in ("cyclic", "reshuffle", "uniform"):  # uniform orders repeat indices
         order = rng.permutation(p.n) if regime == "cyclic" else None
         plan = SamplingPlan(regime, p.n, order=order, seed=5)
-        s = MemoryState.from_table(rng.standard_normal((p.n, p.d)), 0.9 / p.L, 0.6)
+        z = rng.standard_normal((p.n, p.d))
+        zbar = ordered_mean(z)
         for epoch in range(3):
             order = epoch_order(plan, epoch)
-            want_z, want_zbar = _reference_epoch_step(p, s, order, 0.6)
-            s = epoch_step(p, s, order, 0.6)
-            assert s.z.tobytes() == want_z.tobytes()
-            assert s.zbar.tobytes() == want_zbar.tobytes()
+            want_z, want_zbar = _reference_epoch_step(p, z, zbar, 0.9 / p.L, 0.6, order)
+            epoch_step(p, z, zbar, 0.9 / p.L, 0.6, order)
+            assert z.tobytes() == want_z.tobytes()
+            assert zbar.tobytes() == want_zbar.tobytes()
 
 
 LEAN_PAIRS = [(k, r) for k in KINDS for r in sorted(REGULARIZERS)
@@ -795,17 +823,21 @@ def test_blocked_epoch_memo_ignores_later_changes_to_the_callers_order(n, reg):
 
 @pytest.mark.parametrize("regime, builds", [("cyclic", 1), ("shuffle_once", 1),
                                             ("reshuffle", 6)])
-def test_blocked_epoch_builds_order_data_once_per_order(regime, builds):
+def test_blocked_epoch_builds_order_data_once_per_order(regime, builds, monkeypatch):
     p, rng = _memo_problem(40, "l2sq", 60)
     memos = []  # a build replaces the memo, so each distinct one is a build
+    real = kernels._blocks
 
-    def sink(rec):
-        if p._blocks_memo is not None and all(m is not p._blocks_memo for m in memos):
+    def blocks(problem, alpha, order):
+        out = real(problem, alpha, order)
+        if all(m is not p._blocks_memo for m in memos):
             memos.append(p._blocks_memo)
+        return out
 
+    monkeypatch.setattr(kernels, "_blocks", blocks)
     plan = SamplingPlan(regime, p.n, order=np.arange(p.n) if regime == "cyclic" else None,
                         seed=5)
-    run(p, DampedRunConfig(1.0 / p.L, 0.5, 6, plan, 1), np.zeros((p.n, p.d)), sink=sink)
+    run(p, DampedRunConfig(1.0 / p.L, 0.5, 6, plan, 1), np.zeros((p.n, p.d)))
     assert len(memos) == builds
 
 

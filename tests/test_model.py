@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfinito.model import (
-    MemoryState,
     ProblemInstance,
     Regularizer,
     as_vector,
@@ -250,18 +249,6 @@ def test_objective_includes_regularizer():
                           regularizer=Regularizer.l1(0.5))
     x = np.ones(3)
     assert p.objective(x) == pytest.approx(p.full_value(x) + 1.5)
-
-
-def test_memory_state_validation():
-    z = np.ones((3, 2))
-    s = MemoryState.from_table(z, alpha=0.5, theta=0.9)
-    assert np.array_equal(s.zbar, np.ones(2))
-    with pytest.raises(ValueError):
-        MemoryState(z=z, zbar=np.ones(3), alpha=0.5, theta=0.9)
-    with pytest.raises(ValueError):
-        MemoryState(z=z, zbar=np.ones(2), alpha=0.0, theta=0.9)
-    with pytest.raises(ValueError):
-        MemoryState(z=z, zbar=np.ones(2), alpha=0.5, theta=0.0)
 
 
 def test_validate_permutation():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dfinito import engine, problems, verify
+from dfinito import engine, kernels, problems, verify
 from dfinito.checks import check_leq
 from dfinito.diagnostics import pi_norm_sq
-from dfinito.model import MemoryState, Regularizer
+from dfinito.model import Regularizer
 
 SEED0_CHECKS = [
     "fixed_point_blockwise", "fixed_point_x_recovery",
@@ -109,16 +109,15 @@ def test_nan_in_a_later_epoch_stops_literal_lean_check(monkeypatch):
     # prox rejects the non-finite mean, so the check cannot pass
     p = problems.gen_least_squares(0, n=4, d=3, k=3, L=2.0, mu=0.0)
     alpha, theta = 1.0 / p.L, 0.5
-    real, calls = engine.epoch_step_efficient, []
+    real, calls = kernels.epoch_inplace, []
 
-    def broken(p, state, order, theta):
+    def broken(p, z, zbar, alpha, theta, order):
         calls.append(order)
-        state = real(p, state, order, theta)
-        if len(calls) < 2:
-            return state
-        return MemoryState.from_table(np.full_like(state.z, np.nan), alpha, theta)
+        real(p, z, zbar, alpha, theta, order)
+        if len(calls) >= 2:
+            z[...] = zbar[...] = np.nan
 
-    monkeypatch.setattr(engine, "epoch_step_efficient", broken)
+    monkeypatch.setattr(kernels, "epoch_inplace", broken)
     z0 = np.random.default_rng(0).standard_normal((p.n, p.d))
     with pytest.raises(ValueError, match="NaN"):
         verify.literal_lean_deviation(p, z0, alpha, theta, [np.arange(p.n)] * 3)
@@ -131,9 +130,9 @@ def test_nan_in_a_later_record_fails_envelope_check(column, monkeypatch):
     real = engine.run
 
     def run_with_nan_record(*args, **kwargs):
-        state, trace = real(*args, **kwargs)
+        z, trace = real(*args, **kwargs)
         setattr(trace[2], column[0], float("nan"))
-        return state, trace
+        return z, trace
 
     monkeypatch.setattr(engine, "run", run_with_nan_record)
     p = problems.gen_least_squares(0, n=4, d=3, k=3, L=2.0, mu=0.5)
