@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_vector, ordered_mean
+from .model import ProblemInstance, as_vector, check_step, ordered_mean
 from .prox import prox_args, prox_core
 from .sampling import SamplingPlan, epoch_order
 
@@ -62,8 +62,7 @@ def _record(trace, epoch, grad_evals, x):
 
 def prox_gd_run(p: ProblemInstance, alpha: float, epochs: int, x0):
     """Full proximal gradient descent; one epoch costs n gradient evaluations."""
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    check_step(alpha)
     x = as_vector(x0, p.d).copy()
     reg_code, reg_t = prox_args(p.regularizer, alpha)
     trace = []
@@ -85,8 +84,7 @@ def sgd_run(p: ProblemInstance, plan: SamplingPlan, alpha: float, epochs: int, x
         raise ValueError("sgd supports smooth problems only (regularizer must be none)")
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    check_step(alpha)
     x = as_vector(x0, p.d).copy()
     grad, data = p.unchecked_grad()
     trace = []
@@ -118,8 +116,9 @@ def svrg_run(
     Each inner step is charged two, grad f_i at x and at y, but evaluates only
     the first and reads grad f_i(y) from the table.
     """
-    if not (alpha > 0) or snapshot_every < 1:
-        raise ValueError("need alpha > 0 and snapshot_every >= 1")
+    check_step(alpha)
+    if snapshot_every < 1:
+        raise ValueError("need snapshot_every >= 1")
     x = as_vector(x0, p.d).copy()
     grad, data = p.unchecked_grad()
     reg_code, reg_t = prox_args(p.regularizer, alpha)
@@ -153,8 +152,7 @@ def saga_run(
     The table starts at grad f_i(x0), one :meth:`ProblemInstance.grad_rows`
     call charged n evaluations; the table mean is maintained incrementally.
     """
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    check_step(alpha)
     x = as_vector(x0, p.d).copy()
     grad, data = p.unchecked_grad()
     reg_code, reg_t = prox_args(p.regularizer, alpha)

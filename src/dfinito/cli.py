@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -52,12 +53,11 @@ GRID_AXES = {"alpha": None, "theta": None, "sampling": None}
 
 
 def _write_csv(path, header, rows):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    problems._write_atomically(path, [text.getvalue().encode("utf-8")])
 
 
 def read_trace_csv(path):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_vector, validate_permutation
+from .model import ProblemInstance, as_vector, check_step, validate_permutation
 from .prox import prox, subgradient_residual
 
 CSV_COLUMNS = (
@@ -94,8 +94,6 @@ def grad_map_residual(p: ProblemInstance, zbar, alpha) -> tuple[float, float]:
     subgradient (zbar - x)/alpha supplied by the prox step and upper-bounds
     the true minimum over the whole subdifferential.
     """
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
     zbar = as_vector(zbar, p.d)
     x = prox(p.regularizer, alpha, zbar)
     gF = p.full_grad(x)
@@ -140,8 +138,7 @@ def strongly_convex_envelope(alpha, theta, L, mu, n, z0, zstar, regime, order=No
         raise ValueError("strongly convex envelope needs mu > 0")
     if not (0.0 < alpha <= 2.0 / (mu + L)):
         raise ValueError("strongly convex envelope needs 0 < alpha <= 2/(mu+L)")
-    if not (0.0 < theta <= 1.0):
-        raise ValueError("theta must lie in (0, 1]")
+    check_step(alpha, theta)
     C = _regime_constant(1.0, n, z0, zstar, regime, order)
     rate = 1.0 - 2.0 * theta * alpha * mu * L / (mu + L)
     return lambda k: rate**k * C

@@ -9,11 +9,12 @@ checks on exit that every table is finite, so an overflow partway still raises.
 The optimizer state is the table z and its mean z-bar, two plain arrays.
 ``epoch_step`` executes the textbook epoch on them in place, with an
 end-of-epoch damping pass; :func:`kernels.epoch_inplace`, with the same
-signature, folds damping into each block update, and for permutation
-orders the two produce identical x-iterate sequences. ``run`` drives whole
-experiments and records diagnostics. An epoch takes one of three paths:
-literal for the uniform regime, whose orders repeat indices; blocked or lean
-(:func:`kernels.epoch_path`) for permutation regimes.
+signature, folds damping into each block update, and for permutation orders
+the two produce identical x-iterate sequences. Both check alpha, theta and the
+shapes (:func:`model.check_epoch`) and the order before they touch z. ``run``
+drives whole experiments and records diagnostics. An epoch takes one of three
+paths: literal for the uniform regime, whose orders repeat indices; blocked or
+lean (:func:`kernels.epoch_path`) for permutation regimes.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .diagnostics import (
     pi_norm_sq,
     strongly_convex_envelope,
 )
-from .model import ProblemInstance, as_vector, ordered_mean, validate_permutation
+from .model import ProblemInstance, as_vector, check_epoch, check_step, ordered_mean, validate_permutation
 from .prox import prox, prox_args, prox_core
 from .sampling import SamplingPlan, epoch_order, update_importance
 
@@ -43,10 +44,7 @@ class DampedRunConfig:
     trace_every: int = 1
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError("theta must lie in (0, 1]")
+        check_step(self.alpha, self.theta)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.trace_every < 1:
@@ -56,7 +54,7 @@ class DampedRunConfig:
 def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
     """Check once what the literal operators check per block; return their step.
 
-    Every index in ``blocks`` must name a component, alpha must be positive
+    Every index in ``blocks`` must name a component, alpha must pass check_step
     and the mean of every (n, d) table of each (m, n, d) stack in ``tables``
     a finite vector of dimension d, with the errors a checked gradient step
     raises. The returned ``step(z, i, parents=slice(None))`` takes an
@@ -66,8 +64,7 @@ def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
     """
     for i in blocks:
         p._check_index(i)
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    check_step(alpha)
     for z in tables:
         for mean in ordered_mean(z).reshape(-1, z.shape[-1]):
             as_vector(mean, p.d)
@@ -116,8 +113,7 @@ def apply_Tpi(p: ProblemInstance, order, z, alpha: float):
 def apply_Spi(p: ProblemInstance, order, z, alpha: float, theta: float):
     """Damped epoch operator (1 - theta) I + theta T_pi, on a table or a stack."""
     z = np.asarray(z, dtype=np.float64)
-    if not (0.0 < theta <= 1.0):
-        raise ValueError("theta must lie in (0, 1]")
+    check_step(alpha, theta)
     return (1.0 - theta) * z + theta * apply_Tpi(p, order, z, alpha)
 
 
@@ -131,13 +127,7 @@ def epoch_step(p: ProblemInstance, z, zbar, alpha: float, theta: float, order):
     with the unchecked gradient and prox.
     """
     n = p.n
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
-    if not (0.0 < theta <= 1.0):
-        raise ValueError("theta must lie in (0, 1]")
-    if z.shape != (n, p.d) or zbar.shape != (p.d,):
-        raise ValueError(f"table and mean must be ({n}, {p.d}) and ({p.d},), "
-                         f"got {z.shape}, {zbar.shape}")
+    check_epoch(p, z, zbar, alpha, theta)
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,) or order.min() < 0 or order.max() >= n:
         raise ValueError("order must contain n valid indices")

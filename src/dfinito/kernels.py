@@ -1,11 +1,12 @@
 """The epoch loops of the damped Finito update.
 
 A step takes the prox at the running table mean, refreshes block i with step
-alpha, adds theta times that change to z_i and moves the mean by the
-undamped change over n, with no second n-by-d table; the epoch ends with
-the exact fixed-order mean. :func:`epoch_inplace` checks the table and order
-once and dispatches by :func:`epoch_path`. The lean loop serves every kind,
-one step at a time over row views, via ``unchecked_grad`` and ``prox_core``.
+alpha, adds theta times that change to z_i and moves the mean by the undamped
+change over n, with no second n-by-d table; the epoch ends with the exact
+fixed-order mean. :func:`epoch_inplace` checks alpha, theta, the shapes and the
+order before any write, then dispatches by :func:`epoch_path`. The lean loop
+serves every kind, a step at a time over row views, via ``unchecked_grad`` and
+``prox_core``.
 
 The blocked loop serves logistic problems under a linear prox gamma v
 (gamma = 1/(1 + alpha lam) for l2sq, 1 for none). Step k on row w_k, label
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .model import ordered_mean, validate_permutation
+from .model import check_epoch, ordered_mean, validate_permutation
 from .prox import prox_args, prox_core
 
 HAVE_NUMBA = False
@@ -44,11 +45,9 @@ def epoch_path(problem):
 
 
 def epoch_inplace(problem, z, zbar, alpha, theta, order, backend=None):
-    """One epoch in place on (z, zbar); checks their shapes and that order is a permutation."""
-    n, d = problem.n, problem.d
-    if z.shape != (n, d) or zbar.shape != (d,):
-        raise ValueError(f"table and mean must be ({n}, {d}) and ({d},), got {z.shape}, {zbar.shape}")
-    order = validate_permutation(order, n)
+    """One epoch in place on (z, zbar), after :func:`model.check_epoch` and a permutation check."""
+    check_epoch(problem, z, zbar, alpha, theta)
+    order = validate_permutation(order, problem.n)
     if epoch_path(problem) == "blocked":
         _blocked_epoch(problem, z, zbar, alpha, theta, order)
     else:

@@ -33,6 +33,24 @@ def as_vector(x, dim=None):
     return v
 
 
+def check_step(alpha, theta=1.0):
+    """Raise ValueError unless alpha is positive and finite and theta in (0, 1], as every rate needs."""
+    if not (alpha > 0):
+        raise ValueError("alpha must be positive")
+    if alpha == math.inf:
+        raise ValueError("alpha must be positive and finite, got inf")
+    if not (0.0 < theta <= 1.0):
+        raise ValueError("theta must lie in (0, 1]")
+
+
+def check_epoch(p, z, zbar, alpha, theta):
+    """An epoch's input checks: :func:`check_step`, then the table z and its mean zbar of ``p``."""
+    check_step(alpha, theta)
+    if z.shape != (p.n, p.d) or zbar.shape != (p.d,):
+        raise ValueError(f"table and mean must be ({p.n}, {p.d}) and ({p.d},), "
+                         f"got {z.shape}, {zbar.shape}")
+
+
 def ordered_sum(rows):
     """Sum table rows strictly left to right, starting from +0.0; a stack of
     (n, d) tables is summed table by table, over its second-to-last axis.

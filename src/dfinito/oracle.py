@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .engine import _finite_table, _literal_step
-from .model import ProblemInstance, as_vector, validate_permutation
+from .model import ProblemInstance, as_vector, check_step, validate_permutation
 from .prox import prox, subgradient_residual
 
 ITERATION_CAP = 10**7
@@ -58,8 +58,7 @@ def solve_reference(p: ProblemInstance, tol=1e-10):
 def zstar_table(p: ProblemInstance, xstar, alpha):
     """Fixed-point table z_i* = x* - alpha * grad f_i(x*)."""
     xstar = as_vector(xstar, p.d)
-    if not (0 < alpha < math.inf):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    check_step(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         table = xstar - alpha * p.grad_rows(np.arange(p.n), np.broadcast_to(xstar, (p.n, p.d)))
     if not np.isfinite(table).all():

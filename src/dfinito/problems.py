@@ -30,7 +30,7 @@ import numpy as np
 
 from .checks import CheckResult, check_leq
 from .diagnostics import pi_norm_sq, rho_ratio
-from .model import ProblemInstance, Regularizer
+from .model import ProblemInstance, Regularizer, check_step
 from .sampling import optimal_cyclic_order
 
 CHUNK = 8  # components per stacked LAPACK call
@@ -144,8 +144,7 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
         raise ValueError("need 0 < mu < L")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
-    if not (0 < alpha < math.inf):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    check_step(alpha)
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (n, d):
         raise ValueError(f"z0 must have shape ({n}, {d})")

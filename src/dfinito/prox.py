@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Regularizer, as_vector
+from .model import Regularizer, as_vector, check_step
 
 
 REG_CODE = {"none": 0, "l1": 1, "l2sq": 2}
@@ -33,8 +33,7 @@ def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
     Single-valued for the supported convex regularizers; the identity when
     r is zero.
     """
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    check_step(alpha)
     v = as_vector(v)
     return prox_core(v, *prox_args(r, alpha))
 

@@ -413,6 +413,21 @@ def test_save_failing_after_its_sidecar_leaves_the_old_file_unloadable(tmp_path,
     assert problems.load_instance(ls_instance)[0].b.tobytes() == p.b.tobytes()
 
 
+def test_csv_is_written_through_the_instance_files_atomic_writer(tmp_path, monkeypatch):
+    written = []
+    write = problems._write_atomically
+
+    def record(path, chunks):
+        written.append(path)
+        write(path, chunks)
+
+    monkeypatch.setattr(problems, "_write_atomically", record)
+    path = str(tmp_path / "t.csv")
+    cli._write_csv(path, ("a", "b"), iter([[1, 'x,"y"'], ["\u00e9", ""]]))
+    assert written == [path] and os.listdir(tmp_path) == ["t.csv"]
+    assert (tmp_path / "t.csv").read_bytes() == 'a,b\n1,"x,""y"""\n\u00e9,\n'.encode("utf-8")
+
+
 def test_unknown_schedule_exits_2_before_reference_solve(tmp_path, ls_instance, monkeypatch,
                                                          capsys):
     def fail(p, tol):

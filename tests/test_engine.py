@@ -287,26 +287,34 @@ def test_efficient_epoch_rejects_repeats(composite_problem):
         kernels.epoch_inplace(p, np.zeros((p.n, p.d)), np.zeros(p.d), 0.1, 0.5, [0] * p.n)
 
 
-def test_epoch_step_validation(composite_problem):
-    # the literal epoch checks its step, damping, table, mean and order before any step
+@pytest.mark.parametrize("epoch, order_error", [
+    (epoch_step, "order must contain n valid indices"),
+    (kernels.epoch_inplace, r"not a permutation of range\(8\)"),
+], ids=["epoch_step", "epoch_inplace"])
+def test_epoch_step_validation(composite_problem, epoch, order_error):
+    # both epochs check step, damping, table, mean and order before any step
     p = composite_problem
-    z = np.ones((p.n, p.d))
+    z = np.random.default_rng(4).standard_normal((p.n, p.d))
     zbar = ordered_mean(z)
     order = np.arange(p.n)
-    for alpha, theta, table, mean, match in (
+    cases = [
         (0.0, 0.9, z, zbar, "alpha must be positive"),
         (-0.5, 0.9, z, zbar, "alpha must be positive"),
+        (np.nan, 0.9, z, zbar, "alpha must be positive"),
+        (np.inf, 0.9, z, zbar, "alpha must be positive and finite, got inf"),
+        (-1.0, 3.0, z, zbar, "alpha must be positive"),
         (0.5, 0.0, z, zbar, r"theta must lie in \(0, 1\]"),
         (0.5, 1.5, z, zbar, r"theta must lie in \(0, 1\]"),
         (0.5, 0.9, z, np.ones(p.d + 1), "table and mean must be"),
         (0.5, 0.9, np.ones((p.n, p.d + 1)), zbar, "table and mean must be"),
-    ):
+    ]
+    bad_orders = ([0] * (p.n - 1), [-1] + [0] * (p.n - 1), [p.n] * p.n)
+    cases += [(0.5, 0.9, z, zbar, order_error, bad) for bad in bad_orders]
+    for alpha, theta, table, mean, match, *bad in cases:
+        before = table.tobytes(), mean.tobytes()
         with pytest.raises(ValueError, match=match):
-            epoch_step(p, table, mean, alpha, theta, order)
-    for bad in ([0] * (p.n - 1), [-1] + [0] * (p.n - 1), [p.n] * p.n):
-        with pytest.raises(ValueError, match="order must contain n valid indices"):
-            epoch_step(p, z, zbar, 0.5, 0.9, bad)
-    assert np.array_equal(z, np.ones((p.n, p.d))) and np.array_equal(zbar, np.ones(p.d))
+            epoch(p, table, mean, alpha, theta, bad[0] if bad else order)
+        assert (table.tobytes(), mean.tobytes()) == before
 
 
 def test_efficient_inplace_allocates_no_second_table():

@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,16 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dfinito import baselines, model
+from dfinito.diagnostics import grad_map_residual
+from dfinito.engine import DampedRunConfig, apply_Spi, apply_Ti, apply_Tpi
 from dfinito.model import (
     ProblemInstance,
     Regularizer,
     as_vector,
+    check_step,
     ordered_mean,
     ordered_sum,
     stable_sigmoid,
     validate_permutation,
 )
-from dfinito.problems import gen_least_squares, gen_logistic
+from dfinito.oracle import expected_contraction, zstar_table
+from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
+from dfinito.prox import prox
+from dfinito.sampling import SamplingPlan
 
 
 def test_as_vector_validation():
@@ -257,3 +267,59 @@ def test_validate_permutation():
         validate_permutation([0, 0, 1], 3)
     with pytest.raises(ValueError):
         validate_permutation([0, 1], 3)
+
+
+ALPHA_RULE, INF_RULE, THETA_RULE = ("alpha must be positive", "alpha must be positive and finite, got inf",
+                                    "theta must lie in (0, 1]")
+RULE_P = gen_least_squares(5, n=4, d=2, k=2, L=2.0, mu=0.5)
+RULE_Z, RULE_X = np.zeros((4, 2)), np.zeros(2)
+RULE_PLAN = SamplingPlan("cyclic", 4, order=np.arange(4))
+# every entry point but the two epochs (tests/test_engine.py), as f(alpha, theta)
+STEP_ENTRY_POINTS = {
+    "DampedRunConfig": lambda a, t: DampedRunConfig(a, t, 1, RULE_PLAN),
+    "apply_Ti": lambda a, t: apply_Ti(RULE_P, 0, RULE_Z, a),
+    "apply_Tpi": lambda a, t: apply_Tpi(RULE_P, range(4), RULE_Z, a),
+    "apply_Spi": lambda a, t: apply_Spi(RULE_P, range(4), RULE_Z, a, t),
+    "prox": lambda a, t: prox(Regularizer.l1(0.1), a, RULE_X),
+    "grad_map_residual": lambda a, t: grad_map_residual(RULE_P, RULE_X, a),
+    "zstar_table": lambda a, t: zstar_table(RULE_P, RULE_X, a),
+    "gen_heterogeneous": lambda a, t: gen_heterogeneous(0, 4, 2, 2, 0.5, 2.0, a, 0.5, RULE_Z),
+    "expected_contraction": lambda a, t: expected_contraction(RULE_P, RULE_Z, RULE_Z, a),
+    "prox_gd_run": lambda a, t: baselines.prox_gd_run(RULE_P, a, 1, RULE_X),
+    "sgd_run": lambda a, t: baselines.sgd_run(RULE_P, RULE_PLAN, a, 1, RULE_X),
+    "svrg_run": lambda a, t: baselines.svrg_run(RULE_P, RULE_PLAN, a, 1, RULE_X),
+    "saga_run": lambda a, t: baselines.saga_run(RULE_P, RULE_PLAN, a, 1, RULE_X),
+}
+TAKES_THETA = ("DampedRunConfig", "apply_Spi")
+RULE_CASES = [(name, alpha, 0.5, INF_RULE if alpha == math.inf else ALPHA_RULE)
+              for name in STEP_ENTRY_POINTS for alpha in (0.0, -1.0, math.nan, math.inf)]
+RULE_CASES += [(name, 0.5, theta, THETA_RULE) for name in TAKES_THETA for theta in (0.0, 1.5, math.nan)]
+
+
+@pytest.mark.parametrize("name, alpha, theta, message", RULE_CASES,
+                         ids=[f"{c[0]}-alpha={c[1]}-theta={c[2]}" for c in RULE_CASES])
+def test_entry_points_reject_bad_step_and_damping(name, alpha, theta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        STEP_ENTRY_POINTS[name](alpha, theta)
+
+
+def test_entry_points_accept_the_rule_edges():
+    check_step(1e308, 1.0)
+    check_step(5e-324, 1e-300)
+    for name, call in STEP_ENTRY_POINTS.items():
+        call(0.25, 1.0 if name in TAKES_THETA else 0.5)
+
+
+def test_step_rule_messages_are_raised_only_in_model_check_step():
+    # a second copy of the rule, anywhere in the package, fails this test
+    raisers = set()
+    for path in sorted(pathlib.Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Raise) and node.exc is not None:
+                        text = ast.unparse(node.exc)
+                        raisers |= {(path.name, func.name, rule) for rule in (ALPHA_RULE, THETA_RULE)
+                                    if rule in text}
+    assert raisers == {("model.py", "check_step", ALPHA_RULE), ("model.py", "check_step", THETA_RULE)}
