@@ -11,9 +11,7 @@ from .problems import (
     gen_least_squares,
     gen_logistic,
     load_instance,
-    load_libsvm,
     save_instance,
-    save_libsvm,
     verify_heterogeneous,
 )
 from .oracle import brute_force_best_order, expected_contraction, solve_reference, zstar_table
@@ -40,7 +38,6 @@ __all__ = [
     "gen_logistic",
     "grad_map_residual",
     "load_instance",
-    "load_libsvm",
     "optimal_cyclic_order",
     "pi_norm_sq",
     "prox",
@@ -49,7 +46,6 @@ __all__ = [
     "run",
     "saga_run",
     "save_instance",
-    "save_libsvm",
     "sgd_run",
     "solve_reference",
     "subgradient_residual",

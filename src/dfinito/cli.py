@@ -178,13 +178,18 @@ def _resolve_problem(spec):
         raise UsageError("'problem' needs 'path' or a 'generator' of kind "
                          f"{' or '.join(GENERATOR_KEYS)}, got {gen!r}")
     gen = _fill(gen, GENERATOR_KEYS[kind], f"{kind} generator")
+    seed = _number(gen["seed"], int, "seed")
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative int, got {seed}")
     if kind == "least_squares":
         return problems.gen_least_squares(
-            gen["seed"], gen["n"], gen["d"], gen["d"] if gen["k"] is None else gen["k"],
-            gen["L"], gen["mu"], regularizer=Regularizer(gen["reg"], gen["reg_lam"]),
+            seed, gen["n"], gen["d"], gen["d"] if gen["k"] is None else gen["k"],
+            _number(gen["L"], float, "L"), _number(gen["mu"], float, "mu"),
+            regularizer=Regularizer(gen["reg"], _number(gen["reg_lam"], float, "reg_lam")),
         )
-    W, y, lam = problems.make_synthetic_logistic(gen["seed"], gen["n"], gen["d"],
-                                                 kappa=gen["kappa"], lam=gen["lam"])
+    kappa, lam = (None if gen[key] is None else _number(gen[key], float, key)
+                  for key in ("kappa", "lam"))
+    W, y, lam = problems.make_synthetic_logistic(seed, gen["n"], gen["d"], kappa=kappa, lam=lam)
     return problems.gen_logistic(W, y, lam)
 
 

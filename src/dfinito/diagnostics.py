@@ -43,20 +43,10 @@ class TraceRecord:
     flags: str = ""
 
     def to_row(self):
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        return [
-            str(self.epoch),
-            str(self.grad_evals),
-            fmt(self.grad_map_residual_sq),
-            fmt(self.prox_residual_sq),
-            fmt(self.dist_sq_to_opt),
-            fmt(self.pi_norm_residual_sq),
-            fmt(self.bound_convex),
-            fmt(self.bound_sc),
-            self.flags,
-        ]
+        """The CSV row in ``CSV_COLUMNS`` order: ``repr`` floats, an empty cell for None."""
+        values = [getattr(self, column) for column in CSV_COLUMNS[2:-1]]
+        return [str(self.epoch), str(self.grad_evals),
+                *["" if v is None else repr(float(v)) for v in values], self.flags]
 
 
 def pi_norm_sq(z, order):

@@ -2,7 +2,7 @@
 
 A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
 Three component families are supported natively (least squares, ridge-folded
-logistic, and arbitrary user callables); the first two carry their raw data
+logistic, and user gradient callables); the first two carry their raw data
 arrays. :meth:`ProblemInstance.full_grad` is the one full-gradient path, and
 :meth:`ProblemInstance.unchecked_grad` hands the hot loops a per-component
 gradient that skips input validation; :meth:`ProblemInstance.grad_rows` gives
@@ -49,6 +49,16 @@ def check_epoch(p, z, zbar, alpha, theta):
     if z.shape != (p.n, p.d) or zbar.shape != (p.d,):
         raise ValueError(f"table and mean must be ({p.n}, {p.d}) and ({p.d},), "
                          f"got {z.shape}, {zbar.shape}")
+
+
+def check_constants(L, mu, ridge=0.0):
+    """Raise ValueError naming the field unless 0 < L < inf, 0 <= mu <= L and 0 <= ridge < inf."""
+    if not (0.0 < L < math.inf):
+        raise ValueError(f"L must be finite and > 0, got {L!r}")
+    if not (0.0 <= mu <= L):
+        raise ValueError("need 0 <= mu <= L")
+    if not (0.0 <= ridge < math.inf):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
 
 
 def ordered_sum(rows):
@@ -162,7 +172,6 @@ class ProblemInstance:
     W: np.ndarray | None = None  # logistic, shape (n, d)
     y: np.ndarray | None = None  # logistic labels in {-1, +1}, shape (n,)
     ridge: float = 0.0  # logistic: per-component (lam/2)||x||^2 folded in
-    values: list | None = None  # custom value oracles f_i(x) -> float
     grads: list | None = None  # custom gradient oracles grad f_i(x) -> (d,)
     metadata: dict = field(default_factory=dict)
     # the blocked epoch's last order-only data, kept by kernels._blocks
@@ -173,10 +182,7 @@ class ProblemInstance:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        if not (self.L > 0):
-            raise ValueError("L must be positive")
-        if not (0.0 <= self.mu <= self.L):
-            raise ValueError("need 0 <= mu <= L")
+        check_constants(self.L, self.mu, self.ridge)
         if self.kind == "least_squares":
             self.A = np.asarray(self.A, dtype=np.float64)
             self.b = np.asarray(self.b, dtype=np.float64)
@@ -210,9 +216,7 @@ class ProblemInstance:
         if self.kind == "logistic":
             m = self.y[i] * (self.W[i] @ x)
             return float(np.logaddexp(0.0, -m)) + 0.5 * self.ridge * float(x @ x)
-        if self.values is None:
-            raise ValueError("custom problem has no value oracles")
-        return float(self.values[i](x))
+        raise ValueError("custom problem has no value oracles")
 
     def component_grad(self, i, x):
         self._check_index(i)
@@ -291,9 +295,6 @@ class ProblemInstance:
         for i in range(self.n):
             total += self.component_value(i, x)
         return total / self.n
-
-    def objective(self, x):
-        return self.full_value(x) + self.regularizer.value(x)
 
 
 def validate_permutation(order, n):

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CheckResult, check_leq
-from .diagnostics import pi_norm_sq, rho_ratio
-from .model import ProblemInstance, Regularizer, check_step
-from .sampling import optimal_cyclic_order
+from .checks import check_leq
+from .diagnostics import pi_norm_sq
+from .model import ProblemInstance, Regularizer, check_constants, check_step
 
 CHUNK = 8  # components per stacked LAPACK call
 
@@ -88,8 +87,7 @@ def gen_least_squares(seed, n, d, k, L, mu, regularizer=None):
     so the declared smoothness/strong-convexity constants hold exactly.
     """
     check_sizes(n=n, d=d, k=k)
-    if not (0.0 <= mu <= L):
-        raise ValueError("need 0 <= mu <= L")
+    check_constants(L, mu)
     if mu > 0 and k < d:
         raise ValueError("mu > 0 needs k >= d (full-rank components)")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
@@ -140,6 +138,7 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
     check_sizes(n=n, d=d, k=k)
     if k < d:
         raise ValueError("construction needs k >= d")
+    check_constants(L, mu)
     if not (0.0 < mu < L):
         raise ValueError("need 0 < mu < L")
     if not (0.0 < beta < 1.0):
@@ -245,11 +244,6 @@ def _logistic_smoothness(W):
     return float(np.linalg.eigvalsh(W.T @ W)[-1]) / (4.0 * W.shape[0])
 
 
-def logistic_constants(W, lam):
-    """(L, mu) for the ridge-folded logistic loss: L = lmax(W^T W)/(4n) + lam."""
-    return _logistic_smoothness(np.asarray(W, dtype=np.float64)) + lam, float(lam)
-
-
 def gen_logistic(W, y, lam):
     """Logistic regression with the ridge folded into every component.
 
@@ -257,9 +251,8 @@ def gen_logistic(W, y, lam):
     """
     W = np.asarray(W, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    L, mu = logistic_constants(W, lam)
+    if not (0.0 <= lam < math.inf):
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     n, d = W.shape
     per_component_L = np.einsum("ij,ij->i", W, W) / 4.0 + lam
     return ProblemInstance(
@@ -267,8 +260,8 @@ def gen_logistic(W, y, lam):
         n=n,
         d=d,
         regularizer=Regularizer.none(),
-        L=L,
-        mu=mu,
+        L=_logistic_smoothness(W) + lam,
+        mu=float(lam),
         W=W,
         y=y,
         ridge=float(lam),
@@ -280,77 +273,15 @@ def make_synthetic_logistic(seed, n, d, kappa=None, lam=None):
     """Random separable-ish logistic data; lam resolved from a target
     condition number when given. Returns (W, y, lam)."""
     check_sizes(n=n, d=d)
+    if lam is None and not (kappa is not None and kappa > 1):
+        raise ValueError("need lam, or a condition number kappa > 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
     W = rng.standard_normal((n, d))
     xtrue = rng.standard_normal(d)
     y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-(W @ xtrue))), 1.0, -1.0)
     if lam is None:
-        if kappa is None or kappa <= 1:
-            raise ValueError("need lam, or a condition number kappa > 1")
         lam = _logistic_smoothness(W) / (kappa - 1.0)
     return W, y, float(lam)
-
-
-def load_libsvm(path):
-    """Parse LIBSVM text: 'label idx:val idx:val ...' with 1-based indices.
-
-    Returns a dense (W, y) with labels mapped to {-1, +1} (0 maps to -1).
-    Malformed input raises ValueError naming the offending line number.
-    """
-    rows = []
-    labels = []
-    max_idx = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            try:
-                label = float(tokens[0])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric label {tokens[0]!r}")
-            if label == 0.0:
-                label = -1.0
-            if label not in (-1.0, 1.0):
-                raise ValueError(f"line {lineno}: label must be -1, 0, or +1, got {tokens[0]!r}")
-            feats = {}
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: malformed feature token {tok!r}")
-                if idx < 1:
-                    raise ValueError(f"line {lineno}: feature indices are 1-based, got {idx}")
-                if idx in feats:
-                    raise ValueError(f"line {lineno}: duplicate feature index {idx}")
-                feats[idx] = val
-            rows.append(feats)
-            labels.append(label)
-            if feats:
-                max_idx = max(max_idx, max(feats))
-    if not rows:
-        raise ValueError(f"{path}: no samples found")
-    W = np.zeros((len(rows), max_idx))
-    for r, feats in enumerate(rows):
-        for idx, val in feats.items():
-            W[r, idx - 1] = val
-    return W, np.asarray(labels, dtype=np.float64)
-
-
-def save_libsvm(path, W, y):
-    """Write dense (W, y) in LIBSVM text form; zeros are omitted."""
-    W = np.asarray(W, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row, label in zip(W, y):
-            parts = ["+1" if label > 0 else "-1"]
-            for j, val in enumerate(row, start=1):
-                if val != 0.0:
-                    parts.append(f"{j}:{float(val)!r}")
-            fh.write(" ".join(parts) + "\n")
 
 
 ENCODED_DTYPE = "<f8"  # little-endian float64, the one stored array dtype

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import baselines, diagnostics, engine, kernels, oracle, problems, sampling
-from .checks import CheckResult, check_leq
+from .checks import check_leq
 from .model import Regularizer, ordered_mean
 from .prox import prox
 

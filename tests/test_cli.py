@@ -65,6 +65,17 @@ def test_generate_size_below_one_exits_2_naming_it(tmp_path, capsys, kind, size)
     assert not (tmp_path / "instance.json").exists()
 
 
+@pytest.mark.parametrize("kind, flag, named", [
+    ("least_squares", "--L", "L must be finite and > 0"),
+    ("heterogeneous", "--L", "L must be finite and > 0"),
+    ("logistic", "--lam", "lam must be finite and >= 0"),
+], ids=["least_squares_L", "heterogeneous_L", "logistic_lam"])
+def test_generate_infinite_constant_exits_2_naming_it(tmp_path, capsys, kind, flag, named):
+    assert run_cli("generate", "--kind", kind, flag, "inf", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {named}, got inf\n"
+    assert not (tmp_path / "instance.json").exists()
+
+
 def test_generate_heterogeneous_prints_rho(tmp_path, capsys):
     out = tmp_path / "het"
     out.mkdir()
@@ -292,6 +303,25 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
      "n must be an integer >= 1, got 0"),
     ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 0, "kappa": 10}}},
      "d must be an integer >= 1, got 0"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": "10"}}},
+     "L must be a finite float, got '10'"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
+                                       "mu": None}}}, "mu must be a finite float, got None"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
+                                       "reg": "l1", "reg_lam": "x"}}},
+     "reg_lam must be a finite float, got 'x'"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "kappa": "10"}}},
+     "kappa must be a finite float, got '10'"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
+                                       "seed": 1.5}}}, "seed must be a finite int, got 1.5"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": True}}},
+     "L must be a finite float, got True"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "lam": "0.1"}}},
+     "lam must be a finite float, got '0.1'"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "kappa": 10,
+                                       "seed": "abc"}}}, "seed must be a finite int, got 'abc'"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
+                                       "seed": -1}}}, "seed must be a non-negative int, got -1"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
                                                overrides, named):
@@ -358,11 +388,16 @@ ZEROS = [0.0] * 120
     ("b.offset", -8, "b: offset -8 is not a non-negative integer"),
     ("b.offset", 4800.0, "b: offset 4800.0 is not a non-negative integer"),
     ("A.dtype", ">f8", "A: dtype '>f8' is not '<f8'"),
+    ("L", math.inf, "L must be finite and > 0, got inf"),
+    ("ridge", -5, "ridge must be finite and >= 0, got -5"),
+    ("ridge", math.nan, "ridge must be finite and >= 0, got nan"),
+    ("ridge", math.inf, "ridge must be finite and >= 0, got inf"),
 ], ids=["missing_key", "wrong_type", "unknown_kind", "bad_dtype", "bad_base64",
         "bytes_do_not_fill_shape", "wrong_rank", "list_null", "list_true", "encoded_nan",
         "encoded_inf", "sidecar_missing", "sidecar_truncated", "sidecar_extra_bytes",
         "sidecar_stale", "sidecar_not_a_file_name", "no_data_field", "offset_past_end",
-        "shape_past_end", "negative_offset", "float_offset", "sidecar_dtype"])
+        "shape_past_end", "negative_offset", "float_offset", "sidecar_dtype", "infinite_L",
+        "negative_ridge", "nan_ridge", "infinite_ridge"])
 def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, field, value,
                                                           named):
     assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4",

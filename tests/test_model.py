@@ -254,13 +254,6 @@ def test_gram_pair_is_computed_once():
     np.testing.assert_allclose(g, sum(a.T @ b for a, b in zip(p.A, p.b)) / p.n, rtol=1e-12)
 
 
-def test_objective_includes_regularizer():
-    p = gen_least_squares(2, n=4, d=3, k=4, L=2.0, mu=0.0,
-                          regularizer=Regularizer.l1(0.5))
-    x = np.ones(3)
-    assert p.objective(x) == pytest.approx(p.full_value(x) + 1.5)
-
-
 def test_validate_permutation():
     assert np.array_equal(validate_permutation([2, 0, 1], 3), np.array([2, 0, 1]))
     with pytest.raises(ValueError):

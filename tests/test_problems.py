@@ -15,10 +15,8 @@ from dfinito.problems import (
     gen_least_squares,
     gen_logistic,
     load_instance,
-    load_libsvm,
     make_synthetic_logistic,
     save_instance,
-    save_libsvm,
     verify_heterogeneous,
 )
 
@@ -269,46 +267,6 @@ def test_make_synthetic_logistic_hits_target_condition_number():
 
 
 # --------------------------------------------------------- file formats
-
-
-def test_libsvm_hand_example(tmp_path):
-    f = tmp_path / "data.txt"
-    f.write_text("+1 1:0.5 3:2.0\n-1 2:1.5\n0 1:1.0\n", encoding="utf-8")
-    W, y = load_libsvm(str(f))
-    assert np.array_equal(W, np.array([[0.5, 0.0, 2.0], [0.0, 1.5, 0.0], [1.0, 0.0, 0.0]]))
-    assert np.array_equal(y, np.array([1.0, -1.0, -1.0]))  # 0 maps to -1
-
-
-def test_libsvm_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    W = rng.standard_normal((7, 5))
-    W[rng.random((7, 5)) < 0.3] = 0.0
-    y = np.where(rng.random(7) < 0.5, -1.0, 1.0)
-    path = str(tmp_path / "rt.txt")
-    save_libsvm(path, W, y)
-    W2, y2 = load_libsvm(path)
-    # trailing all-zero columns are unrecoverable from the sparse format
-    assert np.array_equal(W[:, : W2.shape[1]], W2)
-    assert np.array_equal(y, y2)
-
-
-def test_libsvm_errors(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_libsvm(str(empty))
-    bad = tmp_path / "bad.txt"
-    bad.write_text("+1 1:0.5\n+1 1:a\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        load_libsvm(str(bad))
-    dup = tmp_path / "dup.txt"
-    dup.write_text("+1 1:0.5 1:0.7\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="duplicate"):
-        load_libsvm(str(dup))
-    lab = tmp_path / "lab.txt"
-    lab.write_text("3 1:0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="label"):
-        load_libsvm(str(lab))
 
 
 def test_instance_json_round_trip(tmp_path):
