@@ -107,9 +107,26 @@ def _mean_rows(per_seed_records):
 # ---------------------------------------------------------------- generate
 
 
+# the flags each kind reads beyond --seed, --n and --d, with their defaults
+GENERATE_FLAGS = {
+    "least_squares": {"k": 10, "L": 10.0, "mu": 0.1, "reg": "none", "reg_lam": 0.0},
+    "heterogeneous": {"k": 10, "L": 10.0, "mu": 0.1, "beta": 0.1, "alpha": None},
+    "logistic": {"lam": None, "kappa": None},
+}
+
+
 def cmd_generate(args):
     if not os.path.isdir(args.out):
         raise UsageError(f"output directory does not exist: {args.out}")
+    problems.check_sizes(n=args.n, d=args.d)  # before any kind-specific flag or draw
+    reads = GENERATE_FLAGS[args.kind]
+    for key in dict.fromkeys(key for flags in GENERATE_FLAGS.values() for key in flags):
+        if key in reads:
+            if getattr(args, key) is None:
+                setattr(args, key, reads[key])
+        elif getattr(args, key) is not None:
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"{flag} is not read by --kind {args.kind}")
     rho = None
     cert = None
     if args.kind == "least_squares":
@@ -118,7 +135,6 @@ def cmd_generate(args):
                                        regularizer=reg)
     elif args.kind == "heterogeneous":
         alpha = 2.0 / (args.L + args.mu) if args.alpha is None else args.alpha
-        problems.check_sizes(n=args.n, d=args.d)  # before z0 is drawn
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
         z0 = rng.standard_normal((args.n, args.d))
         p, cert = problems.gen_heterogeneous(
@@ -411,15 +427,17 @@ def build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int, default=50)
     gen.add_argument("--d", type=int, default=10)
-    gen.add_argument("--k", type=int, default=10)
-    gen.add_argument("--L", type=float, default=10.0)
-    gen.add_argument("--mu", type=float, default=0.1)
-    gen.add_argument("--beta", type=float, default=0.1)
-    gen.add_argument("--alpha", type=float, default=None)
-    gen.add_argument("--lam", type=float, default=None)
-    gen.add_argument("--kappa", type=float, default=None)
-    gen.add_argument("--reg", default="none", choices=("none", "l1", "l2sq"))
-    gen.add_argument("--reg-lam", type=float, default=0.0)
+    # kind-specific flags default to None; cmd_generate refuses one its kind does
+    # not read and fills in GENERATE_FLAGS' defaults
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--L", type=float)
+    gen.add_argument("--mu", type=float)
+    gen.add_argument("--beta", type=float)
+    gen.add_argument("--alpha", type=float)
+    gen.add_argument("--lam", type=float)
+    gen.add_argument("--kappa", type=float)
+    gen.add_argument("--reg", choices=("none", "l1", "l2sq"))
+    gen.add_argument("--reg-lam", type=float)
 
     for name, func, text in (("run", cmd_run, "run one config, a trace CSV per seed"),
                              ("sweep", cmd_sweep, "run a config's grid, a summary row per cell")):

@@ -183,6 +183,9 @@ class ProblemInstance:
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
         check_constants(self.L, self.mu, self.ridge)
+        if self.ridge != 0.0 and self.kind != "logistic":
+            raise ValueError(f"ridge is for logistic instances only, got {self.ridge!r} "
+                             f"for kind {self.kind}")
         if self.kind == "least_squares":
             self.A = np.asarray(self.A, dtype=np.float64)
             self.b = np.asarray(self.b, dtype=np.float64)

@@ -296,19 +296,21 @@ def _is_array(value):
 
 
 def _decode(value, name, data=None):
-    """Field ``name`` as a writable float64 array, from a slice of the
-    sidecar bytes ``data``, the base64 form or nested lists of JSON numbers;
-    every entry must be finite."""
+    """Field ``name`` as a writable float64 array, from the ``_Sidecar``
+    ``data``, the base64 form or nested lists of JSON numbers; every entry
+    must be finite."""
     try:
-        a = _decode_array(value, data)
-        if not np.isfinite(a).all():
+        a = _decode_array(value, name, data)
+        # a NaN or an infinity shows in the min or the max; the mask that names
+        # the entry is built only for the error
+        if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
             raise ValueError(f"non-finite entry {float(a[~np.isfinite(a)][0])!r}")
         return a
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _decode_array(value, data):
+def _decode_array(value, name, data):
     """The float64 array in ``value``, any form; finiteness is the caller's check."""
     if isinstance(value, list):
         a = np.array(value, dtype=np.float64)
@@ -337,16 +339,33 @@ def _decode_array(value, data):
         raise ValueError(f"offset {offset!r} is not a non-negative integer")
     if data is None:
         raise ValueError("an offset needs the sidecar that a top-level data field names")
-    if offset + 8 * count > len(data):
+    end = offset + 8 * count
+    if end > len(data.raw):
         raise ValueError(f"offset {offset} + {8 * count} bytes of shape {shape} run past "
-                         f"the end of the {len(data)}-byte sidecar")
-    a = np.frombuffer(data, dtype=ENCODED_DTYPE, count=count, offset=offset)
-    return a.reshape(shape).astype(np.float64)
+                         f"the end of the {len(data.raw)}-byte sidecar")
+    if count:
+        for other, (lo, hi) in data.spans.items():
+            if offset < hi and lo < end:
+                raise ValueError(f"bytes {offset} to {end} overlap bytes {lo} to {hi} of {other}")
+        data.spans[name] = (offset, end)
+    a = np.frombuffer(data.raw, dtype=ENCODED_DTYPE, count=count, offset=offset).reshape(shape)
+    # a view of the one read, copied only where the offset leaves it unaligned
+    return a if a.flags.aligned and a.dtype == np.float64 else a.astype(np.float64)
+
+
+class _Sidecar:
+    """The bytes of one load's sidecar, and the byte range of every array viewed
+    in them so far, by field name; no two arrays may share a byte."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.spans = {}
 
 
 def _sidecar(path, doc):
-    """The bytes of the sidecar named by ``doc``'s data field, checked against
-    its byte count and crc32; None for a file without a data field."""
+    """The sidecar named by ``doc``'s data field, read into one writable buffer
+    and checked against its byte count and crc32; None for a file without a
+    data field."""
     if "data" not in doc:
         return None
     name = _field(doc, "data.file", "text")
@@ -356,22 +375,25 @@ def _sidecar(path, doc):
         raise ValueError(f"data.file: {name!r} is not a file name")
     try:
         with open(os.path.join(os.path.dirname(path), name), "rb") as fh:
-            raw = fh.read()
+            held = os.fstat(fh.fileno()).st_size
+            if held == size:  # allocate only what the file holds
+                raw = bytearray(size)
+                held = fh.readinto(raw)
     except OSError as exc:
         raise ValueError(f"data: cannot read {name}: {exc.strerror}") from None
-    if len(raw) != size:
-        raise ValueError(f"data: {name} holds {len(raw)} bytes, not {size}")
+    if held != size:
+        raise ValueError(f"data: {name} holds {held} bytes, not {size}")
     import zlib  # imported where used: only the instance file reader and writer need it
 
     if zlib.crc32(raw) != crc:
         raise ValueError(f"data: {name} fails its crc32 check; it belongs to another save")
-    return raw
+    return _Sidecar(raw)
 
 
 def _field(doc, name, kind, default=None, data=None):
     """The value of dotted field ``name`` in ``doc``, checked to be of
     ``kind``; a None default makes it required. An array is decoded against
-    the sidecar bytes ``data``. An error names the field."""
+    the ``_Sidecar`` ``data``. An error names the field."""
     parent, _, key = name.rpartition(".")
     if parent:
         doc = _field(doc, parent, "object")
@@ -452,8 +474,12 @@ def load_instance(path):
 
     Arrays may be stored in the sidecar, base64-encoded or as plain nested
     lists; all three load bit for bit, and every entry must be a finite
-    number. The sidecar is read once and must match the byte count and
-    crc32 that the JSON records. A malformed file raises ValueError naming
+    number. The sidecar is read once, with one ``readinto``, into a single
+    writable buffer, which must match the byte count and crc32 that the JSON
+    records. Its arrays are float64 views into that buffer, so a load holds
+    about one sidecar's bytes; two arrays whose byte ranges overlap are
+    refused, and an array at an offset that is not a multiple of 8 is
+    copied so that it is aligned. A malformed file raises ValueError naming
     the file and the field.
     """
     try:

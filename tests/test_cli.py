@@ -76,6 +76,18 @@ def test_generate_infinite_constant_exits_2_naming_it(tmp_path, capsys, kind, fl
     assert not (tmp_path / "instance.json").exists()
 
 
+@pytest.mark.parametrize("kind, flags, named", [
+    ("least_squares", ["--beta", "0.5", "--kappa", "5"], "--beta"),
+    ("heterogeneous", ["--reg", "l1"], "--reg"),
+    ("logistic", ["--kappa", "5", "--L", "-3", "--reg", "l1", "--reg-lam", "1"], "--L"),
+])
+def test_generate_flag_its_kind_does_not_read_exits_2_naming_it(tmp_path, capsys, kind, flags,
+                                                                 named):
+    assert run_cli("generate", "--kind", kind, *flags, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {named} is not read by --kind {kind}\n"
+    assert not (tmp_path / "instance.json").exists()
+
+
 def test_generate_heterogeneous_prints_rho(tmp_path, capsys):
     out = tmp_path / "het"
     out.mkdir()
@@ -392,12 +404,13 @@ ZEROS = [0.0] * 120
     ("ridge", -5, "ridge must be finite and >= 0, got -5"),
     ("ridge", math.nan, "ridge must be finite and >= 0, got nan"),
     ("ridge", math.inf, "ridge must be finite and >= 0, got inf"),
+    ("ridge", 0.5, "ridge is for logistic instances only, got 0.5 for kind least_squares"),
 ], ids=["missing_key", "wrong_type", "unknown_kind", "bad_dtype", "bad_base64",
         "bytes_do_not_fill_shape", "wrong_rank", "list_null", "list_true", "encoded_nan",
         "encoded_inf", "sidecar_missing", "sidecar_truncated", "sidecar_extra_bytes",
         "sidecar_stale", "sidecar_not_a_file_name", "no_data_field", "offset_past_end",
         "shape_past_end", "negative_offset", "float_offset", "sidecar_dtype", "infinite_L",
-        "negative_ridge", "nan_ridge", "infinite_ridge"])
+        "negative_ridge", "nan_ridge", "infinite_ridge", "least_squares_ridge"])
 def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, field, value,
                                                           named):
     assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4",

@@ -1,7 +1,9 @@
 import base64
+import itertools
 import json
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -397,9 +399,65 @@ def test_instance_arrays_load_bit_exact(tmp_path, writer):
         assert sorted(got) == sorted(want)
         for key, a in want.items():
             assert got[key].dtype == np.float64 and got[key].shape == a.shape, key
-            assert got[key].flags.writeable and got[key].flags.owndata, key
+            flags = got[key].flags
+            assert flags.writeable and flags.c_contiguous and flags.aligned, key
+            # the sidecar form loads views of one buffer, the other forms own copies
+            assert flags.owndata == (writer != "sidecar"), key
             assert got[key].tobytes() == a.tobytes(), key
+        for one, other in itertools.combinations(got.values(), 2):
+            assert not np.shares_memory(one, other)
         assert (q.L, q.mu, q.ridge, q.regularizer) == (p.L, p.mu, p.ridge, p.regularizer)
+
+
+def test_sidecar_load_holds_about_one_sidecar(tmp_path):
+    # the arrays are views of the one buffer the sidecar is read into; a copy of
+    # every array beside the read bytes made the peak about twice the sidecar
+    assert main(["generate", "--kind", "heterogeneous", "--n", "400", "--d", "10", "--k", "10",
+                 "--beta", "0.9", "--out", str(tmp_path)]) == 0
+    path = str(tmp_path / "instance.json")
+    load_instance(path)  # warm up
+    tracemalloc.start()
+    load_instance(path)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 1.05 * (tmp_path / "instance.json.f8").stat().st_size
+
+
+def _hand_built_sidecar(tmp_path, p, placed, size):
+    """A file of the least-squares instance ``p`` whose sidecar of ``size`` bytes
+    holds each (field, array, offset) of ``placed`` at its offset, in that order."""
+    raw = bytearray(size)
+    doc = {"kind": "least_squares", "n": p.n, "d": p.d, "L": p.L, "mu": p.mu,
+           "regularizer": {"kind": "none", "lam": 0.0}, "metadata": {}}
+    for field, a, offset in placed:
+        raw[offset:offset + a.nbytes] = a.astype("<f8").tobytes()
+        doc[field] = {"dtype": "<f8", "shape": list(a.shape), "offset": offset}
+    (tmp_path / "hand.json.f8").write_bytes(bytes(raw))
+    doc["data"] = {"file": "hand.json.f8", "bytes": size, "crc32": zlib.crc32(raw)}
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_sidecar_array_at_unaligned_offset_is_copied_aligned(tmp_path):
+    p = gen_least_squares(3, n=4, d=2, k=2, L=2.0, mu=0.5)
+    b_at = 8 + p.A.nbytes  # A at byte 4, then 4 bytes of padding before b
+    path = _hand_built_sidecar(tmp_path, p, [("A", p.A, 4), ("b", p.b, b_at)],
+                               b_at + p.b.nbytes)
+    q, _ = load_instance(path)
+    for a, want in ((q.A, p.A), (q.b, p.b)):
+        assert a.flags.aligned and a.flags.c_contiguous and a.flags.writeable
+        assert a.tobytes() == want.tobytes()
+    assert q.A.flags.owndata and not q.b.flags.owndata  # only the unaligned array is copied
+
+
+def test_sidecar_arrays_with_overlapping_bytes_exit_2_naming_the_later(tmp_path, capsys):
+    p = gen_least_squares(3, n=4, d=2, k=2, L=2.0, mu=0.5)
+    path = _hand_built_sidecar(tmp_path, p, [("A", p.A, 0), ("b", p.b, p.A.nbytes - 8)],
+                               p.A.nbytes + p.b.nbytes)
+    assert main(["order", "--instance", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: b: bytes 120 to 184 overlap bytes 0 to 128 of A\n")
 
 
 def test_instance_files_hold_at_most_8_bytes_per_float(tmp_path):
