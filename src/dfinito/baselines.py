@@ -5,8 +5,8 @@ x-axis unit is individual gradient evaluations, so variance-reduction
 snapshot and table-initialization costs are charged explicitly, as the
 textbook methods count them (an SVRG inner step is charged two gradients,
 though it reads the snapshot's from an n-by-d table). The proximal baselines
-check their inputs once per run and step with the unchecked
-:func:`prox.prox_core`, or with none for the ``none`` regularizer; a
+check their inputs once per run, then step with the unchecked
+:func:`prox.prox_map` and :meth:`ProblemInstance.unchecked_grad`; a
 diverging run is caught where its iterate is next checked (a full gradient
 or a trace record).
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance, as_vector, check_step, ordered_mean
-from .prox import prox_args, prox_core
+from .prox import prox_map
 from .sampling import SamplingPlan, epoch_order
 
 ALGORITHMS = ("dfinito", "svrg", "saga")
@@ -64,11 +64,11 @@ def prox_gd_run(p: ProblemInstance, alpha: float, epochs: int, x0):
     """Full proximal gradient descent; one epoch costs n gradient evaluations."""
     check_step(alpha)
     x = as_vector(x0, p.d).copy()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    px = prox_map(p.regularizer, alpha)
     trace = []
     _record(trace, 0, 0, x)
     for k in range(1, epochs + 1):
-        x = prox_core(x - alpha * p.full_grad(x), reg_code, reg_t)
+        x = px(x - alpha * p.full_grad(x))
         _record(trace, k, k * p.n, x)
     return trace
 
@@ -86,14 +86,14 @@ def sgd_run(p: ProblemInstance, plan: SamplingPlan, alpha: float, epochs: int, x
         raise ValueError(f"unknown schedule {schedule!r}")
     check_step(alpha)
     x = as_vector(x0, p.d).copy()
-    grad, data = p.unchecked_grad()
+    grad = p.unchecked_grad()
     trace = []
     _record(trace, 0, 0, x)
     t = 0
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1).tolist():
             step = alpha if schedule == "constant" else alpha / math.sqrt(t + 1.0)
-            x = x - step * grad(data, i, x)
+            x = x - step * grad(i, x)
             t += 1
         _record(trace, k, t, x)
     return trace
@@ -120,8 +120,8 @@ def svrg_run(
     if snapshot_every < 1:
         raise ValueError("need snapshot_every >= 1")
     x = as_vector(x0, p.d).copy()
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
+    px = prox_map(p.regularizer, alpha)
     trace = []
     _record(trace, 0, 0, x)
     evals = 0
@@ -132,10 +132,9 @@ def svrg_run(
             snapshot = list(snapshot)
             evals += p.n
         for i in epoch_order(plan, k - 1).tolist():
-            g = grad(data, i, x) - snapshot[i] + gy
+            g = grad(i, x) - snapshot[i] + gy
             evals += 2
-            v = x - alpha * g
-            x = v if reg_code == 0 else prox_core(v, reg_code, reg_t)
+            x = px(x - alpha * g)
         _record(trace, k, evals, x)
     return trace
 
@@ -154,8 +153,8 @@ def saga_run(
     """
     check_step(alpha)
     x = as_vector(x0, p.d).copy()
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
+    px = prox_map(p.regularizer, alpha)
     trace = []
     evals = p.n
     table = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
@@ -164,13 +163,12 @@ def saga_run(
     _record(trace, 0, evals, x)
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1).tolist():
-            g = grad(data, i, x)
+            g = grad(i, x)
             evals += 1
             change = g - rows[i]
             rows[i][...] = g
             g = change + gmean
             gmean = gmean + change / p.n
-            v = x - alpha * g
-            x = v if reg_code == 0 else prox_core(v, reg_code, reg_t)
+            x = px(x - alpha * g)
         _record(trace, k, evals, x)
     return trace

@@ -108,9 +108,10 @@ def _mean_rows(per_seed_records):
 
 
 # the flags each kind reads beyond --seed, --n and --d, with their defaults
+# (heterogeneous: --k max(10, d), --alpha 2/(L+mu))
 GENERATE_FLAGS = {
     "least_squares": {"k": 10, "L": 10.0, "mu": 0.1, "reg": "none", "reg_lam": 0.0},
-    "heterogeneous": {"k": 10, "L": 10.0, "mu": 0.1, "beta": 0.1, "alpha": None},
+    "heterogeneous": {"k": None, "L": 10.0, "mu": 0.1, "beta": 0.1, "alpha": None},
     "logistic": {"lam": None, "kappa": None},
 }
 
@@ -134,13 +135,14 @@ def cmd_generate(args):
         p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
                                        regularizer=reg)
     elif args.kind == "heterogeneous":
+        k = max(10, args.d) if args.k is None else args.k
+        if k < args.d:
+            raise UsageError(f"--k must be >= --d for --kind heterogeneous, got {k} < {args.d}")
         alpha = 2.0 / (args.L + args.mu) if args.alpha is None else args.alpha
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
         z0 = rng.standard_normal((args.n, args.d))
-        p, cert = problems.gen_heterogeneous(
-            args.seed, args.n, args.d, max(args.k, args.d), args.mu, args.L, alpha,
-            args.beta, z0,
-        )
+        p, cert = problems.gen_heterogeneous(args.seed, args.n, args.d, k, args.mu, args.L,
+                                             alpha, args.beta, z0)
         p.metadata["z0"] = z0
         zstar = cert.zstar(z0)
         profile = np.einsum("ij,ij->i", z0 - zstar, z0 - zstar)
@@ -186,6 +188,8 @@ def _number(value, cast, key):
 
 def _resolve_problem(spec):
     spec = _fill(spec, PROBLEM_KEYS, "problem")
+    if spec["path"] is not None and spec["generator"] is not None:
+        raise UsageError("problem takes one source, 'path' or 'generator', got both")
     if spec["path"] is not None:
         return problems.load_instance(spec["path"])[0]
     gen = spec["generator"]
@@ -314,12 +318,14 @@ def _prepare(args):
     out_dir = args.out or cfg["output"]
     if out_dir is None or not os.path.isdir(out_dir):
         raise UsageError(f"{args.command} needs an existing --out DIR or 'output', got {out_dir}")
-    seeds = args.seed or cfg["seeds"] or [0]
-    if not (isinstance(seeds, list) and all(type(s) is int and s >= 0 for s in seeds)):
-        raise UsageError(f"seeds must be a list of non-negative integers, got {seeds!r}")
+    seeds = args.seed or cfg["seeds"]
+    if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
+        raise UsageError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
     twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if twice:
         raise UsageError(f"seed {twice[0]} is given more than once")
+    if not isinstance(cfg["reference"], bool):
+        raise UsageError(f"reference must be true or false, got {cfg['reference']!r}")
     p = _resolve_problem(cfg["problem"])
     cells = _cells(cfg, p)
     solve = cfg["reference"] and args.command == "run"

@@ -31,7 +31,7 @@ from .diagnostics import (
     strongly_convex_envelope,
 )
 from .model import ProblemInstance, as_vector, check_epoch, check_step, ordered_mean, validate_permutation
-from .prox import prox, prox_args, prox_core
+from .prox import prox, prox_map
 from .sampling import SamplingPlan, epoch_order, update_importance
 
 
@@ -70,10 +70,10 @@ def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
             as_vector(mean, p.d)
         if z.shape[1:] != (p.n, p.d):
             raise ValueError(f"table must have shape ({p.n}, {p.d}), got {z.shape[1:]}")
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    px = prox_map(p.regularizer, alpha)
 
     def step(z, i, parents=slice(None)):
-        x = prox_core(ordered_mean(z), reg_code, reg_t)[parents]
+        x = px(ordered_mean(z))[parents]
         z = z[parents]
         rows = np.broadcast_to(i, len(z))
         z[np.arange(len(z)), rows] = x - alpha * p.grad_rows(rows, x)
@@ -131,15 +131,15 @@ def epoch_step(p: ProblemInstance, z, zbar, alpha: float, theta: float, order):
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,) or order.min() < 0 or order.max() >= n:
         raise ValueError("order must contain n valid indices")
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
+    px = prox_map(p.regularizer, alpha)
     z0 = z.copy()
     rows = list(z)
     mean = zbar
     for i in order.tolist():
         # mean is rebound, never written, so the identity prox need not copy it
-        x = mean if reg_code == 0 else prox_core(mean, reg_code, reg_t)
-        znew = x - alpha * grad(data, i, x)
+        x = px(mean)
+        znew = x - alpha * grad(i, x)
         mean = mean + (znew - rows[i]) / n
         rows[i][...] = znew
     z[...] = (1.0 - theta) * z0 + theta * z
@@ -152,13 +152,18 @@ def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
 
 
 def _stepsize_flags(p: ProblemInstance, alpha: float, theta: float) -> str:
-    """Empty when the run satisfies the certified step-size/damping regime."""
+    """Empty when the run satisfies the certified step-size/damping regime. A logistic
+    run is judged by the largest per-component smoothness max_i ||w_i||^2/4 + ridge,
+    not by ``p.L``, the smoothness of the mean loss."""
     flags = []
+    L = p.L
+    if p.kind == "logistic":
+        L = float(np.max(np.einsum("ij,ij->i", p.W, p.W))) / 4.0 + p.ridge
     if p.mu > 0:
-        if alpha > 2.0 / (p.mu + p.L):
+        if alpha > 2.0 / (p.mu + L):
             flags.append("alpha_uncertified")
     else:
-        if alpha > 2.0 / p.L:
+        if alpha > 2.0 / L:
             flags.append("alpha_uncertified")
         if theta >= 1.0:
             flags.append("theta_uncertified")

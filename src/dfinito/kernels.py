@@ -5,8 +5,9 @@ alpha, adds theta times that change to z_i and moves the mean by the undamped
 change over n, with no second n-by-d table; the epoch ends with the exact
 fixed-order mean. :func:`epoch_inplace` checks alpha, theta, the shapes and the
 order before any write, then dispatches by :func:`epoch_path`. The lean loop
-serves every kind, a step at a time over row views, via ``unchecked_grad`` and
-``prox_core``.
+serves every kind, a step at a time over row views, with the two callables a
+run resolves once: ``grad = problem.unchecked_grad()`` and
+``px = prox.prox_map(regularizer, alpha)``.
 
 The blocked loop serves logistic problems under a linear prox gamma v
 (gamma = 1/(1 + alpha lam) for l2sq, 1 for none). Step k on row w_k, label
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .model import check_epoch, ordered_mean, validate_permutation
-from .prox import prox_args, prox_core
+from .prox import prox_map
 
 HAVE_NUMBA = False
 BACKEND = "numpy"
@@ -57,14 +58,14 @@ def epoch_inplace(problem, z, zbar, alpha, theta, order, backend=None):
 def _lean_epoch(problem, z, zbar, alpha, theta, order):
     """One memory-lean epoch, a step at a time, for any problem kind."""
     n = z.shape[0]
-    grad, data = problem.unchecked_grad()
-    reg_code, reg_t = prox_args(problem.regularizer, alpha)
+    grad = problem.unchecked_grad()
+    px = prox_map(problem.regularizer, alpha)
     rows = list(z)
     for i in np.asarray(order, dtype=np.int64).tolist():
         # x's last use comes before zbar changes, so the identity prox need not copy
-        x = zbar if reg_code == 0 else prox_core(zbar, reg_code, reg_t)
+        x = px(zbar)
         zi = rows[i]
-        dvec = x - alpha * grad(data, i, x)
+        dvec = x - alpha * grad(i, x)
         dvec -= zi
         zi += theta * dvec
         dvec /= n
@@ -79,9 +80,8 @@ def _blocks(problem, alpha, order):
     memo = problem._blocks_memo
     if memo is not None and memo[0] == key and np.array_equal(memo[1], order):
         return memo[2]
-    n, W, y, order = problem.n, problem.W, problem.y, order.copy()
-    reg_code, reg_t = prox_args(problem.regularizer, alpha)
-    gamma = 1.0 / (1.0 + reg_t) if reg_code == 2 else 1.0
+    n, W, y, order, r = problem.n, problem.W, problem.y, order.copy(), problem.regularizer
+    gamma = 1.0 / (1.0 + alpha * r.lam) if r.kind == "l2sq" else 1.0
     a = gamma * (1.0 - alpha * problem.ridge)
     beta = 1.0 + a / n
     ks = np.arange(min(BLOCK, n))

@@ -4,8 +4,9 @@ A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
 Three component families are supported natively (least squares, ridge-folded
 logistic, and user gradient callables); the first two carry their raw data
 arrays. :meth:`ProblemInstance.full_grad` is the one full-gradient path, and
-:meth:`ProblemInstance.unchecked_grad` hands the hot loops a per-component
-gradient that skips input validation; :meth:`ProblemInstance.grad_rows` gives
+:meth:`ProblemInstance.unchecked_grad` hands the hot loops one callable
+``grad(i, x)``, the per-component gradient with its row data bound once and no
+input validation; :meth:`ProblemInstance.grad_rows` gives
 the literal operators and oracles the same gradients for a stack of points.
 """
 from __future__ import annotations
@@ -95,28 +96,30 @@ def stable_sigmoid(u):
     return out
 
 
-def _grad_least_squares(data, i, x):
-    """grad of 0.5 ||A_i x - b_i||^2 for data = (rows of A, their transposes,
-    rows of b); unchecked."""
-    A, At, b = data
-    return At[i].dot(A[i].dot(x) - b[i])
+def _grad_least_squares(A, At, b):
+    """grad(i, x) of 0.5 ||A_i x - b_i||^2 over the rows of A, their transposes and
+    the rows of b; unchecked."""
+    def grad(i, x):
+        return At[i].dot(A[i].dot(x) - b[i])
+    return grad
 
 
-def _grad_logistic(data, i, x):
-    """grad of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 for data = (rows of
-    W, labels, ridge); unchecked. The sigmoid branches on the sign of the
-    margin so that exp never overflows; it matches :func:`stable_sigmoid` at -margin.
-    It serves logistic+l1 epochs, the literal epoch and the baselines; the
-    blocked epoch of :mod:`kernels` takes its own sigmoid."""
-    W, y, ridge = data
-    w, yi = W[i], y[i]
-    m = yi * w.dot(x)
-    if m <= 0.0:
-        s = 1.0 / (1.0 + np.exp(m))
-    else:
-        e = np.exp(-m)
-        s = e / (1.0 + e)
-    return -yi * s * w + ridge * x
+def _grad_logistic(W, y, ridge):
+    """grad(i, x) of log(1 + exp(-y_i w_i.x)) + (ridge/2)||x||^2 over the rows of W
+    and the labels; unchecked. The sigmoid branches on the sign of the margin so
+    that exp never overflows; it matches :func:`stable_sigmoid` at -margin. It
+    serves logistic+l1 epochs, the literal epoch and the baselines; the blocked
+    epoch of :mod:`kernels` takes its own sigmoid."""
+    def grad(i, x):
+        w, yi = W[i], y[i]
+        m = yi * w.dot(x)
+        if m <= 0.0:
+            s = 1.0 / (1.0 + np.exp(m))
+        else:
+            e = np.exp(-m)
+            s = e / (1.0 + e)
+        return -yi * s * w + ridge * x
+    return grad
 
 
 @dataclass(frozen=True)
@@ -224,26 +227,20 @@ class ProblemInstance:
     def component_grad(self, i, x):
         self._check_index(i)
         x = as_vector(x, self.d)
-        if self.kind == "least_squares":
-            return _grad_least_squares(self._rows, i, x)
-        if self.kind == "logistic":
-            return _grad_logistic(self._rows, i, x)
+        if self.kind != "custom":
+            return self._grad(i, x)
         # a copy, because a callable may keep or change its argument
         return as_vector(self.grads[i](x.copy()), self.d)
 
     def unchecked_grad(self):
-        """(grad, data) with grad(data, i, x) the gradient of f_i at x.
+        """grad(i, x), the gradient of f_i at x.
 
         The epoch loop calls grad n times per epoch, so for the built-in
-        kinds it skips the index and vector checks and reads the per-row data
-        of :attr:`_rows`. Custom problems get the validated
+        kinds it skips the index and vector checks and reads row data bound
+        once (:attr:`_grad`). Custom problems get the validated
         :meth:`component_grad`, because their callables are outside input.
         """
-        if self.kind == "least_squares":
-            return _grad_least_squares, self._rows
-        if self.kind == "logistic":
-            return _grad_logistic, self._rows
-        return ProblemInstance.component_grad, self
+        return self.component_grad if self.kind == "custom" else self._grad
 
     def grad_rows(self, idx, X):
         """Row s is grad f_idx[s] at X[s], bytes equal to :meth:`unchecked_grad` row
@@ -263,13 +260,14 @@ class ProblemInstance:
         return np.array(grads).reshape(np.shape(X))
 
     @cached_property
-    def _rows(self):
-        """Row views split once, so a step indexes a list: (rows of A, their
-        transposes, rows of b), or (rows of W, labels as floats, ridge)."""
+    def _grad(self):
+        """A built-in kind's unchecked grad(i, x) over row views split once, so a
+        step indexes a list: rows of A, their transposes and rows of b, or rows
+        of W, labels as floats and ridge."""
         if self.kind == "least_squares":
             A = list(self.A)
-            return A, [a.T for a in A], list(self.b)
-        return list(self.W), self.y.tolist(), self.ridge
+            return _grad_least_squares(A, [a.T for a in A], list(self.b))
+        return _grad_logistic(list(self.W), self.y.tolist(), self.ridge)
 
     @cached_property
     def gram(self):

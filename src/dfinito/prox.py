@@ -1,4 +1,8 @@
-"""Closed-form proximal operators and the subdifferential residual metric."""
+"""Closed-form proximal operators and the subdifferential residual metric.
+
+:func:`prox` checks its inputs and returns a new array; every hot loop instead
+resolves :func:`prox_map` once per run or epoch and calls the map it returns.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,36 +10,28 @@ import numpy as np
 from .model import Regularizer, as_vector, check_step
 
 
-REG_CODE = {"none": 0, "l1": 1, "l2sq": 2}
-
-
-def prox_core(v, reg_code, t):
-    """The closed-form prox with weight ``t`` for ``REG_CODE`` regularizer
-    ``reg_code``; no input checks, so hot loops can call it. Never returns ``v``."""
-    if reg_code == 1:
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-    if reg_code == 2:
-        return v / (1.0 + t)
-    return v.copy()
-
-
-def prox_args(r: Regularizer, alpha: float):
-    """(reg_code, t) with ``prox_core(v, reg_code, t)`` equal to ``prox(r, alpha, v)``,
-    for loops that resolve the prox once and step without checks."""
-    if r.kind not in REG_CODE:
-        raise ValueError(f"unsupported regularizer kind {r.kind!r}")
-    return REG_CODE[r.kind], alpha * r.lam
+def prox_map(r: Regularizer, alpha: float):
+    """The map v -> ``prox(r, alpha, v)``, resolved once and unchecked, so hot loops
+    step with one call and no branch. For ``none`` it returns v itself, not a copy;
+    the l1 soft-threshold and the l2sq scale return new arrays."""
+    t = alpha * r.lam
+    if r.kind == "l1":
+        return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    if r.kind == "l2sq":
+        return lambda v: v / (1.0 + t)
+    return lambda v: v
 
 
 def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
-    """argmin_y { alpha * r(y) + 0.5 ||y - v||^2 }.
+    """argmin_y { alpha * r(y) + 0.5 ||y - v||^2 }, a new array.
 
     Single-valued for the supported convex regularizers; the identity when
     r is zero.
     """
     check_step(alpha)
     v = as_vector(v)
-    return prox_core(v, *prox_args(r, alpha))
+    x = prox_map(r, alpha)(v)
+    return v.copy() if x is v else x
 
 
 def subgradient_residual(r: Regularizer, x, g_smooth) -> float:

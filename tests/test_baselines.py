@@ -14,7 +14,7 @@ from dfinito.baselines import (
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import solve_reference
 from dfinito.problems import gen_least_squares, gen_logistic
-from dfinito.prox import prox_args, prox_core
+from dfinito.prox import prox_map
 from dfinito.sampling import SamplingPlan, epoch_order
 
 
@@ -210,8 +210,8 @@ def _plans(n):
 def _reference_svrg(p, plan, alpha, epochs, x0, snapshot_every):
     """svrg_run before the snapshot table: grad f_i(y) evaluated on every inner step."""
     x = np.asarray(x0, dtype=np.float64).copy()
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
+    px = prox_map(p.regularizer, alpha)
     trace, evals, y, gy = [(0, x.copy())], 0, None, None
     for k in range(1, epochs + 1):
         if (k - 1) % snapshot_every == 0:
@@ -220,9 +220,9 @@ def _reference_svrg(p, plan, alpha, epochs, x0, snapshot_every):
             evals += p.n
         for i in epoch_order(plan, k - 1):
             i = int(i)
-            g = grad(data, i, x) - grad(data, i, y) + gy
+            g = grad(i, x) - grad(i, y) + gy
             evals += 2
-            x = prox_core(x - alpha * g, reg_code, reg_t)
+            x = px(x - alpha * g)
         trace.append((evals, x.copy()))
     return trace
 
@@ -230,21 +230,21 @@ def _reference_svrg(p, plan, alpha, epochs, x0, snapshot_every):
 def _reference_saga(p, plan, alpha, epochs, x0):
     """saga_run before the stacked initial table and the in-place row write."""
     x = np.asarray(x0, dtype=np.float64).copy()
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
+    px = prox_map(p.regularizer, alpha)
     evals = p.n
-    table = np.stack([grad(data, i, x) for i in range(p.n)])
+    table = np.stack([grad(i, x) for i in range(p.n)])
     gmean = ordered_mean(table)
     trace = [(evals, x.copy())]
     for k in range(1, epochs + 1):
         for i in epoch_order(plan, k - 1):
             i = int(i)
-            g = grad(data, i, x)
+            g = grad(i, x)
             evals += 1
             step_dir = g - table[i] + gmean
             gmean = gmean + (g - table[i]) / p.n
             table[i] = g
-            x = prox_core(x - alpha * step_dir, reg_code, reg_t)
+            x = px(x - alpha * step_dir)
         trace.append((evals, x.copy()))
     return trace
 
@@ -280,18 +280,18 @@ def test_saga_equals_reference_loop_bytes(kind, reg):
 def test_svrg_evaluates_one_gradient_per_inner_step_and_one_stack_per_snapshot(monkeypatch):
     p = gen_least_squares(2, n=6, d=2, k=2, L=1.0, mu=0.0)
     calls = {"grad": 0, "grad_rows": 0}
-    grad, data = p.unchecked_grad()
+    grad = p.unchecked_grad()
     grad_rows = ProblemInstance.grad_rows
 
-    def counted_grad(data, i, x):
+    def counted_grad(i, x):
         calls["grad"] += 1
-        return grad(data, i, x)
+        return grad(i, x)
 
     def counted_grad_rows(self, idx, X):
         calls["grad_rows"] += 1
         return grad_rows(self, idx, X)
 
-    monkeypatch.setattr(ProblemInstance, "unchecked_grad", lambda self: (counted_grad, data))
+    monkeypatch.setattr(ProblemInstance, "unchecked_grad", lambda self: counted_grad)
     monkeypatch.setattr(ProblemInstance, "grad_rows", counted_grad_rows)
     trace = svrg_run(p, SamplingPlan("reshuffle", 6, seed=0), 0.01, 5, np.zeros(2),
                      snapshot_every=2)

@@ -88,6 +88,33 @@ def test_generate_flag_its_kind_does_not_read_exits_2_naming_it(tmp_path, capsys
     assert not (tmp_path / "instance.json").exists()
 
 
+@pytest.mark.parametrize("flags, k", [(["--d", "8", "--k", "9"], 9), (["--d", "8"], 10),
+                                      (["--d", "12"], 12), (["--d", "8", "--k", "8"], 8)])
+def test_generate_heterogeneous_reads_k_and_defaults_to_max_10_d(tmp_path, flags, k):
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", *flags,
+                   "--out", str(tmp_path)) == 0
+    p, _ = problems.load_instance(str(tmp_path / "instance.json"))
+    assert p.A.shape == (30, k, p.d)
+
+
+def test_generate_heterogeneous_k_below_d_exits_2_naming_k(tmp_path, capsys):
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "8", "--k", "3",
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == \
+        "error: --k must be >= --d for --kind heterogeneous, got 3 < 8\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_generated_logistic_run_at_theory_step_is_flagged(tmp_path):
+    cfg = {"problem": {"generator": {"kind": "logistic", "n": 100, "d": 5, "kappa": 400}},
+           "epochs": 2, "seeds": [0], "reference": False}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == 0
+    rows = read_trace_csv(str(tmp_path / "trace_seed0.csv"))
+    assert [row["flags"] for row in rows] == ["alpha_uncertified"] * 3
+
+
 def test_generate_heterogeneous_prints_rho(tmp_path, capsys):
     out = tmp_path / "het"
     out.mkdir()
@@ -334,9 +361,18 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
                                        "seed": "abc"}}}, "seed must be a finite int, got 'abc'"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
                                        "seed": -1}}}, "seed must be a non-negative int, got -1"),
+    # "ls_instance" stands for the fixture's instance path
+    ("run", {"problem": {"path": "ls_instance", "generator": {"kind": "least_squares", "n": 4,
+                                                              "d": 2, "L": 5.0}}},
+     "problem takes one source, 'path' or 'generator', got both"),
+    ("run", {"reference": "false"}, "reference must be true or false, got 'false'"),
+    ("run", {"reference": 0}, "reference must be true or false, got 0"),
+    ("run", {"seeds": []}, "seeds must be a non-empty list"),
+    ("sweep", {"seeds": [], "grid": {"theta": [0.5]}}, "seeds must be a non-empty list"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
                                                overrides, named):
+    overrides = json.loads(json.dumps(overrides).replace('"ls_instance"', json.dumps(ls_instance)))
     cfg = _config(tmp_path, ls_instance, **overrides)
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err

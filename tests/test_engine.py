@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfinito import baselines, diagnostics, kernels, verify
+from dfinito import baselines, diagnostics, engine, kernels, verify
 from dfinito.engine import (
     DampedRunConfig,
     apply_Spi,
@@ -20,7 +20,7 @@ from dfinito.engine import (
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean
 from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic, make_synthetic_logistic
-from dfinito.prox import prox, prox_args, prox_core
+from dfinito.prox import prox
 from dfinito.baselines import prox_gd_run
 from dfinito.sampling import REGIMES, SEEDED, SamplingPlan, epoch_order
 
@@ -415,6 +415,25 @@ def test_run_flags_uncertified_step_size(composite_problem):
     assert "alpha_uncertified" in trace[-1].flags
 
 
+def test_logistic_step_flag_reads_the_largest_component_smoothness():
+    p = gen_logistic(*make_synthetic_logistic(0, 200, 10, kappa=400))
+    L_max = float(np.max(p.metadata["per_component_L"]))
+    theory = 2.0 / (p.L + p.mu)  # from the mean loss's smoothness
+    assert theory > 10.0 * 2.0 / (p.mu + L_max)
+    assert engine._stepsize_flags(p, theory, 0.5) == "alpha_uncertified"
+    assert engine._stepsize_flags(p, 2.0 / (p.mu + L_max), 0.5) == ""
+    assert engine._stepsize_flags(p, np.nextafter(2.0 / (p.mu + L_max), 1.0), 0.5) \
+        == "alpha_uncertified"
+    # least squares is still judged by p.L, strongly convex or not
+    for mu, flags in ((0.5, ("", "alpha_uncertified", "")),
+                      (0.0, ("", "alpha_uncertified", "theta_uncertified"))):
+        q = gen_least_squares(0, n=6, d=3, k=3, L=4.0, mu=mu)
+        edge = 2.0 / (q.mu + q.L)
+        assert (engine._stepsize_flags(q, edge, 0.5),
+                engine._stepsize_flags(q, np.nextafter(edge, 1.0), 0.5),
+                engine._stepsize_flags(q, edge, 1.0)) == flags
+
+
 def test_run_uniform_regime_accepts_repeats(composite_problem):
     p = composite_problem
     plan = SamplingPlan("uniform", p.n, seed=0)
@@ -619,12 +638,11 @@ def test_loop_equals_reference_loop_bytes(kind, reg):
 def _reference_epoch_step(p, z, zbar, alpha, theta, order):
     """epoch_step before the row views, the uncopied identity prox and the in-place
     update; returns the new (z, zbar)."""
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
     z0, z, zbar = z.copy(), z.copy(), zbar.copy()
     for i in np.asarray(order, dtype=np.int64):
-        x = prox_core(zbar, reg_code, reg_t)
-        znew = x - alpha * grad(data, i, x)
+        x = prox(p.regularizer, alpha, zbar)  # checked, and always a copy
+        znew = x - alpha * grad(i, x)
         zbar = zbar + (znew - z[i]) / p.n
         z[i] = znew
     z = (1.0 - theta) * z0 + theta * z
@@ -722,9 +740,8 @@ def test_blocked_epoch_matches_lean_loop_on_the_sweep_instance():
 def _blocked_epoch_split(problem, z, zbar, alpha, theta, order):
     """The blocked epoch as it stood with ``np.split`` blocks, per-block labels and a
     full ``H[k] @ c`` row product per step."""
-    n, W, y = z.shape[0], problem.W, problem.y
-    reg_code, reg_t = prox_args(problem.regularizer, alpha)
-    gamma = 1.0 / (1.0 + reg_t) if reg_code == 2 else 1.0
+    n, W, y, r = z.shape[0], problem.W, problem.y, problem.regularizer
+    gamma = 1.0 / (1.0 + alpha * r.lam) if r.kind == "l2sq" else 1.0
     a = gamma * (1.0 - alpha * problem.ridge)
     beta = 1.0 + a / n
     ks = np.arange(min(kernels.BLOCK, n))

@@ -165,15 +165,16 @@ def test_full_grad_matches_component_sum():
 
 def _row_by_row(p, idx, X):
     """grad_rows' reference: the per-component unchecked gradient, one row at a time."""
-    grad, data = p.unchecked_grad()
-    return [grad(data, i, x) for i, x in zip(idx.tolist(), X)]
+    grad = p.unchecked_grad()
+    return [grad(i, x) for i, x in zip(idx.tolist(), X)]
 
 
 def _assert_grad_rows_bytes(p, idx, X):
     got = p.grad_rows(idx, X)
     assert got.shape == X.shape
-    for row, want in zip(got, _row_by_row(p, idx, X)):
+    for i, x, row, want in zip(idx.tolist(), X, got, _row_by_row(p, idx, X)):
         assert row.tobytes() == want.tobytes()
+        assert p.component_grad(i, x).tobytes() == want.tobytes()  # the checked gradient
 
 
 @pytest.mark.parametrize("kd", [1, 4, 5, 20, 50])

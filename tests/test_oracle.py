@@ -15,7 +15,7 @@ from dfinito.oracle import (
     zstar_table,
 )
 from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
-from dfinito.prox import prox, prox_args, prox_core, subgradient_residual
+from dfinito.prox import prox, prox_map, subgradient_residual
 from dfinito.sampling import optimal_cyclic_order
 
 
@@ -274,13 +274,17 @@ def test_expected_contraction_takes_one_prox_per_tree_node(monkeypatch):
     rng = np.random.default_rng(12)
     u, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     rows = []
-    prox_core = engine.prox_core
+    prox_map = engine.prox_map
 
-    def counted(means, *args):
-        rows.append(len(means))  # one prox per table of the stack
-        return prox_core(means, *args)
+    def counted_map(r, alpha):
+        px = prox_map(r, alpha)
 
-    monkeypatch.setattr(engine, "prox_core", counted)
+        def counted(means):
+            rows.append(len(means))  # one prox per table of the stack
+            return px(means)
+        return counted
+
+    monkeypatch.setattr(engine, "prox_map", counted_map)
     expected_contraction(p, u, v, 1.0)
     inner_nodes = sum(math.perm(5, j) for j in range(5))
     assert inner_nodes == 206  # the root and every node with a child
@@ -291,8 +295,8 @@ def test_expected_contraction_takes_one_prox_per_tree_node(monkeypatch):
 def _recursive_walk(p, u, v, alpha):
     """The exact expectation as the depth-first walk of the permutation tree,
     one node (a prefix, and one prox per node) at a time."""
-    grad, data = p.unchecked_grad()
-    reg_code, reg_t = prox_args(p.regularizer, alpha)
+    grad = p.unchecked_grad()
+    px = prox_map(p.regularizer, alpha)
     total = 0.0
     count = 0
 
@@ -303,12 +307,12 @@ def _recursive_walk(p, u, v, alpha):
             total += float(np.sum(du * du))
             count += 1
             return
-        xu = prox_core(ordered_mean(tu), reg_code, reg_t)
-        xv = prox_core(ordered_mean(tv), reg_code, reg_t)
+        xu = px(ordered_mean(tu))
+        xv = px(ordered_mean(tv))
         for j in left:
             cu, cv = tu.copy(), tv.copy()
-            cu[j] = xu - alpha * grad(data, j, xu)
-            cv[j] = xv - alpha * grad(data, j, xv)
+            cu[j] = xu - alpha * grad(j, xu)
+            cv[j] = xv - alpha * grad(j, xv)
             walk(cu, cv, [k for k in left if k != j])
 
     walk(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64), list(range(p.n)))

@@ -2,21 +2,29 @@ import numpy as np
 import pytest
 
 from dfinito.model import Regularizer
-from dfinito.prox import prox, subgradient_residual
+from dfinito.prox import prox, prox_map, subgradient_residual
 
 
 def test_prox_none_is_identity():
     v = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(prox(Regularizer.none(), 0.7, v), v)
+    assert prox_map(Regularizer.none(), 0.7)(v) is v  # the hot loops' map does not copy
+
+
+# -0.0, subnormals, |v| = alpha * lam = 0.35 exactly, and ordinary values
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.35, -0.35,
+                        np.nextafter(0.35, 1.0), 1.0, -2.0, 0.5])
 
 
 @pytest.mark.parametrize("reg", [Regularizer.none(), Regularizer.l1(0.5), Regularizer.l2sq(0.5)])
 def test_prox_returns_a_new_array(reg):
-    v = np.array([1.0, -2.0, 0.5])
-    out = prox(reg, 0.7, v)
-    assert not np.shares_memory(out, v)
-    out += 1.0
-    assert np.array_equal(v, [1.0, -2.0, 0.5])
+    for v in (np.array([1.0, -2.0, 0.5]), EDGE_VALUES.copy()):
+        want = v.copy()
+        out = prox(reg, 0.7, v)
+        assert out.tobytes() == prox_map(reg, 0.7)(v).tobytes()
+        assert not np.shares_memory(out, v)
+        out += 1.0
+        assert v.tobytes() == want.tobytes()
 
 
 def test_prox_l1_soft_threshold_hand_values():
@@ -24,6 +32,7 @@ def test_prox_l1_soft_threshold_hand_values():
     v = np.array([3.0, -0.5, 1.0, -4.0, 0.0])
     got = prox(Regularizer.l1(2.0), 0.5, v)
     assert np.array_equal(got, np.array([2.0, 0.0, 0.0, -3.0, 0.0]))
+    assert got.tobytes() == prox_map(Regularizer.l1(2.0), 0.5)(v).tobytes()
 
 
 def test_prox_l2sq_scaling():
