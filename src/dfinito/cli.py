@@ -116,9 +116,16 @@ GENERATE_FLAGS = {
 }
 
 
+def _check_seed_flag(seed):
+    """generate's and verify's --seed; run and sweep check theirs with the config's seeds."""
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_generate(args):
     if not os.path.isdir(args.out):
         raise UsageError(f"output directory does not exist: {args.out}")
+    _check_seed_flag(args.seed)
     problems.check_sizes(n=args.n, d=args.d)  # before any kind-specific flag or draw
     reads = GENERATE_FLAGS[args.kind]
     for key in dict.fromkeys(key for flags in GENERATE_FLAGS.values() for key in flags):
@@ -256,9 +263,15 @@ def _cells(cfg, p):
                 "cyclic" if regime in ("cyclic", "adaptive") else "rr", p.L, p.mu, p.n)
         else:
             step = _number(alpha, float, "alpha")
+        given = smp["order"]
+        if given is not None and not (isinstance(given, list)
+                                      and all(type(i) is int for i in given)
+                                      and sorted(given) == list(range(p.n))):
+            raise UsageError(f"sampling.order must be a list of the integers 0..{p.n - 1}, "
+                             f"each once, got {given!r}")
         order = None
         if regime == "cyclic":
-            order = np.arange(p.n) if smp["order"] is None else smp["order"]
+            order = np.arange(p.n) if given is None else given
         plan = sampling.SamplingPlan(regime, p.n, order=order, seed=0,
                                      gamma=_number(smp["gamma"], float, "gamma"))
         config = engine.DampedRunConfig(step, _number(theta, float, "theta"), epochs, plan,
@@ -318,12 +331,14 @@ def _prepare(args):
     out_dir = args.out or cfg["output"]
     if out_dir is None or not os.path.isdir(out_dir):
         raise UsageError(f"{args.command} needs an existing --out DIR or 'output', got {out_dir}")
-    seeds = args.seed or cfg["seeds"]
-    if not (isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds)):
-        raise UsageError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
-    twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if twice:
-        raise UsageError(f"seed {twice[0]} is given more than once")
+    for seeds in (cfg["seeds"], args.seed or cfg["seeds"]):  # the config's, then --seed's
+        if not (isinstance(seeds, list) and seeds
+                and all(type(s) is int and s >= 0 for s in seeds)):
+            raise UsageError("seeds must be a non-empty list of non-negative integers, "
+                             f"got {seeds!r}")
+        twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+        if twice:
+            raise UsageError(f"seed {twice[0]} is given more than once")
     if not isinstance(cfg["reference"], bool):
         raise UsageError(f"reference must be true or false, got {cfg['reference']!r}")
     p = _resolve_problem(cfg["problem"])
@@ -372,6 +387,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    _check_seed_flag(args.seed)
     try:
         results = verify.run_suites(args.suite, seed=args.seed)
     except KeyError as exc:

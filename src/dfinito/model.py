@@ -299,8 +299,11 @@ class ProblemInstance:
 
 
 def validate_permutation(order, n):
-    """Check that ``order`` is a permutation of 0..n-1; return it as int64."""
-    order = np.asarray(order, dtype=np.int64)
+    """Check that ``order`` is a permutation of 0..n-1; return it as int64. A float,
+    bool or string array is refused, not cast."""
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu":
+        raise ValueError(f"an order must hold integers, got dtype {order.dtype}")
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"not a permutation of range({n}): {order}")
-    return order
+    return order.astype(np.int64, copy=False)

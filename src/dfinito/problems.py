@@ -20,7 +20,6 @@ CHUNK components' size at once (with 16, a (256, 32, 32) stack peaked at
 """
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -291,16 +290,38 @@ CERTIFICATE_FIELDS = {"v": "array", "t": "array", "delta": "array", "beta": "num
 
 
 def _is_array(value):
-    """Whether a metadata value is a stored array, in either object form."""
-    return isinstance(value, dict) and ("offset" in value or "base64" in value)
+    """Whether a metadata value is a stored array, that is, not a JSON scalar."""
+    return isinstance(value, (dict, list))
 
 
-def _decode(value, name, data=None):
-    """Field ``name`` as a writable float64 array, from the ``_Sidecar``
-    ``data``, the base64 form or nested lists of JSON numbers; every entry
-    must be finite."""
+def _decode(value, name, data):
+    """Field ``name``, whose ``value`` gives dtype, shape and byte offset, as a float64
+    view of the ``_Sidecar`` ``data``, copied only where the offset leaves it unaligned;
+    it shares no byte with an earlier array, and every entry must be finite."""
+    if not (isinstance(value, dict) and sorted(value) == ["dtype", "offset", "shape"]):
+        raise ValueError(f"{name}: expected an object of dtype, shape and offset")
+    raw = data.read()  # its errors name the data field
     try:
-        a = _decode_array(value, name, data)
+        if value["dtype"] != ENCODED_DTYPE:
+            raise ValueError(f"dtype {value['dtype']!r} is not {ENCODED_DTYPE!r}")
+        shape, offset = value["shape"], value["offset"]
+        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+        if type(offset) is not int or offset < 0:
+            raise ValueError(f"offset {offset!r} is not a non-negative integer")
+        count = math.prod(shape)
+        end = offset + 8 * count
+        if end > len(raw):
+            raise ValueError(f"offset {offset} + {8 * count} bytes of shape {shape} run past "
+                             f"the end of the {len(raw)}-byte sidecar")
+        if count:
+            for other, (lo, hi) in data.spans.items():
+                if offset < hi and lo < end:
+                    raise ValueError(f"bytes {offset} to {end} overlap bytes {lo} to {hi} of {other}")
+            data.spans[name] = (offset, end)
+        a = np.frombuffer(raw, dtype=ENCODED_DTYPE, count=count, offset=offset).reshape(shape)
+        if not (a.flags.aligned and a.dtype == np.float64):
+            a = a.astype(np.float64)
         # a NaN or an infinity shows in the min or the max; the mask that names
         # the entry is built only for the error
         if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
@@ -310,84 +331,38 @@ def _decode(value, name, data=None):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _decode_array(value, name, data):
-    """The float64 array in ``value``, any form; finiteness is the caller's check."""
-    if isinstance(value, list):
-        a = np.array(value, dtype=np.float64)
-        # float64 conversion also takes null, true and numeric strings
-        entries = np.array(value, dtype=object).ravel()
-        if not set(map(type, entries)) <= {int, float}:
-            bad = next(x for x in entries if type(x) not in (int, float))
-            raise ValueError(f"non-numeric entry {json.dumps(bad)}")
-        return a
-    if not isinstance(value, dict) or sorted(value) not in (["dtype", "offset", "shape"],
-                                                            ["base64", "dtype", "shape"]):
-        raise ValueError("expected a list or an object of dtype, shape and offset or base64")
-    if value["dtype"] != ENCODED_DTYPE:
-        raise ValueError(f"dtype {value['dtype']!r} is not {ENCODED_DTYPE!r}")
-    shape = value["shape"]
-    if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
-        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
-    count = math.prod(shape)
-    if "base64" in value:
-        raw = base64.b64decode(value["base64"], validate=True)
-        if len(raw) != 8 * count:
-            raise ValueError(f"{len(raw)} bytes do not fill shape {shape}")
-        return np.frombuffer(raw, dtype=ENCODED_DTYPE).reshape(shape).astype(np.float64)
-    offset = value["offset"]
-    if type(offset) is not int or offset < 0:
-        raise ValueError(f"offset {offset!r} is not a non-negative integer")
-    if data is None:
-        raise ValueError("an offset needs the sidecar that a top-level data field names")
-    end = offset + 8 * count
-    if end > len(data.raw):
-        raise ValueError(f"offset {offset} + {8 * count} bytes of shape {shape} run past "
-                         f"the end of the {len(data.raw)}-byte sidecar")
-    if count:
-        for other, (lo, hi) in data.spans.items():
-            if offset < hi and lo < end:
-                raise ValueError(f"bytes {offset} to {end} overlap bytes {lo} to {hi} of {other}")
-        data.spans[name] = (offset, end)
-    a = np.frombuffer(data.raw, dtype=ENCODED_DTYPE, count=count, offset=offset).reshape(shape)
-    # a view of the one read, copied only where the offset leaves it unaligned
-    return a if a.flags.aligned and a.dtype == np.float64 else a.astype(np.float64)
-
-
 class _Sidecar:
-    """The bytes of one load's sidecar, and the byte range of every array viewed
-    in them so far, by field name; no two arrays may share a byte."""
+    """The sidecar that ``doc``'s data field names, read at the first array, and the
+    byte range of every array viewed in it so far, by field name."""
 
-    def __init__(self, raw):
+    def __init__(self, path, doc):
+        self.path, self.doc, self.raw, self.spans = path, doc, None, {}
+
+    def read(self):
+        """The sidecar in one writable buffer, checked against its byte count and crc32."""
+        if self.raw is not None:
+            return self.raw
+        name = _field(self.doc, "data.file", "text")
+        size = _field(self.doc, "data.bytes", "integer")
+        crc = _field(self.doc, "data.crc32", "integer")
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValueError(f"data.file: {name!r} is not a file name")
+        try:
+            with open(os.path.join(os.path.dirname(self.path), name), "rb") as fh:
+                held = os.fstat(fh.fileno()).st_size
+                if held == size:  # allocate only what the file holds
+                    raw = bytearray(size)
+                    held = fh.readinto(raw)
+        except OSError as exc:
+            raise ValueError(f"data: cannot read {name}: {exc.strerror}") from None
+        if held != size:
+            raise ValueError(f"data: {name} holds {held} bytes, not {size}")
+        import zlib  # imported where used: only the instance file reader and writer need it
+
+        if zlib.crc32(raw) != crc:
+            raise ValueError(f"data: {name} fails its crc32 check; it belongs to another save")
         self.raw = raw
-        self.spans = {}
-
-
-def _sidecar(path, doc):
-    """The sidecar named by ``doc``'s data field, read into one writable buffer
-    and checked against its byte count and crc32; None for a file without a
-    data field."""
-    if "data" not in doc:
-        return None
-    name = _field(doc, "data.file", "text")
-    size = _field(doc, "data.bytes", "integer")
-    crc = _field(doc, "data.crc32", "integer")
-    if name in ("", ".", "..") or os.path.basename(name) != name:
-        raise ValueError(f"data.file: {name!r} is not a file name")
-    try:
-        with open(os.path.join(os.path.dirname(path), name), "rb") as fh:
-            held = os.fstat(fh.fileno()).st_size
-            if held == size:  # allocate only what the file holds
-                raw = bytearray(size)
-                held = fh.readinto(raw)
-    except OSError as exc:
-        raise ValueError(f"data: cannot read {name}: {exc.strerror}") from None
-    if held != size:
-        raise ValueError(f"data: {name} holds {held} bytes, not {size}")
-    import zlib  # imported where used: only the instance file reader and writer need it
-
-    if zlib.crc32(raw) != crc:
-        raise ValueError(f"data: {name} fails its crc32 check; it belongs to another save")
-    return _Sidecar(raw)
+        return raw
 
 
 def _field(doc, name, kind, default=None, data=None):
@@ -472,15 +447,15 @@ def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | Non
 def load_instance(path):
     """Load (instance, certificate-or-None) written by save_instance.
 
-    Arrays may be stored in the sidecar, base64-encoded or as plain nested
-    lists; all three load bit for bit, and every entry must be a finite
-    number. The sidecar is read once, with one ``readinto``, into a single
+    Every array is in the sidecar, the one form save_instance writes; an
+    array as nested lists or base64 text, which earlier versions wrote, is
+    refused. The sidecar is read once, with one ``readinto``, into a single
     writable buffer, which must match the byte count and crc32 that the JSON
     records. Its arrays are float64 views into that buffer, so a load holds
     about one sidecar's bytes; two arrays whose byte ranges overlap are
-    refused, and an array at an offset that is not a multiple of 8 is
-    copied so that it is aligned. A malformed file raises ValueError naming
-    the file and the field.
+    refused, an array at an offset that is not a multiple of 8 is copied so
+    that it is aligned, and every entry must be finite. A malformed file
+    raises ValueError naming the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -492,7 +467,7 @@ def load_instance(path):
             raise ValueError(f"kind: unknown serialized kind {kind!r}")
         reg = Regularizer(_field(doc, "regularizer.kind", "text"),
                           _field(doc, "regularizer.lam", "number"))
-        data = _sidecar(path, doc)
+        data = _Sidecar(path, doc)
         metadata = {key: _decode(value, f"metadata.{key}", data) if _is_array(value) else value
                     for key, value in _field(doc, "metadata", "object", {}).items()}
         arrays = ("A", "b") if kind == "least_squares" else ("W", "y")

@@ -1,4 +1,3 @@
-import base64
 import itertools
 import json
 import math
@@ -7,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -369,21 +369,24 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
     ("run", {"reference": 0}, "reference must be true or false, got 0"),
     ("run", {"seeds": []}, "seeds must be a non-empty list"),
     ("sweep", {"seeds": [], "grid": {"theta": [0.5]}}, "seeds must be a non-empty list"),
+    # the config's seeds are checked even where --seed replaces them
+    ("run --seed 1", {"seeds": "abc"}, "seeds must be a non-empty list"),
+    ("run --seed 1", {"seeds": []}, "seeds must be a non-empty list"),
+    # the ls_instance fixture has n = 8
+    *(("run", {"sampling": {"regime": "cyclic", "order": order}},
+       f"sampling.order must be a list of the integers 0..7, each once, got {order!r}")
+      for order in ([i + 0.9 for i in range(8)], [True, False, 2, 3, 4, 5, 6, 7],
+                    [str(i) for i in (1, 0, 2, 3, 4, 5, 6, 7)], [0, 0, 2, 3, 4, 5, 6, 7],
+                    list(range(7)), "01234567")),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
                                                overrides, named):
     overrides = json.loads(json.dumps(overrides).replace('"ls_instance"', json.dumps(ls_instance)))
     cfg = _config(tmp_path, ls_instance, **overrides)
-    assert run_cli(command, "--config", cfg, "--out", str(tmp_path)) == 2
+    assert run_cli(*command.split(), "--config", cfg, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not list(tmp_path.glob("*.csv"))
-
-
-def _encoded(values, shape):
-    """An instance-file array in its base64 form, written out by hand."""
-    raw = np.asarray(values, dtype="<f8").tobytes()
-    return {"dtype": "<f8", "shape": shape, "base64": base64.b64encode(raw).decode("ascii")}
 
 
 def _stale_sidecar(raw, tmp_path):
@@ -395,31 +398,29 @@ def _stale_sidecar(raw, tmp_path):
     return (other / SIDECAR).read_bytes()
 
 
+def _poke(offset, x):
+    """A sidecar edit that writes the float ``x`` at byte ``offset``."""
+    return lambda raw, tmp_path: raw[:offset] + np.array(x, dtype="<f8").tobytes() + raw[offset + 8:]
+
+
 # the field "instance.json.f8" edits the sidecar: its value maps (bytes, tmp_path) to the
-# new bytes, None to delete it. The generated sidecar holds z0, A, b, v, t and delta,
-# 964 floats in that order, so A starts at byte 960 and delta at 6752.
+# new bytes, None to delete it; RESEALED edits it the same way and then records its new
+# crc32 in data.crc32. The generated sidecar holds z0, A, b, v, t and delta, 964 floats
+# in that order, so A starts at byte 960, b at 4800, t at 5792 and delta at 6752.
 SIDECAR = "instance.json.f8"
-ZEROS = [0.0] * 120
+RESEALED = "resealed " + SIDECAR
 
 
 @pytest.mark.parametrize("field, value, named", [
     ("regularizer", None, "missing field regularizer"),
     ("n", "30", "n: expected integer, got str"),
     ("kind", "quadratic", "kind: unknown serialized kind 'quadratic'"),
-    ("certificate.t", {**_encoded(ZEROS, [30, 4]), "dtype": "<f4"},
-     "certificate.t: dtype '<f4' is not '<f8'"),
-    ("certificate.t", {**_encoded(ZEROS, [30, 4]), "base64": "!!!!"},
-     "certificate.t: Only base64 data is allowed"),
-    ("certificate.t", _encoded(ZEROS, [30, 5]),
-     "certificate.t: 960 bytes do not fill shape [30, 5]"),
-    ("A", [[0.0] * 4] * 30, "A must have shape (n, k, d), got (30, 4)"),
-    ("A", [[[None] + [0.0] * 3] + [[0.0] * 4] * 3] + [[[0.0] * 4] * 4] * 29,
-     "A: non-numeric entry null"),
-    ("A", [[[0.0] * 4] * 4] * 29 + [[[0.0] * 4] * 3 + [[0.0, True, 0.0, 0.0]]],
-     "A: non-numeric entry true"),
-    ("b", _encoded([0.0] * 119 + [math.nan], [30, 4]), "b: non-finite entry nan"),
-    ("certificate.t", _encoded([-math.inf] + [0.0] * 119, [30, 4]),
-     "certificate.t: non-finite entry -inf"),
+    ("certificate.t", {"dtype": "<f8", "shape": [1], "base64": "AAAAAAAAAAA="},
+     "certificate.t: expected an object of dtype, shape and offset"),
+    ("metadata.z0", [[0.0] * 4] * 30, "metadata.z0: expected an object of dtype, shape and offset"),
+    ("A.shape", [30, 16], "A must have shape (n, k, d), got (30, 16)"),
+    (RESEALED, _poke(4800 + 119 * 8, math.nan), "b: non-finite entry nan"),
+    (RESEALED, _poke(5792, -math.inf), "certificate.t: non-finite entry -inf"),
     (SIDECAR, lambda raw, tmp_path: None,
      f"data: cannot read {SIDECAR}: No such file or directory"),
     (SIDECAR, lambda raw, tmp_path: raw[:-8], f"data: {SIDECAR} holds 7704 bytes, not 7712"),
@@ -427,8 +428,7 @@ ZEROS = [0.0] * 120
     (SIDECAR, _stale_sidecar,
      f"data: {SIDECAR} fails its crc32 check; it belongs to another save"),
     ("data.file", "../instance.json.f8", "data.file: '../instance.json.f8' is not a file name"),
-    ("data", None,
-     "metadata.z0: an offset needs the sidecar that a top-level data field names"),
+    ("data", None, "missing field data"),
     ("A.offset", 4000,
      "A: offset 4000 + 3840 bytes of shape [30, 4, 4] run past the end of the 7712-byte sidecar"),
     ("certificate.delta.shape", [30, 5], "certificate.delta: offset 6752 + 1200 bytes of shape "
@@ -441,9 +441,8 @@ ZEROS = [0.0] * 120
     ("ridge", math.nan, "ridge must be finite and >= 0, got nan"),
     ("ridge", math.inf, "ridge must be finite and >= 0, got inf"),
     ("ridge", 0.5, "ridge is for logistic instances only, got 0.5 for kind least_squares"),
-], ids=["missing_key", "wrong_type", "unknown_kind", "bad_dtype", "bad_base64",
-        "bytes_do_not_fill_shape", "wrong_rank", "list_null", "list_true", "encoded_nan",
-        "encoded_inf", "sidecar_missing", "sidecar_truncated", "sidecar_extra_bytes",
+], ids=["missing_key", "wrong_type", "unknown_kind", "bad_base64", "list_form", "wrong_rank",
+        "encoded_nan", "encoded_inf", "sidecar_missing", "sidecar_truncated", "sidecar_extra_bytes",
         "sidecar_stale", "sidecar_not_a_file_name", "no_data_field", "offset_past_end",
         "shape_past_end", "negative_offset", "float_offset", "sidecar_dtype", "infinite_L",
         "negative_ridge", "nan_ridge", "infinite_ridge", "least_squares_ridge"])
@@ -452,11 +451,13 @@ def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, fiel
     assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "4",
                    "--k", "4", "--out", str(tmp_path)) == 0
     doc = json.loads((tmp_path / "instance.json").read_text(encoding="utf-8"))
-    if field == SIDECAR:
+    if field in (SIDECAR, RESEALED):
         raw = value((tmp_path / SIDECAR).read_bytes(), tmp_path)
         (tmp_path / SIDECAR).unlink()
         if raw is not None:
             (tmp_path / SIDECAR).write_bytes(raw)
+        if field == RESEALED:
+            doc["data"]["crc32"] = zlib.crc32(raw)
     else:
         *parents, key = field.split(".")
         node = doc
@@ -629,6 +630,16 @@ def test_verify_steps_suite_exit_zero(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "--suite", "bogus") == 2
+
+
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
+    for argv in (["generate", "--kind", "least_squares", "--out", str(tmp_path)],
+                 ["generate", "--kind", "logistic", "--kappa", "5", "--out", str(tmp_path)],
+                 ["verify"], ["verify", "--suite", "steps"]):
+        assert run_cli(*argv, "--seed", "-1") == 2, argv
+        assert capsys.readouterr() == ("", "error: --seed must be a non-negative integer, "
+                                           "got -1\n"), argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_order_command(tmp_path, capsys):

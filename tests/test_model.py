@@ -261,6 +261,10 @@ def test_validate_permutation():
         validate_permutation([0, 0, 1], 3)
     with pytest.raises(ValueError):
         validate_permutation([0, 1], 3)
+    # a float, bool or string order is refused, not cast to a permutation
+    for bad in ([0.9, 1.9, 2.9], np.array([1, 0, 1], dtype=bool), ["1", "0", "2"]):
+        with pytest.raises(ValueError, match="an order must hold integers"):
+            validate_permutation(bad, 3)
 
 
 ALPHA_RULE, INF_RULE, THETA_RULE = ("alpha must be positive", "alpha must be positive and finite, got inf",

@@ -1,9 +1,10 @@
-import base64
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,37 +318,6 @@ def test_logistic_json_round_trip(tmp_path):
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308]
 
 
-def _save_by_hand(path, p, cert, store):
-    """Write ``p`` as a JSON file alone, every array in the form ``store`` gives it,
-    as earlier writers did."""
-    def plain(values):
-        return {key: store(v) if isinstance(v, np.ndarray) else v for key, v in values.items()}
-
-    doc = {"kind": p.kind, "n": p.n, "d": p.d, "L": p.L, "mu": p.mu,
-           "regularizer": {"kind": p.regularizer.kind, "lam": p.regularizer.lam},
-           "metadata": plain(p.metadata)}
-    if p.kind == "least_squares":
-        doc.update(A=store(p.A), b=store(p.b))
-    else:
-        doc.update(W=store(p.W), y=store(p.y), ridge=p.ridge)
-    if cert is not None:
-        doc["certificate"] = plain(vars(cert))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def _save_as_lists(path, p, cert=None):
-    """Every array as nested lists of JSON numbers."""
-    _save_by_hand(path, p, cert, lambda a: a.tolist())
-
-
-def _save_as_base64(path, p, cert=None):
-    """Every array as the base64 of its little-endian float64 bytes."""
-    _save_by_hand(path, p, cert, lambda a: {
-        "dtype": "<f8", "shape": list(a.shape),
-        "base64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")})
-
-
 def _instances_with_extremes():
     """A planted instance (z0 in its metadata) and a logistic one, with
     -0.0, the least subnormal and the largest float in every array."""
@@ -365,48 +335,53 @@ def _instances_with_extremes():
 def _arrays(p, cert):
     """Every float array of an instance and its certificate, by field name."""
     out = {key: getattr(p, key) for key in ("A", "b", "W", "y") if getattr(p, key) is not None}
-    out.update({f"metadata.{key}": np.asarray(v, dtype=np.float64)
-                for key, v in p.metadata.items() if isinstance(v, (list, np.ndarray))})
+    out.update({f"metadata.{key}": v for key, v in p.metadata.items()
+                if isinstance(v, np.ndarray)})
     if cert is not None:
         out.update({f"certificate.{key}": getattr(cert, key) for key in ("v", "t", "delta")})
     return out
 
 
-# writer -> how a stored array looks in the JSON: an object with this key, or a list
-WRITERS = {"sidecar": (save_instance, "offset"), "base64": (_save_as_base64, "base64"),
-           "lists": (_save_as_lists, None)}
-
-
-@pytest.mark.parametrize("writer", WRITERS)
-def test_instance_arrays_load_bit_exact(tmp_path, writer):
-    save, key_of_form = WRITERS[writer]
+def test_instance_arrays_load_bit_exact(tmp_path):
     for idx, (p, cert) in enumerate(_instances_with_extremes()):
         path = str(tmp_path / f"inst{idx}.json")
-        save(path, p, cert)
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert ("data" in doc) == (writer == "sidecar")
+        save_instance(path, p, cert)
         q, cert2 = load_instance(path)
         want, got = _arrays(p, cert), _arrays(q, cert2)
-        for key in want:
-            stored = doc
-            for part in key.split("."):
-                stored = stored[part]
-            if key_of_form is None:
-                assert isinstance(stored, list), key
-            else:
-                assert isinstance(stored, dict) and key_of_form in stored, key
         assert sorted(got) == sorted(want)
         for key, a in want.items():
             assert got[key].dtype == np.float64 and got[key].shape == a.shape, key
             flags = got[key].flags
             assert flags.writeable and flags.c_contiguous and flags.aligned, key
-            # the sidecar form loads views of one buffer, the other forms own copies
-            assert flags.owndata == (writer != "sidecar"), key
+            assert not flags.owndata, key  # a view of the one sidecar buffer
             assert got[key].tobytes() == a.tobytes(), key
         for one, other in itertools.combinations(got.values(), 2):
             assert not np.shares_memory(one, other)
         assert (q.L, q.mu, q.ridge, q.regularizer) == (p.L, p.mu, p.ridge, p.regularizer)
+
+
+def test_readme_instance_format_matches_the_writer(tmp_path):
+    # the README's two JSON examples are the whole stored form of an array
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Instance files")[1].split("\n### ")[0]
+    array, data = re.findall(r"```json\n(.*?)\n```", section, re.S)
+    array, data = json.loads(array), json.loads("{" + data + "}")["data"]
+    for idx, (p, cert) in enumerate(_instances_with_extremes()):
+        path = tmp_path / f"inst{idx}" / "instance.json"
+        path.parent.mkdir()
+        save_instance(str(path), p, cert)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for key in _arrays(p, cert):
+            stored = doc
+            for part in key.split("."):
+                stored = stored[part]
+            assert {k: type(v) for k, v in stored.items()} == \
+                {k: type(v) for k, v in array.items()}, key
+            assert stored["dtype"] == array["dtype"], key
+        assert {k: type(v) for k, v in doc["data"].items()} == \
+            {k: type(v) for k, v in data.items()}
+        assert doc["data"]["file"] == data["file"]
+    assert not re.search(r"base64|nested list", readme, re.I)
 
 
 def test_sidecar_load_holds_about_one_sidecar(tmp_path):
@@ -461,8 +436,7 @@ def test_sidecar_arrays_with_overlapping_bytes_exit_2_naming_the_later(tmp_path,
 
 
 def test_instance_files_hold_at_most_8_bytes_per_float(tmp_path):
-    # the sidecar holds 8 bytes per value and the JSON only names the arrays; base64 of
-    # float64 took 32/3 bytes per value and decimal text about 20
+    # the sidecar holds 8 bytes per value and the JSON only names the arrays
     assert main(["generate", "--kind", "heterogeneous", "--n", "100", "--d", "5", "--k", "5",
                  "--out", str(tmp_path)]) == 0
     path, sidecar = tmp_path / "instance.json", tmp_path / "instance.json.f8"
@@ -472,29 +446,37 @@ def test_instance_files_hold_at_most_8_bytes_per_float(tmp_path):
     assert path.stat().st_size + sidecar.stat().st_size <= 8 * floats + 4096
 
 
-def test_list_and_encoded_instances_run_and_order_alike(tmp_path, capsys):
+@pytest.mark.parametrize("old_form", [
+    lambda stored: np.zeros(stored["shape"]).tolist(),
+    lambda stored: {"dtype": "<f8", "shape": stored["shape"], "base64": "AAAAAAAAAAA="},
+], ids=["lists", "base64"])
+def test_file_in_an_earlier_array_form_exits_2_naming_its_first_array(tmp_path, capsys,
+                                                                      old_form):
+    # earlier versions kept every array in the JSON, in one of these forms, and wrote
+    # no sidecar and no data field
+    assert main(["generate", "--kind", "heterogeneous", "--n", "6", "--d", "2", "--k", "2",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "instance.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for parent in (doc["metadata"], doc, doc["certificate"]):
+        for key, stored in parent.items():
+            if isinstance(stored, dict) and "offset" in stored:
+                parent[key] = old_form(stored)
+    del doc["data"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "instance.json.f8").unlink()
+    capsys.readouterr()
+    assert main(["order", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: metadata.z0: expected an object of dtype, shape and offset\n")
+
+
+def test_planted_instance_orders_by_its_stored_z0(tmp_path, capsys):
     assert main(["generate", "--kind", "heterogeneous", "--n", "30", "--d", "4", "--k", "4",
                  "--beta", "0.5", "--out", str(tmp_path)]) == 0
     rho = capsys.readouterr().out.split("rho=")[1].split()[0]
-    sidecar = str(tmp_path / "instance.json")
-    paths = {"sidecar": sidecar}
-    for tag, save in (("base64", _save_as_base64), ("lists", _save_as_lists)):
-        paths[tag] = str(tmp_path / f"{tag}.json")
-        save(paths[tag], *load_instance(sidecar))
-    outputs = []
-    for tag, path in paths.items():
-        out = tmp_path / tag
-        out.mkdir()
-        cfg = out / "cfg.json"
-        cfg.write_text(json.dumps({"problem": {"path": path}, "algorithm": "dfinito",
-                                   "sampling": {"regime": "cyclic"}, "epochs": 4}),
-                       encoding="utf-8")
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["order", "--instance", path]) == 0
-        outputs.append(((out / "trace_seed0.csv").read_bytes(), capsys.readouterr().out))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert main(["order", "--instance", str(tmp_path / "instance.json")]) == 0
     # the order command reads the planted start table z0 back from the file
-    printed = outputs[0][1]
+    printed = capsys.readouterr().out
     assert "optimal order: " + " ".join(str(i) for i in range(1, 31)) in printed
     assert f"rho={rho} " in printed
