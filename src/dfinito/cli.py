@@ -252,26 +252,32 @@ def _cells(cfg, p):
         raise UsageError("algorithm 'sgd' supports smooth problems only, but the problem's "
                          f"regularizer is {p.regularizer.kind!r}")
     cells = []
-    for alpha, theta, smp in itertools.product(*axes):
-        smp = _fill(smp, SAMPLING_KEYS, "sampling")
+    for alpha, theta, entry in itertools.product(*axes):
+        smp = _fill(entry, SAMPLING_KEYS, "sampling")
         algorithm, regime = cfg["algorithm"], smp["regime"]
         if algorithm == "finito_uniform":
             algorithm, regime = "dfinito", "uniform"
+        if regime == "adaptive" and algorithm in ("sgd", "svrg", "saga"):
+            raise UsageError(f"sampling.regime 'adaptive' is for algorithm 'dfinito' only, "
+                             f"got {algorithm!r}")
+        for key, reader in (("order", "cyclic"), ("gamma", "adaptive")):
+            if key in entry and regime != reader:
+                raise UsageError(f"sampling.{key} is read by regime {reader!r} only, "
+                                 f"got regime {regime!r}")
         if alpha == "theory":  # proximal GD takes the damped method's 2/(L+mu)
             step = baselines.theoretical_step_size(
                 "dfinito" if algorithm == "prox_gd" else algorithm,
-                "cyclic" if regime in ("cyclic", "adaptive") else "rr", p.L, p.mu, p.n)
+                "cyclic" if regime == "cyclic" else "rr", p.L, p.mu, p.n)
         else:
             step = _number(alpha, float, "alpha")
-        given = smp["order"]
-        if given is not None and not (isinstance(given, list)
-                                      and all(type(i) is int for i in given)
-                                      and sorted(given) == list(range(p.n))):
+        order = smp["order"]
+        if order is not None and not (isinstance(order, list)
+                                      and all(type(i) is int for i in order)
+                                      and sorted(order) == list(range(p.n))):
             raise UsageError(f"sampling.order must be a list of the integers 0..{p.n - 1}, "
-                             f"each once, got {given!r}")
-        order = None
-        if regime == "cyclic":
-            order = np.arange(p.n) if given is None else given
+                             f"each once, got {order!r}")
+        if regime == "cyclic" and order is None:
+            order = np.arange(p.n)
         plan = sampling.SamplingPlan(regime, p.n, order=order, seed=0,
                                      gamma=_number(smp["gamma"], float, "gamma"))
         config = engine.DampedRunConfig(step, _number(theta, float, "theta"), epochs, plan,

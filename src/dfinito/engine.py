@@ -171,7 +171,8 @@ def _stepsize_flags(p: ProblemInstance, alpha: float, theta: float) -> str:
 
 
 def _envelope(make, *args):
-    """``make(*args)``, or None where the bound does not apply."""
+    """``make(*args)``, or None where the bound does not apply, as under a regime
+    that has none (uniform, adaptive)."""
     try:
         return make(*args)
     except ValueError:
@@ -209,13 +210,12 @@ def run(
         diff = z0 - zbar
         w = np.einsum("ij,ij->i", diff, diff)
     convex = strongly_convex = None
-    if zstar is not None and plan.regime in ("cyclic", "reshuffle", "shuffle_once"):
+    if zstar is not None:
         # each envelope is decided and its constant computed once per run
-        fixed_order = plan.order if plan.regime == "cyclic" else None
         convex = _envelope(convex_envelope, config.alpha, config.theta, p.L, p.n, z0,
-                           zstar, plan.regime, fixed_order)
+                           zstar, plan.regime, plan.order)
         strongly_convex = _envelope(strongly_convex_envelope, config.alpha, config.theta, p.L,
-                                    p.mu, p.n, z0, zstar, plan.regime, fixed_order)
+                                    p.mu, p.n, z0, zstar, plan.regime, plan.order)
 
     def make_record(k, grad_evals, pre_z, order):
         true_min, certified = grad_map_residual(p, zbar, config.alpha)

@@ -1,13 +1,13 @@
 """Problem abstraction and the fixed-order table sums.
 
 A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
-Three component families are supported natively (least squares, ridge-folded
-logistic, and user gradient callables); the first two carry their raw data
-arrays. :meth:`ProblemInstance.full_grad` is the one full-gradient path, and
-:meth:`ProblemInstance.unchecked_grad` hands the hot loops one callable
-``grad(i, x)``, the per-component gradient with its row data bound once and no
-input validation; :meth:`ProblemInstance.grad_rows` gives
-the literal operators and oracles the same gradients for a stack of points.
+Its components are least squares or ridge-folded logistic, and it carries
+their raw data arrays. :meth:`ProblemInstance.full_grad` is the one
+full-gradient path, and :meth:`ProblemInstance.unchecked_grad` hands the hot
+loops one callable ``grad(i, x)``, the per-component gradient with its row
+data bound once and no input validation; :meth:`ProblemInstance.grad_rows`
+gives the literal operators and oracles the same gradients for a stack of
+points.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 REG_KINDS = ("none", "l1", "l2sq")
 
-PROBLEM_KINDS = ("least_squares", "logistic", "custom")
+PROBLEM_KINDS = ("least_squares", "logistic")
 
 
 def as_vector(x, dim=None):
@@ -66,10 +66,10 @@ def ordered_sum(rows):
     """Sum table rows strictly left to right, starting from +0.0; a stack of
     (n, d) tables is summed table by table, over its second-to-last axis.
 
-    Table means and the custom-problem full gradient use this fixed order so
-    that runs do not depend on a BLAS reduction strategy. numpy's reduce over
-    the row axis adds whole rows in turn only on a C-contiguous table with two
-    or more columns; down one column (or in Fortran order) it sums pairwise.
+    Table means use this fixed order so that runs do not depend on a BLAS
+    reduction strategy. numpy's reduce over the row axis adds whole rows in
+    turn only on a C-contiguous table with two or more columns; down one
+    column (or in Fortran order) it sums pairwise.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim >= 2 and rows.shape[-1] >= 2:
@@ -175,7 +175,6 @@ class ProblemInstance:
     W: np.ndarray | None = None  # logistic, shape (n, d)
     y: np.ndarray | None = None  # logistic labels in {-1, +1}, shape (n,)
     ridge: float = 0.0  # logistic: per-component (lam/2)||x||^2 folded in
-    grads: list | None = None  # custom gradient oracles grad f_i(x) -> (d,)
     metadata: dict = field(default_factory=dict)
     # the blocked epoch's last order-only data, kept by kernels._blocks
     _blocks_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -196,7 +195,7 @@ class ProblemInstance:
                 raise ValueError(f"A must have shape (n, k, d), got {self.A.shape}")
             if self.b.shape != self.A.shape[:2]:
                 raise ValueError(f"b must have shape (n, k), got {self.b.shape}")
-        elif self.kind == "logistic":
+        else:
             self.W = np.asarray(self.W, dtype=np.float64)
             self.y = np.asarray(self.y, dtype=np.float64)
             if self.W.shape != (self.n, self.d):
@@ -205,9 +204,6 @@ class ProblemInstance:
                 raise ValueError("y must have shape (n,)")
             if not np.all(np.isin(self.y, (-1.0, 1.0))):
                 raise ValueError("labels must be -1 or +1")
-        else:
-            if self.grads is None or len(self.grads) != self.n:
-                raise ValueError("custom problems need n gradient oracles")
 
     def _check_index(self, i):
         if not (0 <= i < self.n):
@@ -219,51 +215,40 @@ class ProblemInstance:
         if self.kind == "least_squares":
             r = self.A[i] @ x - self.b[i]
             return 0.5 * float(r @ r)
-        if self.kind == "logistic":
-            m = self.y[i] * (self.W[i] @ x)
-            return float(np.logaddexp(0.0, -m)) + 0.5 * self.ridge * float(x @ x)
-        raise ValueError("custom problem has no value oracles")
+        m = self.y[i] * (self.W[i] @ x)
+        return float(np.logaddexp(0.0, -m)) + 0.5 * self.ridge * float(x @ x)
 
     def component_grad(self, i, x):
         self._check_index(i)
-        x = as_vector(x, self.d)
-        if self.kind != "custom":
-            return self._grad(i, x)
-        # a copy, because a callable may keep or change its argument
-        return as_vector(self.grads[i](x.copy()), self.d)
+        return self._grad(i, as_vector(x, self.d))
 
     def unchecked_grad(self):
         """grad(i, x), the gradient of f_i at x.
 
-        The epoch loop calls grad n times per epoch, so for the built-in
-        kinds it skips the index and vector checks and reads row data bound
-        once (:attr:`_grad`). Custom problems get the validated
-        :meth:`component_grad`, because their callables are outside input.
+        The epoch loop calls grad n times per epoch, so it skips the index
+        and vector checks and reads row data bound once (:attr:`_grad`).
         """
-        return self.component_grad if self.kind == "custom" else self._grad
+        return self._grad
 
     def grad_rows(self, idx, X):
         """Row s is grad f_idx[s] at X[s], bytes equal to :meth:`unchecked_grad` row
-        by row (a stacked ``matmul`` takes each row's BLAS product); unchecked for
-        the built-in kinds. Data are gathered only if ``idx`` is not 0..n-1."""
+        by row (a stacked ``matmul`` takes each row's BLAS product); unchecked.
+        Data are gathered only if ``idx`` is not 0..n-1."""
         idx = np.asarray(idx, dtype=np.intp)
         every = np.array_equal(idx, np.arange(self.n))
         if self.kind == "least_squares":
             A, b = (self.A, self.b) if every else (self.A[idx], self.b[idx])
             r = np.matmul(A, X[:, :, None])[..., 0] - b
             return np.matmul(np.swapaxes(A, 1, 2), r[:, :, None])[..., 0]
-        if self.kind == "logistic":
-            W, y = (self.W, self.y) if every else (self.W[idx], self.y[idx])
-            m = y * np.matmul(W[:, None, :], X[:, :, None])[:, 0, 0]
-            return (-y * stable_sigmoid(-m))[:, None] * W + self.ridge * X
-        grads = [self.component_grad(i, x) for i, x in zip(idx.tolist(), X)]
-        return np.array(grads).reshape(np.shape(X))
+        W, y = (self.W, self.y) if every else (self.W[idx], self.y[idx])
+        m = y * np.matmul(W[:, None, :], X[:, :, None])[:, 0, 0]
+        return (-y * stable_sigmoid(-m))[:, None] * W + self.ridge * X
 
     @cached_property
     def _grad(self):
-        """A built-in kind's unchecked grad(i, x) over row views split once, so a
-        step indexes a list: rows of A, their transposes and rows of b, or rows
-        of W, labels as floats and ridge."""
+        """The unchecked grad(i, x) over row views split once, so a step indexes
+        a list: rows of A, their transposes and rows of b, or rows of W, labels
+        as floats and ridge."""
         if self.kind == "least_squares":
             A = list(self.A)
             return _grad_least_squares(A, [a.T for a in A], list(self.b))
@@ -280,15 +265,13 @@ class ProblemInstance:
     def full_grad(self, x):
         """(1/n) sum_i grad f_i(x): H x - g over :attr:`gram` for least squares; for
         logistic an einsum sum over components, never a threaded BLAS product, so it
-        is the same for any BLAS thread count; custom: the fixed-order component sum."""
+        is the same for any BLAS thread count."""
         x = as_vector(x, self.d)
         if self.kind == "least_squares":
             H, g = self.gram
             return H @ x - g
-        if self.kind == "logistic":
-            s = stable_sigmoid(-(self.y * (self.W @ x)))
-            return -np.einsum("i,ij->j", self.y * s, self.W) / self.n + self.ridge * x
-        return ordered_mean([self.component_grad(i, x) for i in range(self.n)])
+        s = stable_sigmoid(-(self.y * (self.W @ x)))
+        return -np.einsum("i,ij->j", self.y * s, self.W) / self.n + self.ridge * x
 
     def full_value(self, x):
         x = as_vector(x, self.d)

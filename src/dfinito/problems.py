@@ -428,10 +428,8 @@ def save_instance(path, p: ProblemInstance, cert: HeterogeneityCertificate | Non
     }
     if p.kind == "least_squares":
         doc.update(A=encode(p.A), b=encode(p.b))
-    elif p.kind == "logistic":
-        doc.update(W=encode(p.W), y=encode(p.y), ridge=p.ridge)
     else:
-        raise ValueError("custom problems are not serializable")
+        doc.update(W=encode(p.W), y=encode(p.y), ridge=p.ridge)
     if cert is not None:
         doc["certificate"] = {key: encode(value) for key, value in vars(cert).items()}
     chunks = [a.data for a in arrays]

@@ -30,6 +30,8 @@ class SamplingPlan:
             raise ValueError(f"unknown sampling regime {self.regime!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.order is not None and self.regime != "cyclic":
+            raise ValueError(f"an order is for cyclic sampling only, got regime {self.regime!r}")
         if self.regime == "cyclic":
             if self.order is None:
                 raise ValueError("cyclic sampling needs a fixed order")

@@ -187,18 +187,13 @@ REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
 
 
 def _problem(kind, reg, n=7, d=3):
-    """A small least squares, logistic or custom (callable) problem under ``reg``."""
+    """A small least squares or logistic problem under ``reg``."""
     rng = np.random.default_rng(11)
     r = REGULARIZERS[reg]
     if kind == "least_squares":
         return gen_least_squares(1, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
-    if kind == "logistic":
-        W, y = rng.standard_normal((n, d)), np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
-    c, a = rng.uniform(0.5, 2.0, size=n), rng.standard_normal((n, d))
-    grads = [lambda x, ci=ci, ai=ai: ci * (x - ai) for ci, ai in zip(c, a)]
-    return ProblemInstance(kind="custom", n=n, d=d, regularizer=r, L=float(c.max()),
-                           mu=float(c.min()), grads=grads)
+    W, y = rng.standard_normal((n, d)), np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
 
 
 def _plans(n):
@@ -257,7 +252,7 @@ def _assert_trace_bytes(got, want):
 
 
 @pytest.mark.parametrize("reg", sorted(REGULARIZERS))
-@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_svrg_equals_reference_loop_bytes(kind, reg):
     p = _problem(kind, reg)
     x0 = np.random.default_rng(2).standard_normal(p.d)
@@ -268,7 +263,7 @@ def test_svrg_equals_reference_loop_bytes(kind, reg):
 
 
 @pytest.mark.parametrize("reg", sorted(REGULARIZERS))
-@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_saga_equals_reference_loop_bytes(kind, reg):
     p = _problem(kind, reg)
     x0 = np.random.default_rng(3).standard_normal(p.d)
@@ -299,23 +294,3 @@ def test_svrg_evaluates_one_gradient_per_inner_step_and_one_stack_per_snapshot(m
     assert calls == {"grad": 5 * 6, "grad_rows": 3}
     assert trace[-1].grad_evals == 3 * 6 + 5 * 6 * 2
 
-
-def test_svrg_calls_each_custom_callable_once_per_snapshot():
-    rng = np.random.default_rng(12)
-    c, a = rng.uniform(0.5, 2.0, size=6), rng.standard_normal((6, 2))
-    calls = []
-
-    def component(i):
-        def grad(x):
-            calls.append(i)
-            return c[i] * (x - a[i])
-        return grad
-
-    p = ProblemInstance(kind="custom", n=6, d=2, regularizer=Regularizer.none(),
-                        L=float(c.max()), mu=float(c.min()), grads=[component(i) for i in range(6)])
-    plan, x0 = SamplingPlan("reshuffle", 6, seed=1), rng.standard_normal(2)
-    trace = svrg_run(p, plan, 0.1, 1, x0, snapshot_every=1)
-    # one snapshot table (6 calls) and one gradient per inner step (6); the full
-    # gradient is the table's mean, not 6 more calls
-    assert len(calls) == 12
-    _assert_trace_bytes(trace, _reference_svrg(p, plan, 0.1, 1, x0, 1))

@@ -532,7 +532,10 @@ L1_PROBLEM = {"generator": {"kind": "least_squares", "n": 8, "d": 4, "L": 5,
     ({"algorithm": "svrg", "snapshot_every": 0}, "snapshot_every must be >= 1 for svrg, got 0"),
     ({"algorithm": "sgd", "problem": L1_PROBLEM},
      "algorithm 'sgd' supports smooth problems only, but the problem's regularizer is 'l1'"),
-], ids=["svrg_snapshot_every_0", "sgd_on_l1"])
+    *(({"algorithm": algorithm, "sampling": {"regime": "adaptive"}},
+       f"sampling.regime 'adaptive' is for algorithm 'dfinito' only, got '{algorithm}'")
+      for algorithm in ("sgd", "svrg", "saga")),
+], ids=["svrg_snapshot_every_0", "sgd_on_l1", "sgd_adaptive", "svrg_adaptive", "saga_adaptive"])
 def test_baseline_config_errors_exit_2_before_reference_solve(tmp_path, ls_instance, monkeypatch,
                                                               capsys, overrides, message):
     def fail(p, tol):
@@ -542,6 +545,40 @@ def test_baseline_config_errors_exit_2_before_reference_solve(tmp_path, ls_insta
     cfg = _config(tmp_path, ls_instance, alpha=0.1, **overrides)
     capsys.readouterr()
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+REVERSED = list(range(7, -1, -1))  # an order of the ls_instance fixture's n = 8
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    *(("run", {"sampling": {"regime": regime, "order": REVERSED}},
+       f"sampling.order is read by regime 'cyclic' only, got regime '{regime}'")
+      for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive")),
+    ("run", {"algorithm": "finito_uniform", "sampling": {"regime": "cyclic", "order": REVERSED}},
+     "sampling.order is read by regime 'cyclic' only, got regime 'uniform'"),
+    *(("run", {"sampling": {"regime": regime, "gamma": 0.9}},
+       f"sampling.gamma is read by regime 'adaptive' only, got regime '{regime}'")
+      for regime in ("cyclic", "reshuffle", "shuffle_once", "uniform")),
+    ("run", {"algorithm": "finito_uniform", "sampling": {"regime": "adaptive", "gamma": 0.9}},
+     "sampling.gamma is read by regime 'adaptive' only, got regime 'uniform'"),
+    ("sweep", {"grid": {"sampling": [{"regime": "cyclic", "order": REVERSED},
+                                     {"regime": "reshuffle", "order": REVERSED}]}},
+     "sampling.order is read by regime 'cyclic' only, got regime 'reshuffle'"),
+    ("sweep", {"grid": {"sampling": [{"regime": "adaptive", "gamma": 0.9},
+                                     {"regime": "shuffle_once", "gamma": 0.9}]}},
+     "sampling.gamma is read by regime 'adaptive' only, got regime 'shuffle_once'"),
+])
+def test_sampling_key_the_regime_does_not_read_exits_2_before_reference_solve(
+        tmp_path, ls_instance, monkeypatch, capsys, command, overrides, message):
+    def fail(p, tol):
+        raise AssertionError("x* was solved before the config was checked")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    cfg = _config(tmp_path, ls_instance, **overrides)
+    capsys.readouterr()
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("*.csv"))
 
@@ -620,6 +657,14 @@ def test_readme_config_schema_matches_reader(tmp_path, ls_instance):
     cfg_path.write_text(json.dumps(example), encoding="utf-8")
     assert run_cli("run", "--config", str(cfg_path)) == 0
     assert (out / "trace_mean.csv").exists()
+
+
+def test_readme_library_use_block_prints_a_finite_float(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert math.isfinite(float(out))
 
 
 def test_verify_steps_suite_exit_zero(capsys):

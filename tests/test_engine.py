@@ -61,16 +61,14 @@ def test_apply_ti_index_and_alpha_errors(composite_problem):
         apply_Ti(composite_problem, 0, z, -0.1)
 
 
-@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_literal_operators_equal_checked_block_steps(kind):
     rng = np.random.default_rng(16)
     if kind == "least_squares":
         p = gen_least_squares(2, n=6, d=3, k=4, L=3.0, mu=0.0, regularizer=Regularizer.l1(0.1))
-    elif kind == "logistic":
+    else:
         W = rng.standard_normal((6, 3))
         p = gen_logistic(W, np.where(rng.random(6) < 0.5, -1.0, 1.0), 0.2)
-    else:
-        p = _custom_problem(6, 3, rng, Regularizer.l2sq(0.2))
     alpha = 1.5 / p.L
     z = rng.standard_normal((p.n, p.d))
 
@@ -92,16 +90,14 @@ def test_literal_operators_equal_checked_block_steps(kind):
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
-@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_literal_operators_on_a_stack_equal_one_call_per_table(kind, m):
     rng = np.random.default_rng(17 + m)
     if kind == "least_squares":
         p = gen_least_squares(2, n=6, d=3, k=4, L=3.0, mu=0.0, regularizer=Regularizer.l1(0.1))
-    elif kind == "logistic":
+    else:
         W = rng.standard_normal((6, 3))
         p = gen_logistic(W, np.where(rng.random(6) < 0.5, -1.0, 1.0), 0.2)
-    else:
-        p = _custom_problem(6, 3, rng, Regularizer.l2sq(0.2))
     alpha = 1.5 / p.L
     stack = rng.standard_normal((m, p.n, p.d)) * 10.0 ** rng.integers(-2, 3, (m, 1, 1))
     order = rng.permutation(p.n)
@@ -508,27 +504,6 @@ def test_kernels_agree_logistic():
     _kernel_agreement(gen_logistic(W, y, 0.2))
 
 
-def _custom_problem(n, d, rng, reg=None):
-    """f_i(x) = (c_i / 2) ||x - a_i||^2 behind Python callables."""
-    c = rng.uniform(0.5, 2.0, size=n)
-    a = rng.standard_normal((n, d))
-    grads = [lambda x, ci=ci, ai=ai: ci * (x - ai) for ci, ai in zip(c, a)]
-    return ProblemInstance(kind="custom", n=n, d=d, regularizer=reg or Regularizer.none(),
-                           L=float(c.max()), mu=float(c.min()), grads=grads)
-
-
-def test_kernel_supports_and_rejects():
-    rng = np.random.default_rng(14)
-    p = _custom_problem(6, 3, rng, Regularizer.l1(0.1))
-    z = rng.standard_normal((p.n, p.d))
-    assert _loop_gap(p, z, 1.0 / p.L, 0.5, rng.permutation(p.n)) <= 1e-12
-    for bad in (lambda x: np.full_like(x, np.nan), lambda x: np.zeros(x.shape[0] + 1)):
-        q = ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
-                            L=1.0, mu=0.0, grads=[bad, bad])
-        with pytest.raises(ValueError):
-            kernels.epoch_inplace(q, np.zeros((2, 1)), np.zeros(1), 0.1, 0.5, np.array([0, 1]))
-
-
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_literal_epoch_steps_unchecked(kind, monkeypatch):
     rng = np.random.default_rng(15)
@@ -556,24 +531,22 @@ def test_literal_epoch_steps_unchecked(kind, monkeypatch):
 
 REGULARIZERS = {"none": Regularizer.none(), "l1": Regularizer.l1(0.05),
                 "l2sq": Regularizer.l2sq(0.3)}
-KINDS = ("least_squares", "logistic", "custom")
+KINDS = ("least_squares", "logistic")
 
 
 def _problem(kind, reg, n, d, rng, ls_seed):
     """A small problem of ``kind`` under regularizer ``reg``; least squares
-    draws from ``ls_seed``, the other kinds from ``rng``."""
+    draws from ``ls_seed``, logistic from ``rng``."""
     r = REGULARIZERS[reg]
     if kind == "least_squares":
         return gen_least_squares(ls_seed, n=n, d=d, k=3, L=4.0, mu=0.0, regularizer=r)
-    if kind == "logistic":
-        W = rng.standard_normal((n, d))
-        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
-    return _custom_problem(n, d, rng, r)
+    W = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return dataclasses.replace(gen_logistic(W, y, 0.1), regularizer=r)
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["least_squares", "logistic", "custom"]),
+@given(kind=st.sampled_from(KINDS),
        reg=st.sampled_from(sorted(REGULARIZERS)),
        n=st.integers(1, 7), d=st.integers(1, 4),
        theta=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -588,15 +561,13 @@ def _reference_grad(p, i, x):
     """The gradients the loop used before the row lists, on the instance arrays."""
     if p.kind == "least_squares":
         return p.A[i].T @ (p.A[i] @ x - p.b[i])
-    if p.kind == "logistic":
-        m = p.y[i] * (p.W[i] @ x)
-        if m <= 0.0:
-            s = 1.0 / (1.0 + np.exp(m))
-        else:
-            e = np.exp(-m)
-            s = e / (1.0 + e)
-        return -p.y[i] * s * p.W[i] + p.ridge * x
-    return p.component_grad(i, x)
+    m = p.y[i] * (p.W[i] @ x)
+    if m <= 0.0:
+        s = 1.0 / (1.0 + np.exp(m))
+    else:
+        e = np.exp(-m)
+        s = e / (1.0 + e)
+    return -p.y[i] * s * p.W[i] + p.ridge * x
 
 
 def _reference_epoch(p, z, zbar, alpha, theta, order):
@@ -864,26 +835,6 @@ def test_blocked_epoch_builds_order_data_once_per_order(regime, builds, monkeypa
                         seed=5)
     run(p, DampedRunConfig(1.0 / p.L, 0.5, 6, plan, 1), np.zeros((p.n, p.d)))
     assert len(memos) == builds
-
-
-@pytest.mark.parametrize("reg", sorted(REGULARIZERS))
-def test_custom_gradient_argument_never_changes_later(reg):
-    seen = []
-
-    def grad(x):
-        seen.append((x, x.copy()))
-        return x - 1.0
-
-    p = ProblemInstance(kind="custom", n=4, d=3, regularizer=REGULARIZERS[reg], L=1.0,
-                        mu=1.0, grads=[grad] * 4)
-    z = np.random.default_rng(18).standard_normal((4, 3))
-    zbar = ordered_mean(z)
-    for _ in range(2):
-        kernels.epoch_inplace(p, z, zbar, 0.5, 0.5, np.arange(4))
-    assert len(seen) == 8
-    for x, snapshot in seen:
-        assert not np.shares_memory(x, zbar) and not np.shares_memory(x, z)
-        assert x.tobytes() == snapshot.tobytes()
 
 
 def _records_equal(a, b):

@@ -102,12 +102,15 @@ def test_regularizer_validation_and_value():
 def test_problem_validation():
     with pytest.raises(ValueError):
         ProblemInstance(kind="bogus", n=1, d=1, regularizer=Regularizer.none(), L=1.0, mu=0.0)
-    with pytest.raises(ValueError):
-        ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
-                        L=1.0, mu=2.0, grads=[lambda x: x, lambda x: x])
-    with pytest.raises(ValueError):
-        # missing gradient oracles
+    with pytest.raises(ValueError, match="need 0 <= mu <= L"):
+        ProblemInstance(kind="least_squares", n=2, d=1, regularizer=Regularizer.none(),
+                        L=1.0, mu=2.0, A=np.ones((2, 1, 1)), b=np.ones((2, 1)))
+    # the two kinds are least squares and logistic; gradient callables are not a kind
+    with pytest.raises(ValueError, match="unknown problem kind 'custom'"):
         ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(), L=1.0, mu=0.0)
+    with pytest.raises(TypeError, match="grads"):
+        ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
+                        L=1.0, mu=0.0, grads=[lambda x: x, lambda x: x])
 
 
 def _finite_difference_check(p, points=100, tol=1e-5):
@@ -156,11 +159,6 @@ def test_full_grad_matches_component_sum():
     for p in (ls, logistic):
         want = _component_sum(p, x)
         np.testing.assert_allclose(p.full_grad(x), want, rtol=1e-12, atol=0.0)
-    # custom problems keep the fixed-order component sum exactly
-    C = rng.standard_normal((5, 4))
-    custom = ProblemInstance(kind="custom", n=5, d=4, regularizer=Regularizer.none(),
-                             L=1.0, mu=0.0, grads=[lambda v, c=c: v - c for c in C])
-    assert np.array_equal(custom.full_grad(x), _component_sum(custom, x))
 
 
 def _row_by_row(p, idx, X):
@@ -204,19 +202,6 @@ def test_grad_rows_logistic_bytes_equal_unchecked_grad(d, ridge):
             assert (margins > 0).any() and (margins < 0).any()
             _assert_grad_rows_bytes(p, idx, X)
         _assert_grad_rows_bytes(p, np.arange(p.n), np.repeat(X[:1], p.n, axis=0))
-
-
-def test_grad_rows_custom_calls_each_component():
-    rng = np.random.default_rng(5)
-    C = rng.standard_normal((4, 3))
-    p = ProblemInstance(kind="custom", n=4, d=3, regularizer=Regularizer.none(),
-                        L=1.0, mu=0.0, grads=[lambda v, c=c: v * v - c for c in C])
-    idx = np.array([3, 0, 0, 2, 1])
-    X = rng.standard_normal((5, 3))
-    _assert_grad_rows_bytes(p, idx, X)
-    _assert_grad_rows_bytes(p, np.arange(p.n), np.repeat(X[:1], p.n, axis=0))
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        p.grad_rows(idx, np.full((5, 3), np.inf))  # the checked component_grad
 
 
 def test_grad_rows_of_every_row_gathers_no_data():

@@ -216,13 +216,15 @@ def _permutation_loop(p, u, v, alpha):
     return total / count
 
 
-def _custom(n, d, rng, reg):
-    """f_i(x) = (c_i / 2) ||x - a_i||^2 behind Python callables."""
+def _quadratics(n, d, rng, reg):
+    """f_i(x) = (c_i / 2) ||x - a_i||^2, built as least squares with A_i = sqrt(c_i) I
+    and b_i = sqrt(c_i) a_i."""
     c = rng.uniform(0.5, 2.0, size=n)
     a = rng.standard_normal((n, d))
-    grads = [lambda x, ci=ci, ai=ai: ci * (x - ai) for ci, ai in zip(c, a)]
-    return ProblemInstance(kind="custom", n=n, d=d, regularizer=reg,
-                           L=float(c.max()), mu=float(c.min()), grads=grads)
+    root = np.sqrt(c)
+    return ProblemInstance(kind="least_squares", n=n, d=d, regularizer=reg,
+                           L=float(c.max()), mu=float(c.min()),
+                           A=root[:, None, None] * np.eye(d), b=root[:, None] * a)
 
 
 def _oracle_case(case, rng):
@@ -232,12 +234,12 @@ def _oracle_case(case, rng):
     if case == "logistic_n4":
         W = rng.standard_normal((4, 3))
         return gen_logistic(W, np.where(rng.random(4) < 0.5, -1.0, 1.0), 0.2)
-    n = 3 if case == "custom_l2sq_n3" else 1
-    return _custom(n, 2, rng, Regularizer.l2sq(0.3) if n == 3 else Regularizer.l1(0.1))
+    n = 3 if case == "least_squares_l2sq_n3" else 1
+    return _quadratics(n, 2, rng, Regularizer.l2sq(0.3) if n == 3 else Regularizer.l1(0.1))
 
 
-@pytest.mark.parametrize("case", ["least_squares_l1_n5", "logistic_n4", "custom_l2sq_n3",
-                                  "custom_l1_n1"])
+@pytest.mark.parametrize("case", ["least_squares_l1_n5", "logistic_n4", "least_squares_l2sq_n3",
+                                  "least_squares_l1_n1"])
 def test_expected_contraction_equals_permutation_loop_bitwise(case):
     rng = np.random.default_rng(11)
     p = _oracle_case(case, rng)
@@ -319,7 +321,7 @@ def _recursive_walk(p, u, v, alpha):
     return total / count
 
 
-@pytest.mark.parametrize("kind", ["least_squares", "logistic", "custom"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 @pytest.mark.parametrize("reg", ["none", "l1", "l2sq"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_expected_contraction_equals_recursive_walk_bitwise(n, reg, kind):
@@ -328,13 +330,11 @@ def test_expected_contraction_equals_recursive_walk_bitwise(n, reg, kind):
     d = 1 + n % 4  # d = 1 takes the row-loop mean
     if kind == "least_squares":
         p = gen_least_squares(n, n=n, d=d, k=d + 1, L=2.0, mu=0.0, regularizer=regularizer)
-    elif kind == "logistic":
+    else:
         W = rng.standard_normal((n, d))
         p = dataclasses.replace(
             gen_logistic(W, np.where(rng.random(n) < 0.5, -1.0, 1.0), 0.1),
             regularizer=regularizer)
-    else:
-        p = _custom(n, d, rng, regularizer)
     for scale in (0.1, 10.0):
         u = rng.standard_normal((n, d)) * scale
         v = rng.standard_normal((n, d)) * scale

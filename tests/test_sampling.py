@@ -20,6 +20,9 @@ def test_plan_validation():
         SamplingPlan("reshuffle", 3)  # needs a seed
     with pytest.raises(ValueError):
         SamplingPlan("adaptive", 3, gamma=1.5)
+    for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive"):
+        with pytest.raises(ValueError, match="an order is for cyclic sampling only"):
+            SamplingPlan(regime, 3, order=[2, 1, 0], seed=0, gamma=0.5)
 
 
 def test_cyclic_is_fixed():
