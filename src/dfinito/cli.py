@@ -10,6 +10,7 @@ share one run. ``run`` solves x* once per command when ``reference`` is on;
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import io
@@ -31,8 +32,6 @@ class UsageError(Exception):
     pass
 
 
-ALGORITHMS = ("dfinito", "prox_gd", "sgd", "svrg", "saga", "finito_uniform")
-
 # Every config key that run and sweep accept, with its default; any other key
 # exits 2. A generator's keys depend on its kind.
 REQUIRED = object()
@@ -50,6 +49,22 @@ GENERATOR_KEYS = {
 }
 SAMPLING_KEYS = {"regime": "reshuffle", "order": None, "gamma": 0.5}
 GRID_AXES = {"alpha": None, "theta": None, "sampling": None}
+# What each algorithm reads beyond problem, alpha, epochs, seeds, trace_every,
+# reference and output: its keys among theta, schedule and snapshot_every, the
+# sampling regimes it runs (none: no sampling and no seed) and its "theory" step
+# row (None: no certified step). A key it does not read may be given only at its
+# default; finito_uniform runs uniform under the default regime too.
+Reads = collections.namedtuple("Reads", "keys regimes step")
+SEQUENTIAL = ("cyclic", "reshuffle", "shuffle_once", "uniform")
+READS = {
+    "dfinito": Reads(("theta",), sampling.REGIMES, "dfinito"),
+    "prox_gd": Reads((), (), "dfinito"),
+    "sgd": Reads(("schedule",), SEQUENTIAL, None),
+    "svrg": Reads(("snapshot_every",), SEQUENTIAL, "svrg"),
+    "saga": Reads((), SEQUENTIAL, "saga"),
+    "finito_uniform": Reads(("theta",), ("uniform",), "dfinito"),
+}
+REGIME_KEYS = {"order": "cyclic", "gamma": "adaptive"}  # the one regime that reads each
 
 
 def _write_csv(path, header, rows):
@@ -66,20 +81,9 @@ def read_trace_csv(path):
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected CSV schema {reader.fieldnames}")
-        out = []
-        for row in reader:
-            parsed = {}
-            for key, val in row.items():
-                if key == "flags":
-                    parsed[key] = val
-                elif val == "":
-                    parsed[key] = None
-                elif key in ("epoch", "grad_evals"):
-                    parsed[key] = int(val)
-                else:
-                    parsed[key] = float(val)
-            out.append(parsed)
-        return out
+        return [{key: (val if key == "flags" else None if val == ""
+                       else int(val) if key in ("epoch", "grad_evals") else float(val))
+                 for key, val in row.items()} for row in reader]
 
 
 def _mean_rows(per_seed_records):
@@ -91,11 +95,8 @@ def _mean_rows(per_seed_records):
     rows = []
     numeric = [c for c in CSV_COLUMNS if c not in ("epoch", "grad_evals", "flags")]
     for k in range(n_rows):
-        rec = TraceRecord(
-            epoch=per_seed_records[0][k].epoch,
-            grad_evals=per_seed_records[0][k].grad_evals,
-            flags=per_seed_records[0][k].flags,
-        )
+        first = per_seed_records[0][k]
+        rec = TraceRecord(epoch=first.epoch, grad_evals=first.grad_evals, flags=first.flags)
         for col in numeric:
             vals = [getattr(recs[k], col) for recs in per_seed_records]
             if all(v is not None for v in vals):
@@ -135,8 +136,7 @@ def cmd_generate(args):
         elif getattr(args, key) is not None:
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"{flag} is not read by --kind {args.kind}")
-    rho = None
-    cert = None
+    rho = cert = None
     if args.kind == "least_squares":
         reg = Regularizer(args.reg, args.reg_lam)
         p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
@@ -239,37 +239,48 @@ def _cells(cfg, p):
     axes = [[cfg[key]] if grid[key] is None else grid[key] for key in GRID_AXES]
     if not all(isinstance(axis, list) and axis for axis in axes):
         raise UsageError("grid axes must be non-empty lists")
-    if cfg["algorithm"] not in ALGORITHMS:
+    if cfg["algorithm"] not in READS:
         raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")
+    name, reads = cfg["algorithm"], READS[cfg["algorithm"]]
     if cfg["schedule"] not in baselines.SCHEDULES:
         raise UsageError(f"unknown schedule {cfg['schedule']!r}")
+    for key, values in (("theta", axes[1]), ("schedule", [cfg["schedule"]]),
+                        ("snapshot_every", [cfg["snapshot_every"]])):
+        for value in values:
+            if key not in reads.keys and value != CONFIG_KEYS[key]:
+                raise UsageError(f"{key} is not read by algorithm {name!r}; it may be given only "
+                                 f"at its default {CONFIG_KEYS[key]!r}, got {value!r}")
     epochs = _number(cfg["epochs"], int, "epochs")
     trace_every = _number(cfg["trace_every"], int, "trace_every")
     snapshot_every = _number(cfg["snapshot_every"], int, "snapshot_every")
-    if cfg["algorithm"] == "svrg" and snapshot_every < 1:
+    if snapshot_every < 1:  # only svrg reads it; the others have the default
         raise UsageError(f"snapshot_every must be >= 1 for svrg, got {snapshot_every}")
-    if cfg["algorithm"] == "sgd" and p.regularizer.kind != "none":
+    if name == "sgd" and p.regularizer.kind != "none":
         raise UsageError("algorithm 'sgd' supports smooth problems only, but the problem's "
                          f"regularizer is {p.regularizer.kind!r}")
+    if "theory" in axes[0] and reads.step is None:
+        raise UsageError(f"algorithm {name!r} has no certified step; set alpha")
+    if "theory" in axes[0] and not p.L > p.mu > 0:
+        raise UsageError(f"alpha 'theory' needs the problem's L > mu > 0, got L={p.L:g} and "
+                         f"mu={p.mu:g}; set alpha")
     cells = []
     for alpha, theta, entry in itertools.product(*axes):
         smp = _fill(entry, SAMPLING_KEYS, "sampling")
-        algorithm, regime = cfg["algorithm"], smp["regime"]
-        if algorithm == "finito_uniform":
-            algorithm, regime = "dfinito", "uniform"
-        if regime == "adaptive" and algorithm in ("sgd", "svrg", "saga"):
-            raise UsageError(f"sampling.regime 'adaptive' is for algorithm 'dfinito' only, "
-                             f"got {algorithm!r}")
-        for key, reader in (("order", "cyclic"), ("gamma", "adaptive")):
-            if key in entry and regime != reader:
+        regime = smp["regime"]
+        if regime not in reads.regimes:
+            if regime != SAMPLING_KEYS["regime"]:
+                raise UsageError(f"sampling.regime {regime!r} is not run by algorithm {name!r}, "
+                                 f"which takes {', '.join(map(repr, reads.regimes)) or 'none'}")
+            regime = reads.regimes[0] if reads.regimes else regime
+        for key, reader in REGIME_KEYS.items():
+            if regime != reader and smp[key] != SAMPLING_KEYS[key]:
                 raise UsageError(f"sampling.{key} is read by regime {reader!r} only, "
                                  f"got regime {regime!r}")
-        if alpha == "theory":  # proximal GD takes the damped method's 2/(L+mu)
-            step = baselines.theoretical_step_size(
-                "dfinito" if algorithm == "prox_gd" else algorithm,
-                "cyclic" if regime == "cyclic" else "rr", p.L, p.mu, p.n)
-        else:
+        if alpha != "theory":
             step = _number(alpha, float, "alpha")
+        else:
+            step = baselines.theoretical_step_size(
+                reads.step, "cyclic" if regime == "cyclic" else "rr", p.L, p.mu, p.n)
         order = smp["order"]
         if order is not None and not (isinstance(order, list)
                                       and all(type(i) is int for i in order)
@@ -282,23 +293,17 @@ def _cells(cfg, p):
                                      gamma=_number(smp["gamma"], float, "gamma"))
         config = engine.DampedRunConfig(step, _number(theta, float, "theta"), epochs, plan,
                                         trace_every)
-        cells.append(Cell(algorithm, alpha, config, cfg["schedule"], snapshot_every))
+        cells.append(Cell("dfinito" if name == "finito_uniform" else name, alpha, config,
+                          cfg["schedule"], snapshot_every))
     return cells
 
 
 def _baseline_to_records(p, trace, reference, trace_every):
     xstar = None if reference is None else reference[0]
     out = []
-    last = len(trace) - 1
-    for idx, rec in enumerate(trace):
-        if not (rec.epoch % trace_every == 0 or idx == last):
-            continue
-        g = p.full_grad(rec.x)
-        tr = TraceRecord(
-            epoch=rec.epoch,
-            grad_evals=rec.grad_evals,
-            grad_map_residual_sq=subgradient_residual(p.regularizer, rec.x, g),
-        )
+    for rec in [rec for rec in trace[:-1] if rec.epoch % trace_every == 0] + trace[-1:]:
+        residual = subgradient_residual(p.regularizer, rec.x, p.full_grad(rec.x))
+        tr = TraceRecord(epoch=rec.epoch, grad_evals=rec.grad_evals, grad_map_residual_sq=residual)
         if xstar is not None:
             tr.dist_sq_to_opt = float(np.sum((rec.x - xstar) ** 2))
         out.append(tr)
@@ -355,10 +360,11 @@ def _prepare(args):
 
 
 def _run_cell(cell, p, seeds, xstar):
-    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha; proximal
-    GD and a regime outside ``sampling.SEEDED`` read no seed, so they run once."""
+    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha; a cell
+    whose algorithm runs no regime, or whose regime is not in ``sampling.SEEDED``,
+    reads no seed, so it runs once."""
     reference = None if xstar is None else (xstar, oracle.zstar_table(p, xstar, cell.config.alpha))
-    if cell.algorithm == "prox_gd" or cell.config.plan.regime not in sampling.SEEDED:
+    if not READS[cell.algorithm].regimes or cell.config.plan.regime not in sampling.SEEDED:
         return [run_experiment(cell, p, seeds[0], reference)] * len(seeds)
     return [run_experiment(cell, p, s, reference) for s in seeds]
 
@@ -376,10 +382,8 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     out_dir, seeds, p, cells, xstar = _prepare(args)
-    finals = []
-    for cell in cells:
-        per_seed = _run_cell(cell, p, seeds, xstar)
-        finals.append(math.fsum(recs[-1].grad_map_residual_sq for recs in per_seed) / len(seeds))
+    finals = [math.fsum(recs[-1].grad_map_residual_sq for recs in _run_cell(cell, p, seeds, xstar))
+              / len(seeds) for cell in cells]
     best = int(np.argmin(finals))
     rows = [[cell.alpha_spec, cell.config.theta, cell.config.plan.regime, repr(float(val)),
              "1" if idx == best else "0"] for idx, (cell, val) in enumerate(zip(cells, finals))]
@@ -412,10 +416,8 @@ def cmd_order(args):
     p, cert = problems.load_instance(args.instance)
     default = 2.0 / (p.L + p.mu) if p.mu > 0 else 1.0 / p.L
     alpha = default if args.alpha is None else args.alpha  # --alpha 0 fails its check
-    if "z0" in p.metadata:
-        z0 = np.asarray(p.metadata["z0"], dtype=np.float64)
-    else:
-        z0 = np.zeros((p.n, p.d))
+    z0 = (np.asarray(p.metadata["z0"], dtype=np.float64) if "z0" in p.metadata
+          else np.zeros((p.n, p.d)))
     xstar = oracle.solve_reference(p, tol=1e-10)
     zstar = oracle.zstar_table(p, xstar, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,12 +460,8 @@ def build_parser():
     # kind-specific flags default to None; cmd_generate refuses one its kind does
     # not read and fills in GENERATE_FLAGS' defaults
     gen.add_argument("--k", type=int)
-    gen.add_argument("--L", type=float)
-    gen.add_argument("--mu", type=float)
-    gen.add_argument("--beta", type=float)
-    gen.add_argument("--alpha", type=float)
-    gen.add_argument("--lam", type=float)
-    gen.add_argument("--kappa", type=float)
+    for flag in ("--L", "--mu", "--beta", "--alpha", "--lam", "--kappa"):
+        gen.add_argument(flag, type=float)
     gen.add_argument("--reg", choices=("none", "l1", "l2sq"))
     gen.add_argument("--reg-lam", type=float)
 

@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
 
 import numpy as np
@@ -67,11 +66,15 @@ def _call(*argv):
     return out.getvalue()
 
 
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _files(directory):
     """One digest of every file in ``directory``, by name."""
-    names = sorted(os.listdir(directory))
-    return _sha(name.encode() + b"\0" + open(os.path.join(directory, name), "rb").read()
-                for name in names)
+    return _sha(name.encode() + b"\0" + _read(os.path.join(directory, name))
+                for name in sorted(os.listdir(directory)))
 
 
 def digests(root):
@@ -84,8 +87,7 @@ def digests(root):
         printed = _call("generate", "--kind", kind, "--n", 12, "--d", 4, *flags, "--out", out)
         got[f"generate {kind} stdout"] = _sha([printed.replace(out, "<out>").encode()])
         for name in ("instance.json", "instance.json.f8"):
-            with open(os.path.join(out, name), "rb") as fh:
-                got[f"generate {kind} {name}"] = _sha([fh.read()])
+            got[f"generate {kind} {name}"] = _sha([_read(os.path.join(out, name))])
         instances[kind] = os.path.join(out, "instance.json")
     got["order stdout"] = _sha([_call("order", "--instance", instances["heterogeneous"]).encode()])
     base = {"alpha": "theory", "theta": 0.5, "epochs": 5, "seeds": [0, 1], "trace_every": 1}
@@ -127,4 +129,3 @@ if __name__ == "__main__":
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(doc['digests'])} digests to {DIGESTS}")
-    sys.exit(0)

@@ -200,11 +200,13 @@ def test_run_baseline_algorithms(tmp_path, ls_instance):
         assert rows[-1]["grad_map_residual_sq"] is not None
 
 
-def test_run_sgd_theory_step_rejected(tmp_path, ls_instance):
+def test_run_sgd_theory_step_rejected(tmp_path, ls_instance, capsys):
     out = tmp_path / "sgd"
     out.mkdir()
     cfg = _config(tmp_path, ls_instance, algorithm="sgd", seeds=[0])
+    capsys.readouterr()
     assert run_cli("run", "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: algorithm 'sgd' has no certified step; set alpha\n"
     cfg = _config(tmp_path, ls_instance, algorithm="sgd", seeds=[0], alpha=0.01)
     assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
 
@@ -526,27 +528,73 @@ def test_unknown_schedule_exits_2_before_reference_solve(tmp_path, ls_instance, 
 
 L1_PROBLEM = {"generator": {"kind": "least_squares", "n": 8, "d": 4, "L": 5,
                             "reg": "l1", "reg_lam": 0.1}}
+MU_0_PROBLEM = {"generator": {"kind": "least_squares", "n": 8, "d": 4, "L": 5}}
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"algorithm": "svrg", "snapshot_every": 0}, "snapshot_every must be >= 1 for svrg, got 0"),
-    ({"algorithm": "sgd", "problem": L1_PROBLEM},
+@pytest.mark.parametrize("command, overrides, message", [
+    ("run", {"algorithm": "svrg", "snapshot_every": 0},
+     "snapshot_every must be >= 1 for svrg, got 0"),
+    ("run", {"algorithm": "sgd", "problem": L1_PROBLEM},
      "algorithm 'sgd' supports smooth problems only, but the problem's regularizer is 'l1'"),
-    *(({"algorithm": algorithm, "sampling": {"regime": "adaptive"}},
-       f"sampling.regime 'adaptive' is for algorithm 'dfinito' only, got '{algorithm}'")
+    *(("run", {"algorithm": algorithm, "sampling": {"regime": "adaptive"}},
+       f"sampling.regime 'adaptive' is not run by algorithm '{algorithm}', which takes "
+       "'cyclic', 'reshuffle', 'shuffle_once', 'uniform'")
       for algorithm in ("sgd", "svrg", "saga")),
-], ids=["svrg_snapshot_every_0", "sgd_on_l1", "sgd_adaptive", "svrg_adaptive", "saga_adaptive"])
+    ("run", {"schedule": "inv_sqrt"}, "schedule is not read by algorithm 'dfinito'; it may be "
+     "given only at its default 'constant', got 'inv_sqrt'"),
+    ("run", {"snapshot_every": 5}, "snapshot_every is not read by algorithm 'dfinito'; it may "
+     "be given only at its default 2, got 5"),
+    ("run", {"algorithm": "prox_gd", "theta": 0.9}, "theta is not read by algorithm 'prox_gd'; "
+     "it may be given only at its default 0.5, got 0.9"),
+    ("run", {"algorithm": "prox_gd", "sampling": {"regime": "adaptive", "gamma": 0.9}},
+     "sampling.regime 'adaptive' is not run by algorithm 'prox_gd', which takes none"),
+    ("run", {"algorithm": "prox_gd", "sampling": {"gamma": 0.9}},
+     "sampling.gamma is read by regime 'adaptive' only, got regime 'reshuffle'"),
+    ("run", {"algorithm": "finito_uniform", "sampling": {"regime": "cyclic"}},
+     "sampling.regime 'cyclic' is not run by algorithm 'finito_uniform', which takes 'uniform'"),
+    ("sweep", {"algorithm": "svrg", "grid": {"theta": [0.3, 0.7]}},
+     "theta is not read by algorithm 'svrg'; it may be given only at its default 0.5, got 0.3"),
+    ("run", {"algorithm": "sgd", "alpha": "theory"},
+     "algorithm 'sgd' has no certified step; set alpha"),
+    *(("run", {"algorithm": algorithm, "alpha": "theory", "problem": MU_0_PROBLEM},
+       "alpha 'theory' needs the problem's L > mu > 0, got L=5 and mu=0; set alpha")
+      for algorithm in ("dfinito", "svrg")),
+], ids=["svrg_snapshot_every_0", "sgd_on_l1", "sgd_adaptive", "svrg_adaptive", "saga_adaptive",
+        "dfinito_schedule", "dfinito_snapshot_every", "prox_gd_theta", "prox_gd_adaptive",
+        "prox_gd_gamma", "finito_uniform_cyclic", "svrg_theta_axis", "sgd_theory",
+        "dfinito_theory_mu_0", "svrg_theory_mu_0"])
 def test_baseline_config_errors_exit_2_before_reference_solve(tmp_path, ls_instance, monkeypatch,
-                                                              capsys, overrides, message):
+                                                              capsys, command, overrides, message):
     def fail(p, tol):
         raise AssertionError("x* was solved before the config was checked")
 
     monkeypatch.setattr(oracle, "solve_reference", fail)
-    cfg = _config(tmp_path, ls_instance, alpha=0.1, **overrides)
+    cfg = _config(tmp_path, ls_instance, **{"alpha": 0.1, **overrides})
     capsys.readouterr()
-    assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"algorithm": "svrg", "snapshot_every": 2},
+    {"algorithm": "saga", "alpha": 0.03},
+    {"algorithm": "prox_gd"},
+    {"algorithm": "finito_uniform", "sampling": None},
+    {"algorithm": "finito_uniform", "sampling": {"regime": "uniform"}},
+    {"algorithm": "prox_gd", "sampling": {"regime": "reshuffle", "order": None, "gamma": 0.5},
+     "schedule": "constant", "snapshot_every": 2},
+], ids=["svrg", "saga", "prox_gd", "finito_uniform", "finito_uniform_uniform",
+        "prox_gd_all_at_default"])
+def test_keys_an_algorithm_does_not_read_run_at_their_defaults(tmp_path, ls_instance, overrides):
+    # the shapes of the benchmark's configs: theta 0.5 and sampling reshuffle, which
+    # neither svrg, saga nor prox_gd reads, and finito_uniform with no sampling
+    cfg = json.loads(Path(_config(tmp_path, ls_instance, **overrides)).read_text())
+    if cfg["sampling"] is None:
+        del cfg["sampling"]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)) == 0
+    assert read_trace_csv(str(tmp_path / "trace_seed1.csv"))[-1]["epoch"] == 6
 
 
 REVERSED = list(range(7, -1, -1))  # an order of the ls_instance fixture's n = 8
@@ -557,11 +605,15 @@ REVERSED = list(range(7, -1, -1))  # an order of the ls_instance fixture's n = 8
        f"sampling.order is read by regime 'cyclic' only, got regime '{regime}'")
       for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive")),
     ("run", {"algorithm": "finito_uniform", "sampling": {"regime": "cyclic", "order": REVERSED}},
+     "sampling.regime 'cyclic' is not run by algorithm 'finito_uniform', which takes 'uniform'"),
+    ("run", {"algorithm": "finito_uniform", "sampling": {"order": REVERSED}},
      "sampling.order is read by regime 'cyclic' only, got regime 'uniform'"),
     *(("run", {"sampling": {"regime": regime, "gamma": 0.9}},
        f"sampling.gamma is read by regime 'adaptive' only, got regime '{regime}'")
       for regime in ("cyclic", "reshuffle", "shuffle_once", "uniform")),
     ("run", {"algorithm": "finito_uniform", "sampling": {"regime": "adaptive", "gamma": 0.9}},
+     "sampling.regime 'adaptive' is not run by algorithm 'finito_uniform', which takes 'uniform'"),
+    ("run", {"algorithm": "finito_uniform", "sampling": {"gamma": 0.9}},
      "sampling.gamma is read by regime 'adaptive' only, got regime 'uniform'"),
     ("sweep", {"grid": {"sampling": [{"regime": "cyclic", "order": REVERSED},
                                      {"regime": "reshuffle", "order": REVERSED}]}},
@@ -648,6 +700,12 @@ def test_readme_config_schema_matches_reader(tmp_path, ls_instance):
                 **{f"{kind} generator": keys for kind, keys in cli.GENERATOR_KEYS.items()}}
     assert {group: sorted(keys) for group, keys in listed.items()} == \
         {group: sorted(keys) for group, keys in accepted.items()}
+    # the "what each algorithm reads" table: algorithm, keys, regimes, step row
+    table = {cells[0][0]: tuple(cells[1:]) for cells in
+             ([re.findall(r"`(\w+)`", cell) for cell in line.split("|")[1:-1]]
+              for line in re.findall(r"^\| `\w+` \|.*$", section, re.M))}
+    assert table == {name: (list(keys), list(regimes), [step] if step else [])
+                     for name, (keys, regimes, step) in cli.READS.items()}
     example = json.loads(section.split("```json")[1].split("```")[0])
     out = tmp_path / "example"
     out.mkdir()
