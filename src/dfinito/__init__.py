@@ -12,10 +12,10 @@ from .problems import (
     gen_logistic,
     load_instance,
     save_instance,
-    verify_heterogeneous,
 )
 from .oracle import brute_force_best_order, expected_contraction, solve_reference, zstar_table
 from .baselines import prox_gd_run, saga_run, sgd_run, svrg_run, theoretical_step_size
+from .verify import verify_heterogeneous
 
 __all__ = [
     "ProblemInstance",

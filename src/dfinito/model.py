@@ -160,8 +160,11 @@ class Regularizer:
 class ProblemInstance:
     """Immutable finite-sum problem: n component oracles plus a regularizer.
 
-    ``L`` is a global smoothness constant for every f_i and ``mu`` the
-    strong-convexity constant (0 means merely convex).
+    ``mu`` is the strong-convexity constant (0 means merely convex) and ``L`` the smoothness
+    of every f_i (least squares) or of the mean loss, lmax(W^T W)/(4n) + ridge (logistic).
+    The "theory" step, the envelopes, the step-size table, criterion 12, ``solve_reference``
+    and ``order``'s default alpha read ``L``; ``engine._stepsize_flags`` alone judges a
+    logistic run by its roughest f_i, max_i ||w_i||^2/4 + ridge.
     """
 
     kind: str

@@ -3,8 +3,8 @@
 The heterogeneous generator plants a minimizer v and a geometric importance
 profile ||z_i^0 - z_i*||^2 = n beta^{i-1}, so the optimal cyclic order is the
 identity and the order-weighted/plain norm ratio is about 1/(n(1-beta)). Each
-instance ships with a certificate that ``verify_heterogeneous`` re-checks
-from scratch.
+instance ships with a certificate that ``verify.verify_heterogeneous``
+re-checks from scratch; everything that judges an instance lives in verify.
 
 Both least-squares generators build their (n, k, d) stack in place. The
 stream contract: after any draws that come before the stack (the planted
@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_leq
-from .diagnostics import pi_norm_sq
 from .model import ProblemInstance, Regularizer, check_constants, check_step
 
 CHUNK = 8  # components per stacked LAPACK call
@@ -174,68 +172,6 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
     )
     cert = HeterogeneityCertificate(v=v, t=t, delta=delta, beta=float(beta), alpha_used=float(alpha))
     return p, cert
-
-
-def verify_heterogeneous(p: ProblemInstance, cert: HeterogeneityCertificate, z0, alpha):
-    """Re-check the planted construction from scratch.
-
-    Returns a list of CheckResult covering: component spectra inside [mu, L];
-    zero full gradient at the planted minimizer; the geometric importance
-    profile; and the order-weighted norm ratio against 1/(n(1-beta)).
-    """
-    if alpha != cert.alpha_used:
-        raise ValueError("certificate was built for a different step size")
-    z0 = np.asarray(z0, dtype=np.float64)
-    n = p.n
-    results = []
-
-    spectra_dev = 0.0
-    for i in range(n):
-        eig = np.linalg.eigvalsh(p.A[i].T @ p.A[i])
-        spectra_dev = max(spectra_dev, p.mu - eig[0], eig[-1] - p.L, 0.0)
-    results.append(check_leq("component_spectra_within_[mu,L]", spectra_dev, 1e-8))
-
-    results.append(
-        check_leq("full_gradient_zero_at_minimizer", float(np.linalg.norm(p.full_grad(cert.v))), 1e-10)
-    )
-
-    q = math.sqrt(cert.beta)
-    tnorm_sq = np.einsum("ij,ij->i", cert.t, cert.t)
-    results.append(
-        check_leq("direction_norms_sqrt_n", float(np.max(np.abs(np.sqrt(tnorm_sq) - math.sqrt(n)))), 1e-10)
-    )
-
-    c = (z0 - cert.v[None, :] - (q ** np.arange(n))[:, None] * cert.t) / alpha
-    residual_dev = max(
-        float(np.linalg.norm(p.A[i].T @ cert.delta[i] - c[i])) for i in range(n)
-    )
-    results.append(check_leq("residual_vectors_solve_construction", residual_dev, 1e-8))
-
-    # ||z_i^0 - z_i*||^2 = beta^{i-1} ||t_i||^2 by construction; beta powers
-    # underflow for large i, so compare with the geometric factor divided out
-    profile_normalized = tnorm_sq * (q * q / cert.beta) ** np.arange(n)
-    results.append(
-        check_leq(
-            "importance_profile_geometric",
-            float(np.max(np.abs(profile_normalized - n) / n)),
-            1e-8,
-        )
-    )
-
-    # the planted profile is strictly decreasing, so the optimal order is the
-    # identity; underflowed tail blocks contribute nothing to either norm
-    disp = (q ** np.arange(n))[:, None] * cert.t
-    rho = pi_norm_sq(disp, np.arange(n)) / float(np.sum(disp * disp))
-    # exact finite geometric sums: rho = (sum i b^{i-1}) / (n sum b^{i-1}),
-    # which tends to 1/(n(1-beta)) as beta^n -> 0
-    b = cert.beta
-    s0 = (1.0 - b**n) / (1.0 - b)
-    s1 = (1.0 - (n + 1) * b**n + n * b ** (n + 1)) / (1.0 - b) ** 2
-    rho_target = s1 / (n * s0)
-    results.append(
-        check_leq("norm_ratio_matches_exact_sum", abs(rho - rho_target) / rho_target, 1e-3)
-    )
-    return results
 
 
 def _logistic_smoothness(W):

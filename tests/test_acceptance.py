@@ -115,7 +115,7 @@ def test_criterion_07_heterogeneous_construction():
     alpha = 2.0 / (L + mu)
     z0 = np.random.default_rng(7).standard_normal((n, 20))
     p, cert = problems.gen_heterogeneous(7, n, 20, 20, mu, L, alpha, beta, z0)
-    checks = problems.verify_heterogeneous(p, cert, z0, alpha)
+    checks = verify.verify_heterogeneous(p, cert, z0, alpha)
     all_pass = all(c.passed for c in checks)
     zstar = cert.zstar(z0)
     diff = z0 - zstar

@@ -73,6 +73,16 @@ def test_sgd_rejects_composite():
         sgd_run(p, SamplingPlan("reshuffle", 3, seed=0), 0.1, 1, np.zeros(2))
 
 
+@pytest.mark.parametrize("run, kwargs, message", [
+    (sgd_run, {"schedule": "linear"}, "unknown schedule 'linear'"),
+    (svrg_run, {"snapshot_every": 0}, "need snapshot_every >= 1"),
+], ids=["sgd_unknown_schedule", "svrg_snapshot_every_0"])
+def test_baseline_run_rejects_bad_argument(run, kwargs, message):
+    p = gen_least_squares(0, n=3, d=2, k=2, L=1.0, mu=0.0)
+    with pytest.raises(ValueError, match=message):
+        run(p, SamplingPlan("reshuffle", 3, seed=0), 0.1, 1, np.zeros(2), **kwargs)
+
+
 def test_sgd_monotone_on_single_quadratic():
     p = _quad_1d()
     trace = sgd_run(p, SamplingPlan("cyclic", 1, order=[0]), 0.5, 10, np.array([4.0]))
@@ -270,6 +280,28 @@ def test_saga_equals_reference_loop_bytes(kind, reg):
     for plan in _plans(p.n):
         args = (p, plan, 0.3 / p.L, 5, x0)
         _assert_trace_bytes(saga_run(*args), _reference_saga(*args))
+
+
+def _reference_sgd_inv_sqrt(p, plan, alpha, epochs, x0):
+    """SGD with step alpha / sqrt(t + 1), the inner step t counted across epochs."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    grad = p.unchecked_grad()
+    trace, t = [(0, x.copy())], 0
+    for k in range(1, epochs + 1):
+        for i in epoch_order(plan, k - 1):
+            x = x - alpha / math.sqrt(t + 1) * grad(int(i), x)
+            t += 1
+        trace.append((t, x.copy()))
+    return trace
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_sgd_inv_sqrt_equals_reference_loop_bytes(kind):
+    p = _problem(kind, "none")
+    x0 = np.random.default_rng(5).standard_normal(p.d)
+    for plan in _plans(p.n):
+        args = (p, plan, 0.3 / p.L, 5, x0)
+        _assert_trace_bytes(sgd_run(*args, schedule="inv_sqrt"), _reference_sgd_inv_sqrt(*args))
 
 
 def test_svrg_evaluates_one_gradient_per_inner_step_and_one_stack_per_snapshot(monkeypatch):

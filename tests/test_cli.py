@@ -211,11 +211,26 @@ def test_run_sgd_theory_step_rejected(tmp_path, ls_instance, capsys):
     assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
 
 
-def test_run_bad_format_and_missing_config(tmp_path, ls_instance):
+def test_run_sgd_inv_sqrt_schedule(tmp_path, ls_instance):
+    traces = {}
+    for schedule in ("constant", "inv_sqrt"):
+        out = tmp_path / schedule
+        out.mkdir()
+        cfg = _config(tmp_path, ls_instance, algorithm="sgd", seeds=[0], alpha=0.05,
+                      schedule=schedule)
+        assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
+        traces[schedule] = (out / "trace_seed0.csv").read_bytes()
+    assert traces["inv_sqrt"] != traces["constant"]
+
+
+def test_run_bad_format_and_missing_config(tmp_path, ls_instance, capsys):
     cfg = _config(tmp_path, ls_instance)
     assert run_cli("run", "--config", cfg, "--out", str(tmp_path), "--format", "parquet") == 2
     assert run_cli("run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
     assert run_cli("run") == 2
+    capsys.readouterr()
+    assert run_cli("run", "--config", cfg) == 2  # neither --out nor output
+    assert capsys.readouterr().err == "error: run needs an existing --out DIR or 'output', got None\n"
 
 
 def test_sweep_summary(tmp_path, ls_instance):
@@ -334,6 +349,8 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
     ("run", {"problem": {"generator": {"kind": "quadratic", "n": 8}}}, "'quadratic'"),
     ("sweep", {"grid": {"alpha": [0.1], "gamma": [0.5]}}, "'gamma'"),
     ("sweep", {"grid": {"sampling": [{"regime": "cyclic", "oder": [0]}]}}, "'oder'"),
+    ("sweep", {"grid": {"theta": []}}, "grid axes must be non-empty lists"),
+    ("run", {"algorithm": "foo"}, "unknown algorithm 'foo'"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4.5, "d": 2, "L": 5.0}}},
      "n must be an integer >= 1, got 4.5"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": True, "d": 2, "L": 5.0}}},
@@ -411,6 +428,7 @@ def _poke(offset, x):
 # in that order, so A starts at byte 960, b at 4800, t at 5792 and delta at 6752.
 SIDECAR = "instance.json.f8"
 RESEALED = "resealed " + SIDECAR
+DOCUMENT = "the whole JSON document"  # its value maps the document to its replacement
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -421,6 +439,9 @@ RESEALED = "resealed " + SIDECAR
      "certificate.t: expected an object of dtype, shape and offset"),
     ("metadata.z0", [[0.0] * 4] * 30, "metadata.z0: expected an object of dtype, shape and offset"),
     ("A.shape", [30, 16], "A must have shape (n, k, d), got (30, 16)"),
+    ("A.shape", [30, -4, 4], "A: shape [30, -4, 4] is not a list of non-negative integers"),
+    ("A.shape", "30x4x4", "A: shape '30x4x4' is not a list of non-negative integers"),
+    (DOCUMENT, lambda doc: [doc], "expected a JSON object"),
     (RESEALED, _poke(4800 + 119 * 8, math.nan), "b: non-finite entry nan"),
     (RESEALED, _poke(5792, -math.inf), "certificate.t: non-finite entry -inf"),
     (SIDECAR, lambda raw, tmp_path: None,
@@ -444,6 +465,7 @@ RESEALED = "resealed " + SIDECAR
     ("ridge", math.inf, "ridge must be finite and >= 0, got inf"),
     ("ridge", 0.5, "ridge is for logistic instances only, got 0.5 for kind least_squares"),
 ], ids=["missing_key", "wrong_type", "unknown_kind", "bad_base64", "list_form", "wrong_rank",
+        "negative_shape", "text_shape", "document_a_list",
         "encoded_nan", "encoded_inf", "sidecar_missing", "sidecar_truncated", "sidecar_extra_bytes",
         "sidecar_stale", "sidecar_not_a_file_name", "no_data_field", "offset_past_end",
         "shape_past_end", "negative_offset", "float_offset", "sidecar_dtype", "infinite_L",
@@ -460,6 +482,8 @@ def test_malformed_instance_exits_2_naming_file_and_field(tmp_path, capsys, fiel
             (tmp_path / SIDECAR).write_bytes(raw)
         if field == RESEALED:
             doc["data"]["crc32"] = zlib.crc32(raw)
+    elif field == DOCUMENT:
+        doc = value(doc)
     else:
         *parents, key = field.split(".")
         node = doc

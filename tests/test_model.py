@@ -111,6 +111,18 @@ def test_problem_validation():
     with pytest.raises(TypeError, match="grads"):
         ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
                         L=1.0, mu=0.0, grads=[lambda x: x, lambda x: x])
+    with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+        ProblemInstance(kind="least_squares", n=0, d=1, regularizer=Regularizer.none(),
+                        L=1.0, mu=0.0, A=np.ones((0, 1, 1)), b=np.ones((0, 1)))
+    with pytest.raises(ValueError, match=re.escape("b must have shape (n, k), got (2, 2)")):
+        ProblemInstance(kind="least_squares", n=2, d=1, regularizer=Regularizer.none(),
+                        L=1.0, mu=0.0, A=np.ones((2, 1, 1)), b=np.ones((2, 2)))
+    with pytest.raises(ValueError, match=re.escape("W must have shape (n, d), got (2, 3)")):
+        ProblemInstance(kind="logistic", n=2, d=1, regularizer=Regularizer.none(),
+                        L=1.0, mu=0.0, W=np.ones((2, 3)), y=np.ones(2))
+    with pytest.raises(ValueError, match=re.escape("y must have shape (n,)")):
+        ProblemInstance(kind="logistic", n=2, d=1, regularizer=Regularizer.none(),
+                        L=1.0, mu=0.0, W=np.ones((2, 1)), y=np.ones(3))
 
 
 def _finite_difference_check(p, points=100, tol=1e-5):

@@ -34,6 +34,8 @@ def _scalar_ls(a_vals, b_vals):
 def test_solve_reference_1d_shifted_quadratic():
     p = _scalar_ls([1.0], [3.0])  # f(x) = 0.5 (x - 3)^2
     assert solve_reference(p, tol=1e-12)[0] == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_reference(p, tol=0.0)
 
 
 def test_solve_reference_ridge_pulls_to_zero():

@@ -20,8 +20,8 @@ from dfinito.problems import (
     load_instance,
     make_synthetic_logistic,
     save_instance,
-    verify_heterogeneous,
 )
+from dfinito.verify import verify_heterogeneous
 
 
 # ------------------------------------------------------- least squares
@@ -218,6 +218,8 @@ def test_heterogeneous_parameter_validation():
         gen_heterogeneous(0, 4, 3, k=3, mu=0.0, L=1.0, alpha=0.1, beta=0.5, z0=z0)
     with pytest.raises(ValueError):
         gen_heterogeneous(0, 4, 3, k=3, mu=0.1, L=1.0, alpha=0.1, beta=1.5, z0=z0)
+    with pytest.raises(ValueError, match=re.escape("z0 must have shape (4, 3)")):
+        gen_heterogeneous(0, 4, 3, k=3, mu=0.1, L=1.0, alpha=0.1, beta=0.5, z0=z0.T)
     with pytest.raises(ValueError):
         verify_heterogeneous(*gen_heterogeneous(0, 4, 3, k=3, mu=0.1, L=1.0,
                                                 alpha=0.1, beta=0.5, z0=z0),
@@ -261,6 +263,8 @@ def test_logistic_secant_against_per_component_constant():
 def test_logistic_label_validation():
     with pytest.raises(ValueError):
         gen_logistic(np.ones((2, 2)), np.array([1.0, 2.0]), 0.1)
+    with pytest.raises(ValueError, match="need lam, or a condition number kappa > 1"):
+        make_synthetic_logistic(0, 8, 2)
 
 
 def test_make_synthetic_logistic_hits_target_condition_number():

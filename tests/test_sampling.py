@@ -20,6 +20,8 @@ def test_plan_validation():
         SamplingPlan("reshuffle", 3)  # needs a seed
     with pytest.raises(ValueError):
         SamplingPlan("adaptive", 3, gamma=1.5)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        SamplingPlan("reshuffle", 0, seed=0)
     for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive"):
         with pytest.raises(ValueError, match="an order is for cyclic sampling only"):
             SamplingPlan(regime, 3, order=[2, 1, 0], seed=0, gamma=0.5)
@@ -79,6 +81,8 @@ def test_optimal_cyclic_order_descending_with_index_ties():
     assert np.array_equal(optimal_cyclic_order(scores), np.arange(n))
     # all equal -> identity
     assert np.array_equal(optimal_cyclic_order(np.ones(5)), np.arange(5))
+    with pytest.raises(ValueError, match="scores must be a non-empty vector"):
+        optimal_cyclic_order([])
 
 
 def test_optimal_cyclic_order_minimizes_weighted_sum():

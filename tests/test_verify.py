@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dfinito import engine, kernels, problems, verify
-from dfinito.checks import check_leq
 from dfinito.diagnostics import pi_norm_sq
 from dfinito.model import Regularizer
+from dfinito.verify import check_leq
 
 SEED0_CHECKS = [
     "fixed_point_blockwise", "fixed_point_x_recovery",
@@ -44,7 +44,6 @@ def test_suite_filter_runs_only_selected():
 
 
 def test_checkresult_line_format():
-    from dfinito.checks import check_leq
     ok = check_leq("thing", 0.5, 1.0)
     bad = check_leq("thing", 2.0, 1.0)
     assert ok.line().startswith("PASS thing")
