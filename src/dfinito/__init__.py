@@ -1,10 +1,9 @@
 """Damped proximal Finito: optimizer, theory checks, and benchmark harness."""
 
-from .model import ProblemInstance, Regularizer
+from .model import ProblemInstance, Regularizer, prox, subgradient_residual
 from .sampling import SamplingPlan, epoch_order, optimal_cyclic_order
 from .engine import DampedRunConfig, apply_Spi, apply_Ti, apply_Tpi, epoch_step, run
 from .diagnostics import TraceRecord, bound_convex, bound_strongly_convex, grad_map_residual, pi_norm_sq, rho_ratio
-from .prox import prox, subgradient_residual
 from .problems import (
     HeterogeneityCertificate,
     gen_heterogeneous,

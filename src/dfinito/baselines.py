@@ -6,7 +6,7 @@ snapshot and table-initialization costs are charged explicitly, as the
 textbook methods count them (an SVRG inner step is charged two gradients,
 though it reads the snapshot's from an n-by-d table). The proximal baselines
 check their inputs once per run, then step with the unchecked
-:func:`prox.prox_map` and :meth:`ProblemInstance.unchecked_grad`; a
+:func:`model.prox_map` and :meth:`ProblemInstance.unchecked_grad`; a
 diverging run is caught where its iterate is next checked (a full gradient
 or a trace record).
 """
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_vector, check_step, ordered_mean
-from .prox import prox_map
+from .model import ProblemInstance, as_vector, check_int, check_step, ordered_mean, prox_map
 from .sampling import SamplingPlan, epoch_order
 
 ALGORITHMS = ("dfinito", "svrg", "saga")
@@ -32,6 +31,7 @@ def theoretical_step_size(algorithm: str, regime: str, L: float, mu: float, n: i
         raise ValueError(f"no step-size entry for ({algorithm!r}, {regime!r})")
     if not (L > mu > 0):
         raise ValueError("the step-size table requires L > mu > 0")
+    check_int("n", n)
     if algorithm == "dfinito":
         return 2.0 / (L + mu)
     if algorithm == "svrg":
@@ -63,6 +63,7 @@ def _record(trace, epoch, grad_evals, x):
 def prox_gd_run(p: ProblemInstance, alpha: float, epochs: int, x0):
     """Full proximal gradient descent; one epoch costs n gradient evaluations."""
     check_step(alpha)
+    check_int("epochs", epochs, 0)
     x = as_vector(x0, p.d).copy()
     px = prox_map(p.regularizer, alpha)
     trace = []
@@ -85,6 +86,7 @@ def sgd_run(p: ProblemInstance, plan: SamplingPlan, alpha: float, epochs: int, x
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     check_step(alpha)
+    check_int("epochs", epochs, 0)
     x = as_vector(x0, p.d).copy()
     grad = p.unchecked_grad()
     trace = []
@@ -116,6 +118,7 @@ def svrg_run(
     the first and reads grad f_i(y) from the table.
     """
     check_step(alpha)
+    check_int("epochs", epochs, 0)
     if snapshot_every < 1:
         raise ValueError("need snapshot_every >= 1")
     x = as_vector(x0, p.d).copy()
@@ -126,9 +129,8 @@ def svrg_run(
     evals = 0
     for k in range(1, epochs + 1):
         if (k - 1) % snapshot_every == 0:
-            snapshot = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
+            snapshot = list(p.grad_rows(np.arange(p.n), np.broadcast_to(x, (p.n, p.d))))
             gy = p.full_grad(x)
-            snapshot = list(snapshot)
             evals += p.n
         for i in epoch_order(plan, k - 1).tolist():
             g = grad(i, x) - snapshot[i] + gy
@@ -151,12 +153,13 @@ def saga_run(
     call charged n evaluations; the table mean is maintained incrementally.
     """
     check_step(alpha)
+    check_int("epochs", epochs, 0)
     x = as_vector(x0, p.d).copy()
     grad = p.unchecked_grad()
     px = prox_map(p.regularizer, alpha)
     trace = []
     evals = p.n
-    table = p.grad_rows(np.arange(p.n), np.repeat(x[None], p.n, axis=0))
+    table = p.grad_rows(np.arange(p.n), np.broadcast_to(x, (p.n, p.d)))
     gmean = ordered_mean(table)
     rows = list(table)
     _record(trace, 0, evals, x)

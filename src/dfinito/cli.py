@@ -24,8 +24,7 @@ import numpy as np
 
 from . import baselines, engine, oracle, problems, sampling, verify
 from .diagnostics import CSV_COLUMNS, TraceRecord, rho_ratio, table_norm_sq
-from .model import Regularizer
-from .prox import subgradient_residual
+from .model import Regularizer, subgradient_residual
 
 
 class UsageError(Exception):

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_vector, check_step, validate_permutation
-from .prox import prox, subgradient_residual
+from .model import ProblemInstance, as_vector, check_step, prox, subgradient_residual, validate_permutation
 
 CSV_COLUMNS = (
     "epoch",

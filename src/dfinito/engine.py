@@ -30,8 +30,7 @@ from .diagnostics import (
     pi_norm_sq,
     strongly_convex_envelope,
 )
-from .model import ProblemInstance, as_vector, check_epoch, check_step, ordered_mean, validate_permutation
-from .prox import prox, prox_map
+from .model import ProblemInstance, as_vector, check_epoch, check_int, check_step, ordered_mean, prox, prox_map, validate_permutation
 from .sampling import SamplingPlan, epoch_order, update_importance
 
 
@@ -49,6 +48,8 @@ class DampedRunConfig:
             raise ValueError("epochs must be >= 0")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
+        check_int("epochs", self.epochs, 0)
+        check_int("trace_every", self.trace_every)
 
 
 def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):

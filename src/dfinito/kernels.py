@@ -7,7 +7,7 @@ fixed-order mean. :func:`epoch_inplace` checks alpha, theta, the shapes and the
 order before any write, then dispatches by :func:`epoch_path`. The lean loop
 serves every kind, a step at a time over row views, with the two callables a
 run resolves once: ``grad = problem.unchecked_grad()`` and
-``px = prox.prox_map(regularizer, alpha)``.
+``px = prox_map(regularizer, alpha)``.
 
 The blocked loop serves logistic problems under a linear prox gamma v
 (gamma = 1/(1 + alpha lam) for l2sq, 1 for none). Step k on row w_k, label
@@ -31,8 +31,7 @@ import math
 
 import numpy as np
 
-from .model import check_epoch, ordered_mean, validate_permutation
-from .prox import prox_map
+from .model import check_epoch, ordered_mean, prox_map, validate_permutation
 
 HAVE_NUMBA = False
 BACKEND = "numpy"

@@ -1,4 +1,4 @@
-"""Problem abstraction and the fixed-order table sums.
+"""Problem abstraction, the regularizer's prox and the fixed-order table sums.
 
 A :class:`ProblemInstance` is the finite sum (1/n) sum_i f_i(x) + r(x).
 Its components are least squares or ridge-folded logistic, and it carries
@@ -7,7 +7,9 @@ full-gradient path, and :meth:`ProblemInstance.unchecked_grad` hands the hot
 loops one callable ``grad(i, x)``, the per-component gradient with its row
 data bound once and no input validation; :meth:`ProblemInstance.grad_rows`
 gives the literal operators and oracles the same gradients for a stack of
-points.
+points. r is a :class:`Regularizer`: :func:`prox` checks its inputs and returns
+a new array, every hot loop resolves :func:`prox_map` once per run or epoch and
+calls the map it returns, and :func:`subgradient_residual` is the residual metric.
 """
 from __future__ import annotations
 
@@ -44,6 +46,12 @@ def check_step(alpha, theta=1.0):
         raise ValueError("theta must lie in (0, 1]")
 
 
+def check_int(name, value, low=1):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``low``; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_epoch(p, z, zbar, alpha, theta):
     """An epoch's input checks: :func:`check_step`, then the table z and its mean zbar of ``p``."""
     check_step(alpha, theta)
@@ -72,7 +80,9 @@ def ordered_sum(rows):
     column (or in Fortran order) it sums pairwise.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim >= 2 and rows.shape[-1] >= 2:
+    if rows.ndim < 2:
+        raise ValueError(f"expected a table of rows, got shape {rows.shape}")
+    if rows.shape[-1] >= 2:
         return np.add.reduce(np.ascontiguousarray(rows), axis=-2, initial=0.0)
     acc = np.zeros(rows.shape[:-2] + rows.shape[-1:])
     for r in np.moveaxis(rows, -2, 0):
@@ -154,6 +164,57 @@ class Regularizer:
         if self.kind == "l2sq":
             return 0.5 * self.lam * float(x @ x)
         return 0.0
+
+
+def prox_map(r: Regularizer, alpha: float):
+    """The map v -> ``prox(r, alpha, v)``, resolved once and unchecked, so hot loops
+    step with one call and no branch. For ``none`` it returns v itself, not a copy;
+    the l1 soft-threshold and the l2sq scale return new arrays."""
+    t = alpha * r.lam
+    if r.kind == "l1":
+        return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    if r.kind == "l2sq":
+        return lambda v: v / (1.0 + t)
+    return lambda v: v
+
+
+def prox(r: Regularizer, alpha: float, v) -> np.ndarray:
+    """argmin_y { alpha * r(y) + 0.5 ||y - v||^2 }, a new array.
+
+    Single-valued for the supported convex regularizers; the identity when
+    r is zero.
+    """
+    check_step(alpha)
+    v = as_vector(v)
+    x = prox_map(r, alpha)(v)
+    return v.copy() if x is v else x
+
+
+def subgradient_residual(r: Regularizer, x, g_smooth) -> float:
+    """min over g in the subdifferential of r at x of ||g_smooth + g||^2.
+
+    Computed coordinatewise; exact for the separable regularizers supported
+    here.
+    """
+    x = as_vector(x)
+    g = as_vector(g_smooth, x.shape[0])
+    if r.kind == "none":
+        return float(g @ g)
+    if r.kind == "l2sq":
+        res = g + r.lam * x
+        return float(res @ res)
+    if r.kind == "l1":
+        lam = r.lam
+        # Where x_i = 0 the best subgradient projects -g_i onto [-lam, lam];
+        # elsewhere it is pinned to lam * sign(x_i).
+        at_zero = x == 0.0
+        res = np.where(
+            at_zero,
+            np.maximum(np.abs(g) - lam, 0.0),
+            np.abs(g + lam * np.sign(x)),
+        )
+        return float(res @ res)
+    raise ValueError(f"unsupported regularizer kind {r.kind!r}")
 
 
 @dataclass

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .engine import _finite_table, _literal_step
-from .model import ProblemInstance, as_vector, check_step, validate_permutation
-from .prox import prox, subgradient_residual
+from .model import ProblemInstance, as_vector, check_step, prox, subgradient_residual, validate_permutation
 
 ITERATION_CAP = 10**7
 EPS, TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny

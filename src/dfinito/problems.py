@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, Regularizer, check_constants, check_step
+from .model import ProblemInstance, Regularizer, check_constants, check_int, check_step
 
 CHUNK = 8  # components per stacked LAPACK call
 
@@ -73,8 +73,7 @@ def _sign_fixed_q(g):
 def check_sizes(**sizes):
     """Raise ValueError naming the first of ``sizes`` that is not an integer >= 1."""
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int(name, value)
 
 
 def gen_least_squares(seed, n, d, k, L, mu, regularizer=None):

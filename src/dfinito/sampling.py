@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import validate_permutation
+from .model import check_int, validate_permutation
 
 REGIMES = ("cyclic", "reshuffle", "shuffle_once", "uniform", "adaptive")
 # the regimes whose orders read the plan's seed; cyclic and adaptive orders do not
@@ -30,6 +30,7 @@ class SamplingPlan:
             raise ValueError(f"unknown sampling regime {self.regime!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        check_int("n", self.n)
         if self.order is not None and self.regime != "cyclic":
             raise ValueError(f"an order is for cyclic sampling only, got regime {self.regime!r}")
         if self.regime == "cyclic":
@@ -44,6 +45,7 @@ class SamplingPlan:
         else:
             if self.seed is None:
                 raise ValueError(f"{self.regime} sampling needs a seed")
+            check_int("seed", self.seed, 0)
 
 
 def _rng(seed, epoch=None):

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, diagnostics, engine, kernels, oracle, problems, sampling
-from .model import ProblemInstance, Regularizer, ordered_mean
-from .prox import prox
+from .model import ProblemInstance, Regularizer, ordered_mean, prox
 
 CONVEX = ("prox_residual_sq", "bound_convex")
 STRONGLY_CONVEX = ("dist_sq_to_opt", "bound_sc")
@@ -121,9 +120,9 @@ def order_rule_deviation(score_vectors):
 def verify_heterogeneous(p: ProblemInstance, cert: problems.HeterogeneityCertificate, z0, alpha):
     """Re-check the planted construction from scratch.
 
-    Returns a list of CheckResult covering: component spectra inside [mu, L];
-    zero full gradient at the planted minimizer; the geometric importance
-    profile; and the order-weighted norm ratio against 1/(n(1-beta)).
+    Returns six CheckResults, in order: component_spectra_within_[mu,L],
+    full_gradient_zero_at_minimizer, direction_norms_sqrt_n, residual_vectors_solve_construction,
+    importance_profile_geometric and norm_ratio_matches_exact_sum.
     """
     if alpha != cert.alpha_used:
         raise ValueError("certificate was built for a different step size")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from dfinito.baselines import (
     svrg_run,
     theoretical_step_size,
 )
-from dfinito.model import ProblemInstance, Regularizer, ordered_mean
+from dfinito.model import ProblemInstance, Regularizer, ordered_mean, prox_map
 from dfinito.oracle import solve_reference
 from dfinito.problems import gen_least_squares, gen_logistic
-from dfinito.prox import prox_map
 from dfinito.sampling import SamplingPlan, epoch_order
 
 
@@ -43,6 +43,9 @@ def test_step_size_table_errors():
         theoretical_step_size("adam", "rr", 1.0, 0.1, 10)
     with pytest.raises(ValueError):
         theoretical_step_size("svrg", "uniform", 1.0, 0.1, 10)
+    for n in (0, -3):  # once a ZeroDivisionError, and a negative step for n = -3
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
+            theoretical_step_size("svrg", "rr", 1.0, 0.1, n)
 
 
 def _quad_1d():
@@ -81,6 +84,17 @@ def test_baseline_run_rejects_bad_argument(run, kwargs, message):
     p = gen_least_squares(0, n=3, d=2, k=2, L=1.0, mu=0.0)
     with pytest.raises(ValueError, match=message):
         run(p, SamplingPlan("reshuffle", 3, seed=0), 0.1, 1, np.zeros(2), **kwargs)
+
+
+@pytest.mark.parametrize("run", [prox_gd_run, sgd_run, svrg_run, saga_run])
+@pytest.mark.parametrize("epochs", [-1, 2.5, True])
+def test_baseline_run_refuses_an_epoch_count_that_is_not_a_valid_integer(run, epochs):
+    p = gen_least_squares(0, n=3, d=2, k=2, L=1.0, mu=0.0)
+    args = (0.1, epochs, np.zeros(2))
+    if run is not prox_gd_run:
+        args = (SamplingPlan("reshuffle", 3, seed=0),) + args
+    with pytest.raises(ValueError, match=re.escape(f"epochs must be an integer >= 0, got {epochs!r}")):
+        run(p, *args)
 
 
 def test_sgd_monotone_on_single_quadratic():

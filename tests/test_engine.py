@@ -17,10 +17,9 @@ from dfinito.engine import (
     epoch_step_efficient_inplace,
     run,
 )
-from dfinito.model import ProblemInstance, Regularizer, ordered_mean
+from dfinito.model import ProblemInstance, Regularizer, ordered_mean, prox
 from dfinito.oracle import expected_contraction, solve_reference, zstar_table
 from dfinito.problems import gen_least_squares, gen_logistic, make_synthetic_logistic
-from dfinito.prox import prox
 from dfinito.baselines import prox_gd_run
 from dfinito.sampling import REGIMES, SEEDED, SamplingPlan, epoch_order
 
@@ -471,6 +470,10 @@ def test_config_validation():
         DampedRunConfig(alpha=1.0, theta=0.5, epochs=-1, plan=plan)
     with pytest.raises(ValueError):
         DampedRunConfig(alpha=1.0, theta=0.5, epochs=1, plan=plan, trace_every=0)
+    for field, value in (("epochs", True), ("epochs", 2.5), ("trace_every", 1.5), ("trace_every", 2.0)):
+        kwargs = {"alpha": 1.0, "theta": 0.5, "epochs": 6, "plan": plan, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= ., got {value!r}"):
+            DampedRunConfig(**kwargs)
 
 
 # ----------------------------------------------------------- epoch kernels

@@ -19,12 +19,12 @@ from dfinito.model import (
     check_step,
     ordered_mean,
     ordered_sum,
+    prox,
     stable_sigmoid,
     validate_permutation,
 )
 from dfinito.oracle import expected_contraction, zstar_table
 from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
-from dfinito.prox import prox
 from dfinito.sampling import SamplingPlan
 
 
@@ -47,6 +47,12 @@ def test_ordered_sum_matches_compensated_summation():
     want = np.array([math.fsum(rows[:, j]) for j in range(7)])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     assert np.allclose(ordered_mean(rows), want / 200, rtol=1e-12)
+
+
+@pytest.mark.parametrize("reduce", [ordered_sum, ordered_mean])
+def test_ordered_sum_refuses_a_vector(reduce):
+    with pytest.raises(ValueError, match=re.escape("expected a table of rows, got shape (3,)")):
+        reduce(np.ones(3))
 
 
 def test_ordered_sum_is_left_to_right():

@@ -7,7 +7,7 @@ import pytest
 
 from dfinito import engine, verify
 from dfinito.engine import apply_Tpi
-from dfinito.model import ProblemInstance, Regularizer, ordered_mean
+from dfinito.model import ProblemInstance, Regularizer, ordered_mean, prox, prox_map, subgradient_residual
 from dfinito.oracle import (
     brute_force_best_order,
     expected_contraction,
@@ -15,7 +15,6 @@ from dfinito.oracle import (
     zstar_table,
 )
 from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
-from dfinito.prox import prox, prox_map, subgradient_residual
 from dfinito.sampling import optimal_cyclic_order
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dfinito.model import Regularizer
-from dfinito.prox import prox, prox_map, subgradient_residual
+from dfinito.model import Regularizer, prox, prox_map, subgradient_residual
 
 
 def test_prox_none_is_identity():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ def test_plan_validation():
     for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive"):
         with pytest.raises(ValueError, match="an order is for cyclic sampling only"):
             SamplingPlan(regime, 3, order=[2, 1, 0], seed=0, gamma=0.5)
+    for regime, n, order, seed, message in (
+        ("reshuffle", 8.5, None, 0, "n must be an integer >= 1, got 8.5"),
+        ("cyclic", True, [0], None, "n must be an integer >= 1, got True"),
+        ("reshuffle", 8, None, 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("uniform", 8, None, -1, "seed must be an integer >= 0, got -1"),
+        ("shuffle_once", 8, None, True, "seed must be an integer >= 0, got True"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SamplingPlan(regime, n, order=order, seed=seed)
 
 
 def test_cyclic_is_fixed():
