@@ -119,8 +119,7 @@ def svrg_run(
     """
     check_step(alpha)
     check_int("epochs", epochs, 0)
-    if snapshot_every < 1:
-        raise ValueError("need snapshot_every >= 1")
+    check_int("snapshot_every", snapshot_every)
     x = as_vector(x0, p.d).copy()
     grad = p.unchecked_grad()
     px = prox_map(p.regularizer, alpha)

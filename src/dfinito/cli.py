@@ -24,7 +24,7 @@ import numpy as np
 
 from . import baselines, engine, oracle, problems, sampling, verify
 from .diagnostics import CSV_COLUMNS, TraceRecord, rho_ratio, table_norm_sq
-from .model import Regularizer, subgradient_residual
+from .model import REG_KINDS, Regularizer, check_int, subgradient_residual
 
 
 class UsageError(Exception):
@@ -116,16 +116,10 @@ GENERATE_FLAGS = {
 }
 
 
-def _check_seed_flag(seed):
-    """generate's and verify's --seed; run and sweep check theirs with the config's seeds."""
-    if seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
-
-
 def cmd_generate(args):
     if not os.path.isdir(args.out):
         raise UsageError(f"output directory does not exist: {args.out}")
-    _check_seed_flag(args.seed)
+    check_int("--seed", args.seed, 0)  # before z0's draw; run and sweep check theirs as seeds
     problems.check_sizes(n=args.n, d=args.d)  # before any kind-specific flag or draw
     reads = GENERATE_FLAGS[args.kind]
     for key in dict.fromkeys(key for flags in GENERATE_FLAGS.values() for key in flags):
@@ -184,12 +178,14 @@ def _fill(obj, keys, where):
     return {**keys, **obj}
 
 
-def _number(value, cast, key):
-    """``value`` as a finite ``cast`` (int or float); anything else is named."""
+def _number(value, key):
+    """``value`` as a finite float; anything else is named. Integers are checked
+    where they enter the library, by ``model.check_int``."""
+    # the comparison also refuses NaN, and a JSON integer too large for a float
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or cast(value) != value):
-        raise UsageError(f"{key} must be a finite {cast.__name__}, got {value!r}")
-    return cast(value)
+            or not abs(value) <= sys.float_info.max or float(value) != value):
+        raise UsageError(f"{key} must be a finite float, got {value!r}")
+    return float(value)
 
 
 def _resolve_problem(spec):
@@ -197,25 +193,26 @@ def _resolve_problem(spec):
     if spec["path"] is not None and spec["generator"] is not None:
         raise UsageError("problem takes one source, 'path' or 'generator', got both")
     if spec["path"] is not None:
+        if not isinstance(spec["path"], str):
+            raise UsageError(f"problem.path must be a string, got {spec['path']!r}")
         return problems.load_instance(spec["path"])[0]
     gen = spec["generator"]
     kind = gen.get("kind") if isinstance(gen, dict) else None
-    if kind not in GENERATOR_KEYS:
+    if not isinstance(kind, str) or kind not in GENERATOR_KEYS:
         raise UsageError("'problem' needs 'path' or a 'generator' of kind "
                          f"{' or '.join(GENERATOR_KEYS)}, got {gen!r}")
     gen = _fill(gen, GENERATOR_KEYS[kind], f"{kind} generator")
-    seed = _number(gen["seed"], int, "seed")
-    if seed < 0:
-        raise UsageError(f"seed must be a non-negative int, got {seed}")
     if kind == "least_squares":
+        if gen["reg"] not in REG_KINDS:
+            raise UsageError(f"reg must be one of {', '.join(REG_KINDS)}, got {gen['reg']!r}")
         return problems.gen_least_squares(
-            seed, gen["n"], gen["d"], gen["d"] if gen["k"] is None else gen["k"],
-            _number(gen["L"], float, "L"), _number(gen["mu"], float, "mu"),
-            regularizer=Regularizer(gen["reg"], _number(gen["reg_lam"], float, "reg_lam")),
+            gen["seed"], gen["n"], gen["d"], gen["d"] if gen["k"] is None else gen["k"],
+            _number(gen["L"], "L"), _number(gen["mu"], "mu"),
+            regularizer=Regularizer(gen["reg"], _number(gen["reg_lam"], "reg_lam")),
         )
-    kappa, lam = (None if gen[key] is None else _number(gen[key], float, key)
-                  for key in ("kappa", "lam"))
-    W, y, lam = problems.make_synthetic_logistic(seed, gen["n"], gen["d"], kappa=kappa, lam=lam)
+    kappa, lam = (None if gen[key] is None else _number(gen[key], key) for key in ("kappa", "lam"))
+    W, y, lam = problems.make_synthetic_logistic(gen["seed"], gen["n"], gen["d"], kappa=kappa,
+                                                 lam=lam)
     return problems.gen_logistic(W, y, lam)
 
 
@@ -238,8 +235,6 @@ def _cells(cfg, p):
     axes = [[cfg[key]] if grid[key] is None else grid[key] for key in GRID_AXES]
     if not all(isinstance(axis, list) and axis for axis in axes):
         raise UsageError("grid axes must be non-empty lists")
-    if cfg["algorithm"] not in READS:
-        raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")
     name, reads = cfg["algorithm"], READS[cfg["algorithm"]]
     if cfg["schedule"] not in baselines.SCHEDULES:
         raise UsageError(f"unknown schedule {cfg['schedule']!r}")
@@ -249,11 +244,7 @@ def _cells(cfg, p):
             if key not in reads.keys and value != CONFIG_KEYS[key]:
                 raise UsageError(f"{key} is not read by algorithm {name!r}; it may be given only "
                                  f"at its default {CONFIG_KEYS[key]!r}, got {value!r}")
-    epochs = _number(cfg["epochs"], int, "epochs")
-    trace_every = _number(cfg["trace_every"], int, "trace_every")
-    snapshot_every = _number(cfg["snapshot_every"], int, "snapshot_every")
-    if snapshot_every < 1:  # only svrg reads it; the others have the default
-        raise UsageError(f"snapshot_every must be >= 1 for svrg, got {snapshot_every}")
+    check_int("snapshot_every", cfg["snapshot_every"])  # svrg_run reads it after the solve
     if name == "sgd" and p.regularizer.kind != "none":
         raise UsageError("algorithm 'sgd' supports smooth problems only, but the problem's "
                          f"regularizer is {p.regularizer.kind!r}")
@@ -276,7 +267,7 @@ def _cells(cfg, p):
                 raise UsageError(f"sampling.{key} is read by regime {reader!r} only, "
                                  f"got regime {regime!r}")
         if alpha != "theory":
-            step = _number(alpha, float, "alpha")
+            step = _number(alpha, "alpha")
         else:
             step = baselines.theoretical_step_size(
                 reads.step, "cyclic" if regime == "cyclic" else "rr", p.L, p.mu, p.n)
@@ -289,11 +280,11 @@ def _cells(cfg, p):
         if regime == "cyclic" and order is None:
             order = np.arange(p.n)
         plan = sampling.SamplingPlan(regime, p.n, order=order, seed=0,
-                                     gamma=_number(smp["gamma"], float, "gamma"))
-        config = engine.DampedRunConfig(step, _number(theta, float, "theta"), epochs, plan,
-                                        trace_every)
+                                     gamma=_number(smp["gamma"], "gamma"))
+        config = engine.DampedRunConfig(step, _number(theta, "theta"), cfg["epochs"], plan,
+                                        cfg["trace_every"])
         cells.append(Cell("dfinito" if name == "finito_uniform" else name, alpha, config,
-                          cfg["schedule"], snapshot_every))
+                          cfg["schedule"], cfg["snapshot_every"]))
     return cells
 
 
@@ -339,7 +330,7 @@ def _prepare(args):
     if (args.command == "sweep") != bool(cfg["grid"]):
         raise UsageError("sweep needs a non-empty 'grid' object, and run takes none")
     out_dir = args.out or cfg["output"]
-    if out_dir is None or not os.path.isdir(out_dir):
+    if not isinstance(out_dir, str) or not os.path.isdir(out_dir):
         raise UsageError(f"{args.command} needs an existing --out DIR or 'output', got {out_dir}")
     for seeds in (cfg["seeds"], args.seed or cfg["seeds"]):  # the config's, then --seed's
         if not (isinstance(seeds, list) and seeds
@@ -351,6 +342,8 @@ def _prepare(args):
             raise UsageError(f"seed {twice[0]} is given more than once")
     if not isinstance(cfg["reference"], bool):
         raise UsageError(f"reference must be true or false, got {cfg['reference']!r}")
+    if not isinstance(cfg["algorithm"], str) or cfg["algorithm"] not in READS:
+        raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")  # before the instance is read
     p = _resolve_problem(cfg["problem"])
     cells = _cells(cfg, p)
     solve = cfg["reference"] and args.command == "run"
@@ -396,7 +389,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    _check_seed_flag(args.seed)
+    check_int("--seed", args.seed, 0)
     try:
         results = verify.run_suites(args.suite, seed=args.seed)
     except KeyError as exc:

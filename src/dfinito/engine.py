@@ -30,7 +30,8 @@ from .diagnostics import (
     pi_norm_sq,
     strongly_convex_envelope,
 )
-from .model import ProblemInstance, as_vector, check_epoch, check_int, check_step, ordered_mean, prox, prox_map, validate_permutation
+from .model import (ProblemInstance, as_vector, check_epoch, check_int, check_step, integer_order,
+                    ordered_mean, prox, prox_map, validate_permutation)
 from .sampling import SamplingPlan, epoch_order, update_importance
 
 
@@ -44,10 +45,6 @@ class DampedRunConfig:
 
     def __post_init__(self):
         check_step(self.alpha, self.theta)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
         check_int("epochs", self.epochs, 0)
         check_int("trace_every", self.trace_every)
 
@@ -129,7 +126,7 @@ def epoch_step(p: ProblemInstance, z, zbar, alpha: float, theta: float, order):
     """
     n = p.n
     check_epoch(p, z, zbar, alpha, theta)
-    order = np.asarray(order, dtype=np.int64)
+    order = integer_order(order)
     if order.shape != (n,) or order.min() < 0 or order.max() >= n:
         raise ValueError("order must contain n valid indices")
     grad = p.unchecked_grad()

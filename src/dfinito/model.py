@@ -246,8 +246,8 @@ class ProblemInstance:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
+        check_int("n", self.n)
+        check_int("d", self.d)
         check_constants(self.L, self.mu, self.ridge)
         if self.ridge != 0.0 and self.kind != "logistic":
             raise ValueError(f"ridge is for logistic instances only, got {self.ridge!r} "
@@ -345,12 +345,18 @@ class ProblemInstance:
         return total / self.n
 
 
-def validate_permutation(order, n):
-    """Check that ``order`` is a permutation of 0..n-1; return it as int64. A float,
-    bool or string array is refused, not cast."""
+def integer_order(order):
+    """``order`` as an array of integers; a float, bool or string array is refused, not cast."""
     order = np.asarray(order)
     if order.dtype.kind not in "iu":
         raise ValueError(f"an order must hold integers, got dtype {order.dtype}")
+    return order
+
+
+def validate_permutation(order, n):
+    """Check that ``order`` is a permutation of 0..n-1 (:func:`integer_order`); return
+    it as int64."""
+    order = integer_order(order)
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"not a permutation of range({n}): {order}")
     return order.astype(np.int64, copy=False)

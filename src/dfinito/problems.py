@@ -82,6 +82,7 @@ def gen_least_squares(seed, n, d, k, L, mu, regularizer=None):
     Every A_i^T A_i has spectrum inside [mu, L] with the extremes attained,
     so the declared smoothness/strong-convexity constants hold exactly.
     """
+    check_int("seed", seed, 0)
     check_sizes(n=n, d=d, k=k)
     check_constants(L, mu)
     if mu > 0 and k < d:
@@ -131,6 +132,7 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
     Returns (instance, certificate). The instance has minimizer x* = v and
     fixed-point table z_i* = z_i^0 - q^{i-1} t_i with q = sqrt(beta).
     """
+    check_int("seed", seed, 0)
     check_sizes(n=n, d=d, k=k)
     if k < d:
         raise ValueError("construction needs k >= d")
@@ -206,6 +208,7 @@ def gen_logistic(W, y, lam):
 def make_synthetic_logistic(seed, n, d, kappa=None, lam=None):
     """Random separable-ish logistic data; lam resolved from a target
     condition number when given. Returns (W, y, lam)."""
+    check_int("seed", seed, 0)
     check_sizes(n=n, d=d)
     if lam is None and not (kappa is not None and kappa > 1):
         raise ValueError("need lam, or a condition number kappa > 1")

@@ -28,8 +28,6 @@ class SamplingPlan:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown sampling regime {self.regime!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         check_int("n", self.n)
         if self.order is not None and self.regime != "cyclic":
             raise ValueError(f"an order is for cyclic sampling only, got regime {self.regime!r}")
@@ -60,8 +58,7 @@ def epoch_order(plan: SamplingPlan, epoch: int, importance=None) -> np.ndarray:
     gradient evaluations. All regimes except ``uniform`` return a
     permutation; uniform returns n i.i.d. draws with replacement.
     """
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
+    check_int("epoch", epoch, 0)
     if plan.regime == "cyclic":
         return plan.order.copy()
     if plan.regime == "shuffle_once":

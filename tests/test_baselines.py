@@ -78,7 +78,7 @@ def test_sgd_rejects_composite():
 
 @pytest.mark.parametrize("run, kwargs, message", [
     (sgd_run, {"schedule": "linear"}, "unknown schedule 'linear'"),
-    (svrg_run, {"snapshot_every": 0}, "need snapshot_every >= 1"),
+    (svrg_run, {"snapshot_every": 0}, "snapshot_every must be an integer >= 1, got 0"),
 ], ids=["sgd_unknown_schedule", "svrg_snapshot_every_0"])
 def test_baseline_run_rejects_bad_argument(run, kwargs, message):
     p = gen_least_squares(0, n=3, d=2, k=2, L=1.0, mu=0.0)

@@ -231,6 +231,9 @@ def test_run_bad_format_and_missing_config(tmp_path, ls_instance, capsys):
     capsys.readouterr()
     assert run_cli("run", "--config", cfg) == 2  # neither --out nor output
     assert capsys.readouterr().err == "error: run needs an existing --out DIR or 'output', got None\n"
+    cfg = _config(tmp_path, ls_instance, output=[])
+    assert run_cli("run", "--config", cfg) == 2
+    assert capsys.readouterr().err == "error: run needs an existing --out DIR or 'output', got []\n"
 
 
 def test_sweep_summary(tmp_path, ls_instance):
@@ -371,15 +374,15 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
     ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "kappa": "10"}}},
      "kappa must be a finite float, got '10'"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
-                                       "seed": 1.5}}}, "seed must be a finite int, got 1.5"),
+                                       "seed": 1.5}}}, "seed must be an integer >= 0, got 1.5"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": True}}},
      "L must be a finite float, got True"),
     ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "lam": "0.1"}}},
      "lam must be a finite float, got '0.1'"),
     ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "kappa": 10,
-                                       "seed": "abc"}}}, "seed must be a finite int, got 'abc'"),
+                                       "seed": "abc"}}}, "seed must be an integer >= 0, got 'abc'"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
-                                       "seed": -1}}}, "seed must be a non-negative int, got -1"),
+                                       "seed": -1}}}, "seed must be an integer >= 0, got -1"),
     # "ls_instance" stands for the fixture's instance path
     ("run", {"problem": {"path": "ls_instance", "generator": {"kind": "least_squares", "n": 4,
                                                               "d": 2, "L": 5.0}}},
@@ -397,6 +400,29 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
       for order in ([i + 0.9 for i in range(8)], [True, False, 2, 3, 4, 5, 6, 7],
                     [str(i) for i in (1, 0, 2, 3, 4, 5, 6, 7)], [0, 0, 2, 3, 4, 5, 6, 7],
                     list(range(7)), "01234567")),
+    # a string field of another type exits 2 naming its key, before any file is opened
+    *(("run", {"problem": {"path": path}}, f"problem.path must be a string, got {path!r}")
+      for path in (0, 5, [], 3.5)),
+    ("run", {"algorithm": []}, "unknown algorithm []"),
+    ("run", {"problem": {"generator": {"kind": [], "n": 8}}}, "a 'generator' of kind"),
+    *(("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
+                                         "reg": reg}}}, f"reg must be one of none, l1, l2sq, got {reg!r}")
+      for reg in (5, "l3")),
+    # every integer follows model.check_int: an integral float is refused too
+    ("run", {"epochs": 3.0}, "epochs must be an integer >= 0, got 3.0"),
+    ("run", {"epochs": "3"}, "epochs must be an integer >= 0, got '3'"),
+    ("run", {"trace_every": 2.0}, "trace_every must be an integer >= 1, got 2.0"),
+    ("run", {"algorithm": "svrg", "alpha": 0.1, "snapshot_every": 2.0},
+     "snapshot_every must be an integer >= 1, got 2.0"),
+    ("run", {"algorithm": "svrg", "alpha": 0.1, "snapshot_every": 1.5},
+     "snapshot_every must be an integer >= 1, got 1.5"),
+    ("run", {"problem": {"generator": {"kind": "logistic", "n": 8, "d": 2, "kappa": 10,
+                                       "seed": 3.0}}}, "seed must be an integer >= 0, got 3.0"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4, "d": 2, "L": 5.0,
+                                       "seed": True}}}, "seed must be an integer >= 0, got True"),
+    ("run", {"problem": {"generator": {"kind": "least_squares", "n": 8.0, "d": 2, "L": 5.0}}},
+     "n must be an integer >= 1, got 8.0"),
+    ("run", {"alpha": 10 ** 400}, "alpha must be a finite float, got 1000"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
                                                overrides, named):
@@ -557,7 +583,7 @@ MU_0_PROBLEM = {"generator": {"kind": "least_squares", "n": 8, "d": 4, "L": 5}}
 
 @pytest.mark.parametrize("command, overrides, message", [
     ("run", {"algorithm": "svrg", "snapshot_every": 0},
-     "snapshot_every must be >= 1 for svrg, got 0"),
+     "snapshot_every must be an integer >= 1, got 0"),
     ("run", {"algorithm": "sgd", "problem": L1_PROBLEM},
      "algorithm 'sgd' supports smooth problems only, but the problem's regularizer is 'l1'"),
     *(("run", {"algorithm": algorithm, "sampling": {"regime": "adaptive"}},
@@ -764,8 +790,7 @@ def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
                  ["generate", "--kind", "logistic", "--kappa", "5", "--out", str(tmp_path)],
                  ["verify"], ["verify", "--suite", "steps"]):
         assert run_cli(*argv, "--seed", "-1") == 2, argv
-        assert capsys.readouterr() == ("", "error: --seed must be a non-negative integer, "
-                                           "got -1\n"), argv
+        assert capsys.readouterr() == ("", "error: --seed must be an integer >= 0, got -1\n"), argv
     assert not list(tmp_path.iterdir())
 
 

@@ -305,6 +305,9 @@ def test_epoch_step_validation(composite_problem, epoch, order_error):
     ]
     bad_orders = ([0] * (p.n - 1), [-1] + [0] * (p.n - 1), [p.n] * p.n)
     cases += [(0.5, 0.9, z, zbar, order_error, bad) for bad in bad_orders]
+    # a float or bool order is refused, not truncated to component 0 or cast to 0/1
+    cases += [(0.5, 0.9, z, zbar, "an order must hold integers, got dtype", bad)
+              for bad in ([0.9] * p.n, np.ones(p.n, dtype=bool))]
     for alpha, theta, table, mean, match, *bad in cases:
         before = table.tobytes(), mean.tobytes()
         with pytest.raises(ValueError, match=match):

@@ -24,8 +24,8 @@ from dfinito.model import (
     validate_permutation,
 )
 from dfinito.oracle import expected_contraction, zstar_table
-from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic
-from dfinito.sampling import SamplingPlan
+from dfinito.problems import gen_heterogeneous, gen_least_squares, gen_logistic, make_synthetic_logistic
+from dfinito.sampling import SamplingPlan, epoch_order
 
 
 def test_as_vector_validation():
@@ -117,7 +117,7 @@ def test_problem_validation():
     with pytest.raises(TypeError, match="grads"):
         ProblemInstance(kind="custom", n=2, d=1, regularizer=Regularizer.none(),
                         L=1.0, mu=0.0, grads=[lambda x: x, lambda x: x])
-    with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
         ProblemInstance(kind="least_squares", n=0, d=1, regularizer=Regularizer.none(),
                         L=1.0, mu=0.0, A=np.ones((0, 1, 1)), b=np.ones((0, 1)))
     with pytest.raises(ValueError, match=re.escape("b must have shape (n, k), got (2, 2)")):
@@ -311,8 +311,8 @@ def test_entry_points_accept_the_rule_edges():
         call(0.25, 1.0 if name in TAKES_THETA else 0.5)
 
 
-def test_step_rule_messages_are_raised_only_in_model_check_step():
-    # a second copy of the rule, anywhere in the package, fails this test
+def _raisers(*rules):
+    """(file, function, rule) for every raise in the package whose exception holds one of ``rules``."""
     raisers = set()
     for path in sorted(pathlib.Path(model.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -321,6 +321,71 @@ def test_step_rule_messages_are_raised_only_in_model_check_step():
                 for node in ast.walk(func):
                     if isinstance(node, ast.Raise) and node.exc is not None:
                         text = ast.unparse(node.exc)
-                        raisers |= {(path.name, func.name, rule) for rule in (ALPHA_RULE, THETA_RULE)
-                                    if rule in text}
-    assert raisers == {("model.py", "check_step", ALPHA_RULE), ("model.py", "check_step", THETA_RULE)}
+                        raisers |= {(path.name, func.name, rule) for rule in rules if rule in text}
+    return raisers
+
+
+def test_step_rule_messages_are_raised_only_in_model_check_step():
+    # a second copy of the rule, anywhere in the package, fails this test
+    assert _raisers(ALPHA_RULE, THETA_RULE) == {("model.py", "check_step", ALPHA_RULE),
+                                                ("model.py", "check_step", THETA_RULE)}
+
+
+INT_RULE = "must be an integer >="
+RULE_SEEDED = SamplingPlan("reshuffle", 4, seed=0)
+
+
+def _baseline(run):
+    return lambda **kw: run(**{"p": RULE_P, "plan": RULE_SEEDED, "alpha": 0.25, "epochs": 1,
+                               "x0": RULE_X, **kw})
+
+
+# every integer parameter of the library, as entry point: (call taking keywords over valid
+# defaults, {parameter: its bound}); the CLI's integers reach these same checks
+INT_ENTRY_POINTS = {
+    "ProblemInstance": (lambda **kw: ProblemInstance(**{
+        "kind": "least_squares", "n": 4, "d": 2, "regularizer": Regularizer.none(), "L": 2.0,
+        "mu": 0.5, "A": RULE_P.A, "b": RULE_P.b, **kw}), {"n": 1, "d": 1}),
+    "DampedRunConfig": (lambda **kw: DampedRunConfig(**{
+        "alpha": 0.25, "theta": 0.5, "epochs": 1, "plan": RULE_PLAN, **kw}),
+        {"epochs": 0, "trace_every": 1}),
+    "SamplingPlan": (lambda **kw: SamplingPlan(**{"regime": "reshuffle", "n": 4, "seed": 0, **kw}),
+                     {"n": 1, "seed": 0}),
+    "epoch_order": (lambda **kw: epoch_order(**{"plan": RULE_SEEDED, "epoch": 0, **kw}), {"epoch": 0}),
+    "prox_gd_run": (lambda **kw: baselines.prox_gd_run(**{
+        "p": RULE_P, "alpha": 0.25, "epochs": 1, "x0": RULE_X, **kw}), {"epochs": 0}),
+    "sgd_run": (_baseline(baselines.sgd_run), {"epochs": 0}),
+    "svrg_run": (_baseline(baselines.svrg_run), {"epochs": 0, "snapshot_every": 1}),
+    "saga_run": (_baseline(baselines.saga_run), {"epochs": 0}),
+    "theoretical_step_size": (lambda **kw: baselines.theoretical_step_size(**{
+        "algorithm": "dfinito", "regime": "rr", "L": 2.0, "mu": 0.5, "n": 4, **kw}), {"n": 1}),
+    "gen_least_squares": (lambda **kw: gen_least_squares(**{
+        "seed": 0, "n": 4, "d": 2, "k": 2, "L": 2.0, "mu": 0.5, **kw}),
+        {"seed": 0, "n": 1, "d": 1, "k": 1}),
+    "gen_heterogeneous": (lambda **kw: gen_heterogeneous(**{
+        "seed": 0, "n": 4, "d": 2, "k": 2, "mu": 0.5, "L": 2.0, "alpha": 0.25, "beta": 0.5,
+        "z0": RULE_Z, **kw}), {"seed": 0, "n": 1, "d": 1, "k": 1}),
+    "make_synthetic_logistic": (lambda **kw: make_synthetic_logistic(**{
+        "seed": 0, "n": 4, "d": 2, "kappa": 10.0, **kw}), {"seed": 0, "n": 1, "d": 1}),
+}
+INT_CASES = [(name, param, value, low) for name, (_, lows) in INT_ENTRY_POINTS.items()
+             for param, low in lows.items() for value in (2.5, True, "3", low - 1)]
+
+
+@pytest.mark.parametrize("name, param, value, low", INT_CASES,
+                         ids=[f"{c[0]}-{c[1]}={c[2]!r}" for c in INT_CASES])
+def test_entry_points_reject_a_bad_integer(name, param, value, low):
+    call, _ = INT_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=re.escape(f"{param} {INT_RULE} {low}, got {value!r}")):
+        call(**{param: value})
+
+
+def test_integer_entry_points_accept_their_defaults_and_numpy_integers():
+    for call, lows in INT_ENTRY_POINTS.values():
+        call()
+        call(**{param: np.int64(0) for param in lows if param in ("epochs", "epoch", "seed")})
+
+
+def test_integer_rule_message_is_raised_only_in_model_check_int():
+    # a second copy of the rule, anywhere in the package, fails this test
+    assert _raisers(INT_RULE) == {("model.py", "check_int", INT_RULE)}

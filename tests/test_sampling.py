@@ -22,7 +22,7 @@ def test_plan_validation():
         SamplingPlan("reshuffle", 3)  # needs a seed
     with pytest.raises(ValueError):
         SamplingPlan("adaptive", 3, gamma=1.5)
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
         SamplingPlan("reshuffle", 0, seed=0)
     for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive"):
         with pytest.raises(ValueError, match="an order is for cyclic sampling only"):
