@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import certified_step
 from .model import ProblemInstance, as_vector, check_int, check_step, ordered_mean, prox_map
 from .sampling import SamplingPlan, epoch_order
 
@@ -33,7 +34,7 @@ def theoretical_step_size(algorithm: str, regime: str, L: float, mu: float, n: i
         raise ValueError("the step-size table requires L > mu > 0")
     check_int("n", n)
     if algorithm == "dfinito":
-        return 2.0 / (L + mu)
+        return certified_step(L, mu)
     if algorithm == "svrg":
         if regime == "rr":
             threshold = (2.0 * L / mu) / (1.0 - mu / (math.sqrt(2.0) * L))

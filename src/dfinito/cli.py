@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import baselines, engine, oracle, problems, sampling, verify
-from .diagnostics import CSV_COLUMNS, TraceRecord, rho_ratio, table_norm_sq
+from .diagnostics import CSV_COLUMNS, TraceRecord, certified_step, rho_ratio, table_norm_sq
 from .model import REG_KINDS, Regularizer, check_int, subgradient_residual
 
 
@@ -138,7 +138,7 @@ def cmd_generate(args):
         k = max(10, args.d) if args.k is None else args.k
         if k < args.d:
             raise UsageError(f"--k must be >= --d for --kind heterogeneous, got {k} < {args.d}")
-        alpha = 2.0 / (args.L + args.mu) if args.alpha is None else args.alpha
+        alpha = certified_step(args.L, args.mu) if args.alpha is None else args.alpha
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
         z0 = rng.standard_normal((args.n, args.d))
         p, cert = problems.gen_heterogeneous(args.seed, args.n, args.d, k, args.mu, args.L,
@@ -232,9 +232,10 @@ def _cells(cfg, p):
     of the grid's axes in (alpha, theta, sampling) order, where an axis the
     grid omits is the config's own value."""
     grid = _fill(cfg["grid"] or {}, GRID_AXES, "grid")
+    for key, axis in grid.items():
+        if axis is not None and not (isinstance(axis, list) and axis):
+            raise UsageError(f"grid axis {key!r} must be a non-empty list, got {axis!r}")
     axes = [[cfg[key]] if grid[key] is None else grid[key] for key in GRID_AXES]
-    if not all(isinstance(axis, list) and axis for axis in axes):
-        raise UsageError("grid axes must be non-empty lists")
     name, reads = cfg["algorithm"], READS[cfg["algorithm"]]
     if cfg["schedule"] not in baselines.SCHEDULES:
         raise UsageError(f"unknown schedule {cfg['schedule']!r}")
@@ -406,7 +407,7 @@ def cmd_verify(args):
 
 def cmd_order(args):
     p, cert = problems.load_instance(args.instance)
-    default = 2.0 / (p.L + p.mu) if p.mu > 0 else 1.0 / p.L
+    default = certified_step(p.L, p.mu) if p.mu > 0 else 1.0 / p.L
     alpha = default if args.alpha is None else args.alpha  # --alpha 0 fails its check
     z0 = (np.asarray(p.metadata["z0"], dtype=np.float64) if "z0" in p.metadata
           else np.zeros((p.n, p.d)))

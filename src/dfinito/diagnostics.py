@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_vector, check_step, prox, subgradient_residual, validate_permutation
+from .model import ProblemInstance, as_vector, prox, subgradient_residual, validate_permutation
 
 CSV_COLUMNS = (
     "epoch",
@@ -19,6 +19,7 @@ CSV_COLUMNS = (
     "bound_sc",
     "flags",
 )
+BOUNDED = ("cyclic", "reshuffle", "shuffle_once")  # the regimes with an envelope
 
 
 @dataclass
@@ -108,13 +109,37 @@ def _regime_constant(factor, n, z0, zstar, regime, order=None) -> float:
     raise ValueError(f"no bound for regime {regime!r}")
 
 
+def certified_step(L, mu=0.0):
+    """2/(mu+L), the largest certified step; 2/L bit for bit at mu = 0 (0.0 + L is L)."""
+    return 2.0 / (mu + L)
+
+
+def certify(L, component_L, mu, alpha, theta):
+    """The theorems' hypotheses at (alpha, theta): (flags, convex, rate).
+
+    ``convex`` says whether the sublinear envelope holds (0 < alpha <= 2/L, theta < 1);
+    ``rate`` is the linear envelope's per-epoch factor 1 - 2 theta alpha mu L/(mu+L)
+    where that one holds (mu > 0, 0 < alpha <= 2/(mu+L)), else None. ``flags`` names
+    what the run breaks: alpha above 2/(mu+L) and, at mu = 0, theta = 1. The flags read
+    the roughest f_i's ``component_L``, the envelopes ``L``; they differ for logistic
+    only, so a logistic run at the "theory" step is flagged and still gets both bounds.
+    """
+    flags = []
+    if alpha > certified_step(component_L, mu):
+        flags.append("alpha_uncertified")
+    if mu == 0 and theta >= 1.0:
+        flags.append("theta_uncertified")
+    convex = 0.0 < theta < 1.0 and 0.0 < alpha <= certified_step(L)
+    linear = mu > 0 and 0.0 < theta <= 1.0 and 0.0 < alpha <= certified_step(L, mu)
+    rate = 1.0 - 2.0 * theta * alpha * mu * L / (mu + L) if linear else None
+    return ";".join(flags), convex, rate
+
+
 def convex_envelope(alpha, theta, L, n, z0, zstar, regime, order=None):
     """The sublinear envelope as a function of the epoch k, its regime
     constant computed once; ValueError where the bound does not apply."""
-    if not (0.0 < theta < 1.0):
-        raise ValueError("convex envelope needs theta strictly inside (0, 1)")
-    if not (0.0 < alpha <= 2.0 / L):
-        raise ValueError("convex envelope needs 0 < alpha <= 2/L")
+    if not certify(L, L, 0.0, alpha, theta)[1]:
+        raise ValueError("convex envelope needs 0 < alpha <= 2/L and theta inside (0, 1)")
     factor = (5.0 / (3.0 * alpha * L) if regime == "reshuffle" else 2.0 / (alpha * L)) ** 2
     scaled = _regime_constant(factor, n, z0, zstar, regime, order) * L**2
     return lambda k: scaled / ((k + 1) * theta * (1.0 - theta))
@@ -123,13 +148,10 @@ def convex_envelope(alpha, theta, L, n, z0, zstar, regime, order=None):
 def strongly_convex_envelope(alpha, theta, L, mu, n, z0, zstar, regime, order=None):
     """The linear envelope as a function of the epoch k, its regime constant
     computed once; ValueError where the bound does not apply."""
-    if not (mu > 0):
-        raise ValueError("strongly convex envelope needs mu > 0")
-    if not (0.0 < alpha <= 2.0 / (mu + L)):
-        raise ValueError("strongly convex envelope needs 0 < alpha <= 2/(mu+L)")
-    check_step(alpha, theta)
+    rate = certify(L, L, mu, alpha, theta)[2]
+    if rate is None:
+        raise ValueError("strongly convex envelope needs mu > 0, 0 < alpha <= 2/(mu+L), theta <= 1")
     C = _regime_constant(1.0, n, z0, zstar, regime, order)
-    rate = 1.0 - 2.0 * theta * alpha * mu * L / (mu + L)
     return lambda k: rate**k * C
 
 

@@ -23,13 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .diagnostics import (
-    TraceRecord,
-    convex_envelope,
-    grad_map_residual,
-    pi_norm_sq,
-    strongly_convex_envelope,
-)
+from .diagnostics import (BOUNDED, TraceRecord, certify, convex_envelope, grad_map_residual,
+                          pi_norm_sq, strongly_convex_envelope)
 from .model import (ProblemInstance, as_vector, check_epoch, check_int, check_step, integer_order,
                     ordered_mean, prox, prox_map, validate_permutation)
 from .sampling import SamplingPlan, epoch_order, update_importance
@@ -149,34 +144,6 @@ def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
     kernels.epoch_inplace(p, z, zbar, alpha, theta, order)
 
 
-def _stepsize_flags(p: ProblemInstance, alpha: float, theta: float) -> str:
-    """Empty when the run satisfies the certified step-size/damping regime. A logistic
-    run is judged by the largest per-component smoothness max_i ||w_i||^2/4 + ridge,
-    not by ``p.L``, the smoothness of the mean loss."""
-    flags = []
-    L = p.L
-    if p.kind == "logistic":
-        L = float(np.max(np.einsum("ij,ij->i", p.W, p.W))) / 4.0 + p.ridge
-    if p.mu > 0:
-        if alpha > 2.0 / (p.mu + L):
-            flags.append("alpha_uncertified")
-    else:
-        if alpha > 2.0 / L:
-            flags.append("alpha_uncertified")
-        if theta >= 1.0:
-            flags.append("theta_uncertified")
-    return ";".join(flags)
-
-
-def _envelope(make, *args):
-    """``make(*args)``, or None where the bound does not apply, as under a regime
-    that has none (uniform, adaptive)."""
-    try:
-        return make(*args)
-    except ValueError:
-        return None
-
-
 def run(
     p: ProblemInstance,
     config: DampedRunConfig,
@@ -196,24 +163,27 @@ def run(
     if plan.n != p.n:
         raise ValueError("sampling plan size mismatch")
     z, zbar = z0.copy(), ordered_mean(z0)  # z0 itself is never written
-    flags = _stepsize_flags(p, config.alpha, config.theta)
+    flags, convex_holds, rate = certify(p.L, p.component_L, p.mu, config.alpha, config.theta)
     xstar = zstar = None
     if reference is not None:
         xstar, zstar = reference
         xstar = np.asarray(xstar, dtype=np.float64)
         zstar = np.asarray(zstar, dtype=np.float64)
+        if zstar.shape != z0.shape:
+            raise ValueError(f"zstar must have shape ({p.n}, {p.d}), got {zstar.shape}")
 
     w = None
     if plan.regime == "adaptive":
         diff = z0 - zbar
         w = np.einsum("ij,ij->i", diff, diff)
     convex = strongly_convex = None
-    if zstar is not None:
-        # each envelope is decided and its constant computed once per run
-        convex = _envelope(convex_envelope, config.alpha, config.theta, p.L, p.n, z0,
-                           zstar, plan.regime, plan.order)
-        strongly_convex = _envelope(strongly_convex_envelope, config.alpha, config.theta, p.L,
-                                    p.mu, p.n, z0, zstar, plan.regime, plan.order)
+    if zstar is not None and plan.regime in BOUNDED:
+        # each envelope certify admits, its constant computed once per run
+        args = (p.n, z0, zstar, plan.regime, plan.order)
+        if convex_holds:
+            convex = convex_envelope(config.alpha, config.theta, p.L, *args)
+        if rate is not None:
+            strongly_convex = strongly_convex_envelope(config.alpha, config.theta, p.L, p.mu, *args)
 
     def make_record(k, grad_evals, pre_z, order):
         true_min, certified = grad_map_residual(p, zbar, config.alpha)

@@ -222,10 +222,8 @@ class ProblemInstance:
     """Immutable finite-sum problem: n component oracles plus a regularizer.
 
     ``mu`` is the strong-convexity constant (0 means merely convex) and ``L`` the smoothness
-    of every f_i (least squares) or of the mean loss, lmax(W^T W)/(4n) + ridge (logistic).
-    The "theory" step, the envelopes, the step-size table, criterion 12, ``solve_reference``
-    and ``order``'s default alpha read ``L``; ``engine._stepsize_flags`` alone judges a
-    logistic run by its roughest f_i, max_i ||w_i||^2/4 + ridge.
+    of every f_i (least squares) or of the mean loss, lmax(W^T W)/(4n) + ridge (logistic),
+    which every consumer reads but the run flags (:func:`diagnostics.certify`).
     """
 
     kind: str
@@ -317,6 +315,13 @@ class ProblemInstance:
             A = list(self.A)
             return _grad_least_squares(A, [a.T for a in A], list(self.b))
         return _grad_logistic(list(self.W), self.y.tolist(), self.ridge)
+
+    @cached_property
+    def component_L(self):
+        """The roughest f_i's smoothness: ``L``, or max_i ||w_i||^2/4 + ridge for logistic."""
+        if self.kind == "logistic":
+            return float(np.max(np.einsum("ij,ij->i", self.W, self.W))) / 4.0 + self.ridge
+        return self.L
 
     @cached_property
     def gram(self):

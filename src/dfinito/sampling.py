@@ -31,6 +31,8 @@ class SamplingPlan:
         check_int("n", self.n)
         if self.order is not None and self.regime != "cyclic":
             raise ValueError(f"an order is for cyclic sampling only, got regime {self.regime!r}")
+        if self.seed is not None:
+            check_int("seed", self.seed, 0)
         if self.regime == "cyclic":
             if self.order is None:
                 raise ValueError("cyclic sampling needs a fixed order")
@@ -40,10 +42,8 @@ class SamplingPlan:
                 raise ValueError("adaptive sampling needs gamma in (0, 1)")
             if self.seed is None:
                 object.__setattr__(self, "seed", 0)
-        else:
-            if self.seed is None:
-                raise ValueError(f"{self.regime} sampling needs a seed")
-            check_int("seed", self.seed, 0)
+        elif self.seed is None:
+            raise ValueError(f"{self.regime} sampling needs a seed")
 
 
 def _rng(seed, epoch=None):

@@ -212,14 +212,13 @@ def suite_operators(seed=0):
     # exact expected non-expansiveness over all permutations (n = 5)
     p5 = problems.gen_least_squares(seed + 1, n=5, d=3, k=5, L=2.0, mu=0.0,
                                     regularizer=Regularizer.l1(0.05))
-    ratio = expected_contraction_ratio(p5, 2.0 / p5.L, 1.0, 30, rng)
+    ratio = expected_contraction_ratio(p5, diagnostics.certified_step(p5.L), 1.0, 30, rng)
     results.append(check_leq("epoch_operator_nonexpansive_expectation", ratio - 1.0, 1e-10))
 
     # contraction of the damped epoch operator under strong convexity
     psc = problems.gen_least_squares(seed + 2, n=5, d=3, k=5, L=2.0, mu=0.5)
-    a = 2.0 / (psc.mu + psc.L)
-    theta = 0.7
-    rate = 1.0 - 2.0 * theta * a * psc.mu * psc.L / (psc.mu + psc.L)
+    a, theta = diagnostics.certified_step(psc.L, psc.mu), 0.7
+    rate = diagnostics.certify(psc.L, psc.L, psc.mu, a, theta)[2]
     ratio = pi_norm_ratio(psc, [a], theta, rate, 100, rng)
     results.append(check_leq("damped_epoch_operator_contracts", ratio - 1.0, 1e-10))
     return results
@@ -230,7 +229,7 @@ def suite_bounds(seed=0):
 
     # sublinear envelope, fixed cyclic order, merely convex instance
     p = problems.gen_least_squares(seed, n=20, d=10, k=10, L=4.0, mu=0.0)
-    alpha, theta, epochs = 2.0 / p.L, 0.5, 60
+    alpha, theta, epochs = diagnostics.certified_step(p.L), 0.5, 60
     xstar = oracle.solve_reference(p, tol=1e-10)
     zstar = oracle.zstar_table(p, xstar, alpha)
     z0 = np.random.default_rng(seed).standard_normal((p.n, p.d))
@@ -244,7 +243,7 @@ def suite_bounds(seed=0):
 
     # linear envelope under strong convexity
     psc = problems.gen_least_squares(seed + 1, n=20, d=10, k=10, L=5.0, mu=0.2)
-    a = 2.0 / (psc.mu + psc.L)
+    a = diagnostics.certified_step(psc.L, psc.mu)
     xs = oracle.solve_reference(psc, tol=1e-12)
     zs = oracle.zstar_table(psc, xs, a)
     z0 = np.random.default_rng(seed + 1).standard_normal((psc.n, psc.d))
@@ -274,11 +273,11 @@ def suite_ordering(seed=0):
     scores = [rng.random(n) * 10.0 for n in range(2, 8) for _ in range(20)]
     results = [check_leq("optimal_order_matches_brute_force", order_rule_deviation(scores), 1e-12)]
 
-    n, d, beta = 100, 10, 0.1
+    n, d, beta, alpha = 100, 10, 0.1, diagnostics.certified_step(10.0, 0.1)
     z0 = np.random.default_rng(seed + 3).standard_normal((n, d))
     p, cert = problems.gen_heterogeneous(seed, n, d, k=d, mu=0.1, L=10.0,
-                                         alpha=2.0 / 10.1, beta=beta, z0=z0)
-    results.extend(verify_heterogeneous(p, cert, z0, 2.0 / 10.1))
+                                         alpha=alpha, beta=beta, z0=z0)
+    results.extend(verify_heterogeneous(p, cert, z0, alpha))
     disp = (math.sqrt(beta) ** np.arange(n))[:, None] * cert.t
     profile = np.einsum("ij,ij->i", disp, disp)
     ident = float(np.max(np.abs(sampling.optimal_cyclic_order(profile) - np.arange(n))))

@@ -352,7 +352,7 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
     ("run", {"problem": {"generator": {"kind": "quadratic", "n": 8}}}, "'quadratic'"),
     ("sweep", {"grid": {"alpha": [0.1], "gamma": [0.5]}}, "'gamma'"),
     ("sweep", {"grid": {"sampling": [{"regime": "cyclic", "oder": [0]}]}}, "'oder'"),
-    ("sweep", {"grid": {"theta": []}}, "grid axes must be non-empty lists"),
+    ("sweep", {"grid": {"theta": []}}, "grid axis 'theta' must be a non-empty list, got []"),
     ("run", {"algorithm": "foo"}, "unknown algorithm 'foo'"),
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 4.5, "d": 2, "L": 5.0}}},
      "n must be an integer >= 1, got 4.5"),
@@ -423,6 +423,7 @@ def test_sweep_requires_grid(tmp_path, ls_instance):
     ("run", {"problem": {"generator": {"kind": "least_squares", "n": 8.0, "d": 2, "L": 5.0}}},
      "n must be an integer >= 1, got 8.0"),
     ("run", {"alpha": 10 ** 400}, "alpha must be a finite float, got 1000"),
+    ("sweep", {"grid": {"alpha": 0.5}}, "grid axis 'alpha' must be a non-empty list, got 0.5"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, ls_instance, capsys, command,
                                                overrides, named):

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -153,6 +155,8 @@ def test_bound_validation():
         bound_strongly_convex(0, 0.1, 0.5, 1.0, 0.0, 2, z2, z, "reshuffle")  # mu = 0
     with pytest.raises(ValueError):
         bound_strongly_convex(0, 3.0, 0.5, 1.0, 0.5, 2, z2, z, "reshuffle")
+    with pytest.raises(ValueError, match="theta <= 1"):
+        bound_strongly_convex(0, 0.1, 1.5, 1.0, 0.5, 2, z2, z, "reshuffle")
 
 
 def test_bound_strongly_convex_rate():
@@ -165,6 +169,50 @@ def test_bound_strongly_convex_rate():
     b5 = bound_strongly_convex(5, alpha, theta, L, mu, n, z0, zstar, "reshuffle")
     assert b5 == pytest.approx(b0 * rate**5)
     assert b0 == pytest.approx(table_norm_sq(z0) / n)
+
+
+def _hypothesis_sites(text):
+    """(function, form) for each ``mu + L`` sum (the step edge and the rate) and each
+    ``2 / L`` quotient in ``text``; an operand counts by its name or attribute."""
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    sites = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, ast.Add) and {name(node.left), name(node.right)} == {"mu", "L"}:
+                sites.add((func, "mu + L"))
+            if isinstance(node.op, ast.Div) and getattr(node.left, "value", None) == 2 \
+                    and name(node.right) == "L":
+                sites.add((func, "2 / L"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(text), None)
+    return sites
+
+
+def test_the_hypothesis_check_sees_each_form():
+    text = ("def f(p, L):\n    return 2.0 / (p.mu + L), 2 / L, 2.0 / p.L\n"
+            "def g(args):\n    return args.L + args.mu, 2.0 / args.L + 1.0\n"
+            "def h(L, mu):\n    return L + L, mu * L, 2.0 / (alpha * L), 1.0 / L\n")
+    assert _hypothesis_sites(text) == {("f", "mu + L"), ("f", "2 / L"), ("g", "mu + L"),
+                                       ("g", "2 / L")}
+
+
+def test_step_edge_and_rate_are_written_only_in_diagnostics():
+    # a second copy of 2/(mu+L), 2/L or the rate's mu+L, anywhere in the package, fails;
+    # certify writes the rate 1 - 2 theta alpha mu L/(mu+L) once
+    sites = set()
+    for path in sorted(pathlib.Path(diagnostics.__file__).parent.glob("*.py")):
+        sites |= {(path.name, *site) for site in _hypothesis_sites(path.read_text("utf-8"))}
+    assert sites == {("diagnostics.py", "certified_step", "mu + L"),
+                     ("diagnostics.py", "certify", "mu + L")}
+    for L in (1e-300, 0.362, 20.5, 4.0, 1e300):
+        assert diagnostics.certified_step(L) == diagnostics.certified_step(L, 0.0) == 2.0 / L
 
 
 def test_trace_record_row_format():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -413,23 +414,60 @@ def test_run_flags_uncertified_step_size(composite_problem):
     assert "alpha_uncertified" in trace[-1].flags
 
 
+def _flags(p, alpha, theta):
+    return diagnostics.certify(p.L, p.component_L, p.mu, alpha, theta)[0]
+
+
 def test_logistic_step_flag_reads_the_largest_component_smoothness():
     p = gen_logistic(*make_synthetic_logistic(0, 200, 10, kappa=400))
     L_max = float(np.max(p.metadata["per_component_L"]))
+    assert p.component_L == L_max
     theory = 2.0 / (p.L + p.mu)  # from the mean loss's smoothness
     assert theory > 10.0 * 2.0 / (p.mu + L_max)
-    assert engine._stepsize_flags(p, theory, 0.5) == "alpha_uncertified"
-    assert engine._stepsize_flags(p, 2.0 / (p.mu + L_max), 0.5) == ""
-    assert engine._stepsize_flags(p, np.nextafter(2.0 / (p.mu + L_max), 1.0), 0.5) \
-        == "alpha_uncertified"
+    assert _flags(p, theory, 0.5) == "alpha_uncertified"
+    assert _flags(p, 2.0 / (p.mu + L_max), 0.5) == ""
+    assert _flags(p, np.nextafter(2.0 / (p.mu + L_max), 1.0), 0.5) == "alpha_uncertified"
     # least squares is still judged by p.L, strongly convex or not
     for mu, flags in ((0.5, ("", "alpha_uncertified", "")),
                       (0.0, ("", "alpha_uncertified", "theta_uncertified"))):
         q = gen_least_squares(0, n=6, d=3, k=3, L=4.0, mu=mu)
+        assert q.component_L == q.L
         edge = 2.0 / (q.mu + q.L)
-        assert (engine._stepsize_flags(q, edge, 0.5),
-                engine._stepsize_flags(q, np.nextafter(edge, 1.0), 0.5),
-                engine._stepsize_flags(q, edge, 1.0)) == flags
+        assert (_flags(q, edge, 0.5), _flags(q, np.nextafter(edge, 1.0), 0.5),
+                _flags(q, edge, 1.0)) == flags
+
+
+@pytest.fixture(scope="module")
+def certify_grid():
+    """Both problem kinds at mu = 0 and mu > 0, each with its reference pair."""
+    problems_ = [gen_least_squares(0, n=6, d=3, k=3, L=4.0, mu=mu) for mu in (0.0, 0.5)]
+    W, y, lam = make_synthetic_logistic(0, 6, 3, kappa=10)
+    problems_ += [gen_logistic(W, y, 0.0), gen_logistic(W, y, lam)]
+    assert [q.mu > 0 for q in problems_] == [False, True, False, True]
+    return [(q, solve_reference(q, tol=1e-12)) for q in problems_]
+
+
+def test_run_flags_and_bound_columns_follow_certify(certify_grid):
+    # alpha at each edge the verdict reads and one ulp above it, theta below 1 and at 1
+    seen = set()
+    for (q, xstar), theta in itertools.product(certify_grid, (0.5, 1.0)):
+        edges = {diagnostics.certified_step(L, mu) for L in (q.L, q.component_L)
+                 for mu in (0.0, q.mu)}
+        for alpha in sorted(edges | {np.nextafter(e, np.inf) for e in edges}):
+            flags, convex, rate = diagnostics.certify(q.L, q.component_L, q.mu, alpha, theta)
+            verdict = (flags, convex, rate is not None)
+            cfg = DampedRunConfig(alpha, theta, 1, SamplingPlan("reshuffle", q.n, seed=0))
+            _, trace = run(q, cfg, np.zeros((q.n, q.d)), (xstar, zstar_table(q, xstar, alpha)))
+            assert {(r.flags, r.bound_convex is not None, r.bound_sc is not None)
+                    for r in trace} == {verdict}
+            if rate is not None:
+                assert trace[1].bound_sc == rate * trace[0].bound_sc
+            seen.add(verdict)
+    # every flag string, and each bound column both filled and empty, is reached
+    assert {flags for flags, _, _ in seen} == {"", "alpha_uncertified", "theta_uncertified",
+                                                "alpha_uncertified;theta_uncertified"}
+    assert {(convex, sc) for _, convex, sc in seen} == {(False, False), (False, True),
+                                                        (True, False), (True, True)}
 
 
 def test_run_uniform_regime_accepts_repeats(composite_problem):
@@ -461,6 +499,9 @@ def test_run_shape_and_plan_mismatch_errors(composite_problem):
     cfg = DampedRunConfig(alpha=0.1, theta=0.5, epochs=1, plan=plan)
     with pytest.raises(ValueError):
         run(p, cfg, np.zeros((p.n + 1, p.d)))
+    # a z* of another shape is named, not left to drop the bound columns
+    with pytest.raises(ValueError, match=r"zstar must have shape \(8, 5\), got \(7, 5\)"):
+        run(p, cfg, np.zeros((p.n, p.d)), (np.zeros(p.d), np.zeros((p.n - 1, p.d))))
 
 
 def test_config_validation():

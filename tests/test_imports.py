@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private name is read by some library module.
+"""Every name a library module imports is used in that module, every
+module-level private name is read by some library module, and a fresh
+``import dfinito.cli`` loads nothing beyond the standard library but numpy.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 public names.
@@ -7,6 +8,8 @@ public names.
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -76,3 +79,17 @@ def test_every_private_name_is_read():
         with open(path, encoding="utf-8") as fh:
             texts.append(fh.read())
     assert unread_private_names(texts) == []
+
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    # a fresh `import dfinito.cli` is the set-up cost of every command; a new
+    # third-party import, even an unused one, adds to each
+    code = ("import sys\nbefore = set(sys.modules)\nimport dfinito.cli\n"
+            "print(' '.join(sorted({name.split('.')[0] for name in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))))")
+    src = os.path.dirname(os.path.dirname(dfinito.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == ["dfinito", "numpy"]
+    assert len(MODULES) == 11

@@ -33,9 +33,12 @@ def test_plan_validation():
         ("reshuffle", 8, None, 1.5, "seed must be an integer >= 0, got 1.5"),
         ("uniform", 8, None, -1, "seed must be an integer >= 0, got -1"),
         ("shuffle_once", 8, None, True, "seed must be an integer >= 0, got True"),
+        # cyclic and adaptive orders read no seed, but a given one is checked all the same
+        ("cyclic", 4, np.arange(4), "x", "seed must be an integer >= 0, got 'x'"),
+        ("adaptive", 4, None, 1.5, "seed must be an integer >= 0, got 1.5"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
-            SamplingPlan(regime, n, order=order, seed=seed)
+            SamplingPlan(regime, n, order=order, seed=seed, gamma=0.5)
 
 
 def test_cyclic_is_fixed():
