@@ -31,7 +31,7 @@ def theoretical_step_size(algorithm: str, regime: str, L: float, mu: float, n: i
     if algorithm not in ALGORITHMS or regime not in REGIMES:
         raise ValueError(f"no step-size entry for ({algorithm!r}, {regime!r})")
     if not (L > mu > 0):
-        raise ValueError("the step-size table requires L > mu > 0")
+        raise ValueError(f"alpha 'theory' needs the problem's L > mu > 0, got L={L:g} and mu={mu:g}")
     check_int("n", n)
     if algorithm == "dfinito":
         return certified_step(L, mu)

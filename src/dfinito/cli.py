@@ -130,28 +130,35 @@ def cmd_generate(args):
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"{flag} is not read by --kind {args.kind}")
     rho = cert = None
-    if args.kind == "least_squares":
-        reg = Regularizer(args.reg, args.reg_lam)
-        p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
-                                       regularizer=reg)
-    elif args.kind == "heterogeneous":
-        k = max(10, args.d) if args.k is None else args.k
-        if k < args.d:
-            raise UsageError(f"--k must be >= --d for --kind heterogeneous, got {k} < {args.d}")
-        alpha = certified_step(args.L, args.mu) if args.alpha is None else args.alpha
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
-        z0 = rng.standard_normal((args.n, args.d))
-        p, cert = problems.gen_heterogeneous(args.seed, args.n, args.d, k, args.mu, args.L,
-                                             alpha, args.beta, z0)
-        p.metadata["z0"] = z0
+    if args.kind == "heterogeneous" and args.k is None:
+        args.k = max(10, args.d)
+    sizes = ("n", "d") if args.kind == "logistic" else ("n", "d", "k")
+    try:
+        if args.kind == "least_squares":
+            reg = Regularizer(args.reg, args.reg_lam)
+            p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
+                                           regularizer=reg)
+        elif args.kind == "heterogeneous":
+            if args.k < args.d:
+                raise UsageError("--k must be >= --d for --kind heterogeneous, "
+                                 f"got {args.k} < {args.d}")
+            alpha = certified_step(args.L, args.mu) if args.alpha is None else args.alpha
+            rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
+            z0 = rng.standard_normal((args.n, args.d))
+            p, cert = problems.gen_heterogeneous(args.seed, args.n, args.d, args.k, args.mu,
+                                                 args.L, alpha, args.beta, z0)
+            p.metadata["z0"] = z0
+        else:
+            W, y, lam = problems.make_synthetic_logistic(
+                args.seed, args.n, args.d, kappa=args.kappa, lam=args.lam
+            )
+            p = problems.gen_logistic(W, y, lam)
+    except MemoryError as exc:
+        raise _too_large(exc, {key: getattr(args, key) for key in sizes}) from None
+    if cert is not None:
         zstar = cert.zstar(z0)
         profile = np.einsum("ij,ij->i", z0 - zstar, z0 - zstar)
         rho = rho_ratio(z0, zstar, sampling.optimal_cyclic_order(profile))
-    else:
-        W, y, lam = problems.make_synthetic_logistic(
-            args.seed, args.n, args.d, kappa=args.kappa, lam=args.lam
-        )
-        p = problems.gen_logistic(W, y, lam)
     path = os.path.join(args.out, "instance.json")
     problems.save_instance(path, p, cert)
     summary = f"kind={p.kind} n={p.n} d={p.d} L={p.L:.6g} mu={p.mu:.6g} kappa={p.L / p.mu if p.mu > 0 else math.inf:.6g}"
@@ -188,6 +195,12 @@ def _number(value, key):
     return float(value)
 
 
+def _too_large(exc, sizes):
+    """The exit-2 error for a generator whose ``sizes`` cannot be allocated."""
+    named = ", ".join(f"{key}={value}" for key, value in sizes.items())
+    return UsageError(f"cannot allocate an instance of {named}: {exc}")
+
+
 def _resolve_problem(spec):
     spec = _fill(spec, PROBLEM_KEYS, "problem")
     if spec["path"] is not None and spec["generator"] is not None:
@@ -202,18 +215,24 @@ def _resolve_problem(spec):
         raise UsageError("'problem' needs 'path' or a 'generator' of kind "
                          f"{' or '.join(GENERATOR_KEYS)}, got {gen!r}")
     gen = _fill(gen, GENERATOR_KEYS[kind], f"{kind} generator")
-    if kind == "least_squares":
-        if gen["reg"] not in REG_KINDS:
-            raise UsageError(f"reg must be one of {', '.join(REG_KINDS)}, got {gen['reg']!r}")
-        return problems.gen_least_squares(
-            gen["seed"], gen["n"], gen["d"], gen["d"] if gen["k"] is None else gen["k"],
-            _number(gen["L"], "L"), _number(gen["mu"], "mu"),
-            regularizer=Regularizer(gen["reg"], _number(gen["reg_lam"], "reg_lam")),
-        )
-    kappa, lam = (None if gen[key] is None else _number(gen[key], key) for key in ("kappa", "lam"))
-    W, y, lam = problems.make_synthetic_logistic(gen["seed"], gen["n"], gen["d"], kappa=kappa,
-                                                 lam=lam)
-    return problems.gen_logistic(W, y, lam)
+    sizes = {"n": gen["n"], "d": gen["d"]}
+    try:
+        if kind == "least_squares":
+            if gen["reg"] not in REG_KINDS:
+                raise UsageError(f"reg must be one of {', '.join(REG_KINDS)}, got {gen['reg']!r}")
+            sizes["k"] = gen["d"] if gen["k"] is None else gen["k"]
+            return problems.gen_least_squares(
+                gen["seed"], gen["n"], gen["d"], sizes["k"],
+                _number(gen["L"], "L"), _number(gen["mu"], "mu"),
+                regularizer=Regularizer(gen["reg"], _number(gen["reg_lam"], "reg_lam")),
+            )
+        kappa, lam = (None if gen[key] is None else _number(gen[key], key)
+                      for key in ("kappa", "lam"))
+        W, y, lam = problems.make_synthetic_logistic(gen["seed"], gen["n"], gen["d"],
+                                                     kappa=kappa, lam=lam)
+        return problems.gen_logistic(W, y, lam)
+    except MemoryError as exc:
+        raise _too_large(exc, sizes) from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,9 +270,6 @@ def _cells(cfg, p):
                          f"regularizer is {p.regularizer.kind!r}")
     if "theory" in axes[0] and reads.step is None:
         raise UsageError(f"algorithm {name!r} has no certified step; set alpha")
-    if "theory" in axes[0] and not p.L > p.mu > 0:
-        raise UsageError(f"alpha 'theory' needs the problem's L > mu > 0, got L={p.L:g} and "
-                         f"mu={p.mu:g}; set alpha")
     cells = []
     for alpha, theta, entry in itertools.product(*axes):
         smp = _fill(entry, SAMPLING_KEYS, "sampling")
@@ -270,8 +286,11 @@ def _cells(cfg, p):
         if alpha != "theory":
             step = _number(alpha, "alpha")
         else:
-            step = baselines.theoretical_step_size(
-                reads.step, "cyclic" if regime == "cyclic" else "rr", p.L, p.mu, p.n)
+            try:
+                step = baselines.theoretical_step_size(
+                    reads.step, "cyclic" if regime == "cyclic" else "rr", p.L, p.mu, p.n)
+            except ValueError as exc:  # the table states when "theory" resolves
+                raise UsageError(f"{exc}; set alpha") from None
         order = smp["order"]
         if order is not None and not (isinstance(order, list)
                                       and all(type(i) is int for i in order)
@@ -409,8 +428,10 @@ def cmd_order(args):
     p, cert = problems.load_instance(args.instance)
     default = certified_step(p.L, p.mu) if p.mu > 0 else 1.0 / p.L
     alpha = default if args.alpha is None else args.alpha  # --alpha 0 fails its check
-    z0 = (np.asarray(p.metadata["z0"], dtype=np.float64) if "z0" in p.metadata
-          else np.zeros((p.n, p.d)))
+    z0 = p.metadata.get("z0", np.zeros((p.n, p.d)))  # a stored array loads as float64
+    if np.shape(z0) != (p.n, p.d):  # a JSON scalar has shape []
+        raise UsageError(f"{args.instance}: metadata.z0: shape {list(np.shape(z0))} is not "
+                         f"[{p.n}, {p.d}]")
     xstar = oracle.solve_reference(p, tol=1e-10)
     zstar = oracle.zstar_table(p, xstar, alpha)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -190,7 +190,6 @@ def gen_logistic(W, y, lam):
     if not (0.0 <= lam < math.inf):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     n, d = W.shape
-    per_component_L = np.einsum("ij,ij->i", W, W) / 4.0 + lam
     return ProblemInstance(
         kind="logistic",
         n=n,
@@ -201,7 +200,6 @@ def gen_logistic(W, y, lam):
         W=W,
         y=y,
         ridge=float(lam),
-        metadata={"per_component_L": per_component_L},
     )
 
 

@@ -37,8 +37,10 @@ def test_step_size_table_hand_values():
 
 
 def test_step_size_table_errors():
-    with pytest.raises(ValueError):
-        theoretical_step_size("svrg", "rr", 1.0, 0.0, 10)  # mu = 0
+    for L, mu in ((1.0, 0.0), (0.5, 0.5), (0.25, 2.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha 'theory' needs the problem's L > mu > 0, got L={L:g} and mu={mu:g}")):
+            theoretical_step_size("svrg", "rr", L, mu, 10)
     with pytest.raises(ValueError):
         theoretical_step_size("adam", "rr", 1.0, 0.1, 10)
     with pytest.raises(ValueError):

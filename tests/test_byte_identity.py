@@ -11,7 +11,8 @@ bytes on purpose rewrites them with
 
     PYTHONPATH=src python tests/test_byte_identity.py
 
-and names the changed entries, with the reason, in CHANGES.md.
+which prints the entries whose digests it rewrote; name them, with the
+reason, in CHANGES.md.
 """
 import contextlib
 import hashlib
@@ -112,20 +113,29 @@ def digests(root):
     return got
 
 
+def _changed(recorded, got):
+    """The names of the entries whose digests differ between the two maps, or that
+    only one of them has, in sorted order."""
+    return sorted(name for name in recorded.keys() | got.keys()
+                  if recorded.get(name) != got.get(name))
+
+
 def test_outputs_match_their_recorded_digests(tmp_path):
     with open(DIGESTS, encoding="utf-8") as fh:
         recorded = json.load(fh)
-    got = digests(str(tmp_path))
-    changed = sorted(name for name in recorded["digests"].keys() | got.keys()
-                     if recorded["digests"].get(name) != got.get(name))
+    changed = _changed(recorded["digests"], digests(str(tmp_path)))
     assert not changed, (f"{len(changed)} entries changed: {', '.join(changed)} (digests made "
                          f"under {recorded['versions']}, run under {versions()})")
 
 
 if __name__ == "__main__":
+    with open(DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)["digests"]
     with tempfile.TemporaryDirectory() as root:
         doc = {"versions": versions(), "digests": digests(root)}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(doc['digests'])} digests to {DIGESTS}")
+    changed = _changed(recorded, doc["digests"])
+    print(f"wrote {len(doc['digests'])} digests to {DIGESTS}; {len(changed)} changed"
+          + "".join(f"\n  {name}" for name in changed))

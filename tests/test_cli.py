@@ -105,6 +105,35 @@ def test_generate_heterogeneous_k_below_d_exits_2_naming_k(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+HUGE = 10**12  # an instance this large is past the 47-bit address space: it fails at once
+HUGE_LS = {"kind": "least_squares", "n": HUGE, "d": 50, "k": 50, "L": 2}
+HUGE_LOGISTIC = {"kind": "logistic", "n": HUGE, "d": 50, "kappa": 10}
+
+
+@pytest.mark.parametrize("argv, named", [
+    *((["generate", "--kind", kind, "--n", str(HUGE), "--d", "50", "--k", "50"],
+      f"n={HUGE}, d=50, k=50") for kind in ("least_squares", "heterogeneous")),
+    (["generate", "--kind", "logistic", "--n", str(HUGE), "--d", "50", "--kappa", "10"],
+     f"n={HUGE}, d=50"),
+    (["run", HUGE_LS], f"n={HUGE}, d=50, k=50"),
+    (["sweep", HUGE_LS], f"n={HUGE}, d=50, k=50"),
+    (["run", HUGE_LOGISTIC], f"n={HUGE}, d=50"),
+], ids=["generate_least_squares", "generate_heterogeneous", "generate_logistic", "run", "sweep",
+        "run_logistic"])
+def test_generator_sizes_that_cannot_be_allocated_exit_2_naming_them(tmp_path, capsys, argv,
+                                                                      named):
+    if argv[0] != "generate":
+        cfg = {"problem": {"generator": argv[1]}, "epochs": 1,
+               "grid": {"theta": [0.5]} if argv[0] == "sweep" else None}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        argv = [argv[0], "--config", str(tmp_path / "cfg.json")]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot allocate an instance of {named}: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ([] if argv[0] == "generate" else ["cfg.json"])
+
+
 def test_generated_logistic_run_at_theory_step_is_flagged(tmp_path):
     cfg = {"problem": {"generator": {"kind": "logistic", "n": 100, "d": 5, "kappa": 400}},
            "epochs": 2, "seeds": [0], "reference": False}
@@ -551,6 +580,31 @@ def test_save_failing_after_its_sidecar_leaves_the_old_file_unloadable(tmp_path,
     assert problems.load_instance(ls_instance)[0].b.tobytes() == p.b.tobytes()
 
 
+def test_logistic_file_with_per_component_L_runs_as_one_without(tmp_path):
+    # earlier versions stored the per-component smoothness as a metadata array; a file that
+    # carries it loads, and runs write the same bytes as from the file without it
+    W, y, lam = problems.make_synthetic_logistic(0, 12, 4, kappa=20)
+    traces = []
+    for extra in ({}, {"per_component_L": np.einsum("ij,ij->i", W, W) / 4.0 + lam}):
+        out = tmp_path / f"with{len(extra)}"
+        out.mkdir()
+        p = gen_logistic(W, y, lam)
+        p.metadata.update(extra)
+        save_instance(str(out / "instance.json"), p)
+        q, _ = problems.load_instance(str(out / "instance.json"))
+        assert sorted(q.metadata) == sorted(extra)
+        for key, value in extra.items():
+            assert q.metadata[key].tobytes() == value.tobytes()
+        for algorithm in ("dfinito", "saga"):
+            run_dir = out / algorithm
+            run_dir.mkdir()
+            cfg = _config(tmp_path, str(out / "instance.json"), algorithm=algorithm, epochs=3)
+            assert run_cli("run", "--config", cfg, "--out", str(run_dir)) == 0
+        traces.append({f"{a}/{name}": (out / a / name).read_bytes()
+                       for a in ("dfinito", "saga") for name in sorted(os.listdir(out / a))})
+    assert len(traces[0]) == 6 and traces[0] == traces[1]
+
+
 def test_csv_is_written_through_the_instance_files_atomic_writer(tmp_path, monkeypatch):
     written = []
     write = problems._write_atomically
@@ -869,6 +923,32 @@ def test_order_exits_2_when_its_scores_overflow(tmp_path, capsys):
         assert run_cli("order", "--instance", instance, "--alpha", "1e150") == 0
     rho = float(capsys.readouterr().out.split("rho=")[1].split()[0])
     assert math.isfinite(rho) and 1 / 6 <= rho <= 1
+
+
+@pytest.mark.parametrize("shape", [[1, 2], [8], "x"], ids=["1_by_d", "n_times_d", "text"])
+def test_order_exits_2_naming_metadata_z0_of_the_wrong_shape(tmp_path, monkeypatch, capsys,
+                                                             shape):
+    # both shapes fit z0's bytes in the sidecar, and [1, d] broadcasts against z*; a
+    # JSON scalar in place of the array has shape []
+    assert run_cli("generate", "--kind", "heterogeneous", "--n", "4", "--d", "2", "--k", "2",
+                   "--out", str(tmp_path)) == 0
+    path = tmp_path / "instance.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(shape, str):
+        doc["metadata"]["z0"], shape = shape, []
+    else:
+        doc["metadata"]["z0"]["shape"] = shape
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def fail(p, tol):
+        raise AssertionError("x* was solved before z0 was checked")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    capsys.readouterr()
+    assert run_cli("order", "--instance", str(path)) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {path}: metadata.z0: shape {shape} is not [4, 2]\n"
 
 
 def test_generate_heterogeneous_alpha_zero_is_rejected(tmp_path, capsys):

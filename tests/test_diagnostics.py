@@ -172,8 +172,10 @@ def test_bound_strongly_convex_rate():
 
 
 def _hypothesis_sites(text):
-    """(function, form) for each ``mu + L`` sum (the step edge and the rate) and each
-    ``2 / L`` quotient in ``text``; an operand counts by its name or attribute."""
+    """(function, form) for each ``mu + L`` sum (the step edge and the rate), each
+    ``2 / L`` quotient and each strict chained comparison of ``L`` and ``mu`` (the
+    ``L > mu > 0`` form, written either way) in ``text``; an operand counts by its name
+    or attribute."""
     def name(node):
         return getattr(node, "id", getattr(node, "attr", None))
 
@@ -188,6 +190,10 @@ def _hypothesis_sites(text):
             if isinstance(node.op, ast.Div) and getattr(node.left, "value", None) == 2 \
                     and name(node.right) == "L":
                 sites.add((func, "2 / L"))
+        if isinstance(node, ast.Compare) and len(node.ops) > 1 \
+                and all(isinstance(op, (ast.Gt, ast.Lt)) for op in node.ops) \
+                and {"mu", "L"} <= {name(side) for side in (node.left, *node.comparators)}:
+            sites.add((func, "L > mu > 0"))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -198,19 +204,24 @@ def _hypothesis_sites(text):
 def test_the_hypothesis_check_sees_each_form():
     text = ("def f(p, L):\n    return 2.0 / (p.mu + L), 2 / L, 2.0 / p.L\n"
             "def g(args):\n    return args.L + args.mu, 2.0 / args.L + 1.0\n"
-            "def h(L, mu):\n    return L + L, mu * L, 2.0 / (alpha * L), 1.0 / L\n")
+            "def h(L, mu):\n    return L + L, mu * L, 2.0 / (alpha * L), 1.0 / L\n"
+            "def k(p, L, mu):\n    return p.L > p.mu > 0, 0 < mu < L\n"
+            "def m(L, mu):\n    return 0.0 <= mu <= L, L > mu, mu > 0, L > 1.0 > 0\n")
     assert _hypothesis_sites(text) == {("f", "mu + L"), ("f", "2 / L"), ("g", "mu + L"),
-                                       ("g", "2 / L")}
+                                       ("g", "2 / L"), ("k", "L > mu > 0")}
 
 
 def test_step_edge_and_rate_are_written_only_in_diagnostics():
-    # a second copy of 2/(mu+L), 2/L or the rate's mu+L, anywhere in the package, fails;
-    # certify writes the rate 1 - 2 theta alpha mu L/(mu+L) once
+    # a second copy of 2/(mu+L), 2/L, the rate's mu+L or the "theory" step's L > mu > 0,
+    # anywhere in the package, fails; certify writes the rate 1 - 2 theta alpha mu L/(mu+L)
+    # once, and gen_heterogeneous's 0 < mu < L is its planted construction's input range
     sites = set()
     for path in sorted(pathlib.Path(diagnostics.__file__).parent.glob("*.py")):
         sites |= {(path.name, *site) for site in _hypothesis_sites(path.read_text("utf-8"))}
     assert sites == {("diagnostics.py", "certified_step", "mu + L"),
-                     ("diagnostics.py", "certify", "mu + L")}
+                     ("diagnostics.py", "certify", "mu + L"),
+                     ("baselines.py", "theoretical_step_size", "L > mu > 0"),
+                     ("problems.py", "gen_heterogeneous", "L > mu > 0")}
     for L in (1e-300, 0.362, 20.5, 4.0, 1e300):
         assert diagnostics.certified_step(L) == diagnostics.certified_step(L, 0.0) == 2.0 / L
 

@@ -420,7 +420,7 @@ def _flags(p, alpha, theta):
 
 def test_logistic_step_flag_reads_the_largest_component_smoothness():
     p = gen_logistic(*make_synthetic_logistic(0, 200, 10, kappa=400))
-    L_max = float(np.max(p.metadata["per_component_L"]))
+    L_max = float(np.max(np.einsum("ij,ij->i", p.W, p.W) / 4.0 + p.ridge))
     assert p.component_L == L_max
     theory = 2.0 / (p.L + p.mu)  # from the mean loss's smoothness
     assert theory > 10.0 * 2.0 / (p.mu + L_max)

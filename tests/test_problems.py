@@ -251,7 +251,8 @@ def test_logistic_secant_against_per_component_constant():
     y = np.where(rng.random(6) < 0.5, -1.0, 1.0)
     lam = 0.2
     p = gen_logistic(W, y, lam)
-    per_L = p.metadata["per_component_L"]
+    per_L = np.einsum("ij,ij->i", W, W) / 4.0 + lam
+    assert p.component_L == np.max(per_L)
     for _ in range(100):
         x, z = rng.standard_normal(3), rng.standard_normal(3)
         i = int(rng.integers(p.n))
@@ -331,7 +332,7 @@ def _instances_with_extremes():
     p.metadata["z0"] = z0
     rng = np.random.default_rng(15)
     q = gen_logistic(rng.standard_normal((6, 4)), np.where(rng.random(6) < 0.5, -1.0, 1.0), 0.2)
-    for a in (p.A, p.b, z0, cert.v, cert.t, cert.delta, q.W, q.metadata["per_component_L"]):
+    for a in (p.A, p.b, z0, cert.v, cert.t, cert.delta, q.W):
         a.flat[:3] = EXTREMES
     return [(p, cert), (q, None)]
 
