@@ -1,8 +1,10 @@
 """Every output byte of a fixed set of commands, pinned by its SHA-256.
 
-One process calls ``cli.main`` for ``generate`` (three kinds), ``order``, 24
+One process calls ``cli.main`` for ``generate`` (three kinds, and the
+heterogeneous kind at its default ``--k`` and ``--alpha``), ``order``, 24
 ``run`` commands (eight algorithm/regime configs on each generated instance,
-2 seeds, 5 epochs), one ``sweep`` and ``verify --seed 0``, and hashes each
+2 seeds, 5 epochs), two ``run`` commands whose config builds its instance with
+a ``problem.generator``, one ``sweep`` and ``verify --seed 0``, and hashes each
 command's output files and stdout. The output directory that ``generate``
 prints is replaced by ``<out>``; ``run`` and ``sweep`` stdout is left out, as
 it names only the directory. The digests in ``byte_identity.json`` were made
@@ -41,6 +43,11 @@ RUNS = {
     "prox_gd": {"algorithm": "prox_gd"},
     "svrg": {"algorithm": "svrg", "sampling": {"regime": "reshuffle"}},
     "saga": {"algorithm": "saga", "sampling": {"regime": "reshuffle"}},
+}
+GENERATORS = {
+    "least_squares": {"kind": "least_squares", "n": 12, "d": 4, "k": 6, "L": 10, "mu": 0.1,
+                      "reg": "l1", "reg_lam": 0.01},
+    "logistic": {"kind": "logistic", "n": 12, "d": 4, "kappa": 20},
 }
 SWEEP_GRID = {"alpha": ["theory", 0.05], "theta": [0.5, 0.9],
               "sampling": [{"regime": "cyclic"}, {"regime": "reshuffle"}]}
@@ -90,6 +97,11 @@ def digests(root):
         for name in ("instance.json", "instance.json.f8"):
             got[f"generate {kind} {name}"] = _sha([_read(os.path.join(out, name))])
         instances[kind] = os.path.join(out, "instance.json")
+    out = os.path.join(root, "heterogeneous_defaults")
+    os.mkdir(out)
+    printed = _call("generate", "--kind", "heterogeneous", "--n", 12, "--d", 4, "--out", out)
+    got["generate heterogeneous defaults"] = _sha([printed.replace(out, "<out>").encode(),
+                                                   _files(out).encode()])
     got["order stdout"] = _sha([_call("order", "--instance", instances["heterogeneous"]).encode()])
     base = {"alpha": "theory", "theta": 0.5, "epochs": 5, "seeds": [0, 1], "trace_every": 1}
     for kind, instance in instances.items():
@@ -101,6 +113,14 @@ def digests(root):
                 json.dump({"problem": {"path": instance}, **base, **overrides}, fh)
             _call("run", "--config", cfg, "--out", out)
             got[f"run {kind} {name}"] = _files(out)
+    for kind, generator in GENERATORS.items():
+        out = os.path.join(root, f"run_{kind}_generator")
+        os.mkdir(out)
+        cfg = os.path.join(root, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"problem": {"generator": generator}, **base}, fh)
+        _call("run", "--config", cfg, "--out", out)
+        got[f"run {kind} generator"] = _files(out)
     out = os.path.join(root, "sweep")
     os.mkdir(out)
     cfg = os.path.join(root, "sweep.json")
