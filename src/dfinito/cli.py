@@ -129,44 +129,46 @@ def cmd_generate(args):
         elif getattr(args, key) is not None:
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"{flag} is not read by --kind {args.kind}")
-    rho = cert = None
-    if args.kind == "heterogeneous" and args.k is None:
-        args.k = max(10, args.d)
-    sizes = ("n", "d") if args.kind == "logistic" else ("n", "d", "k")
-    try:
-        if args.kind == "least_squares":
-            reg = Regularizer(args.reg, args.reg_lam)
-            p = problems.gen_least_squares(args.seed, args.n, args.d, args.k, args.L, args.mu,
-                                           regularizer=reg)
-        elif args.kind == "heterogeneous":
-            if args.k < args.d:
-                raise UsageError("--k must be >= --d for --kind heterogeneous, "
-                                 f"got {args.k} < {args.d}")
-            alpha = certified_step(args.L, args.mu) if args.alpha is None else args.alpha
-            rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
-            z0 = rng.standard_normal((args.n, args.d))
-            p, cert = problems.gen_heterogeneous(args.seed, args.n, args.d, args.k, args.mu,
-                                                 args.L, alpha, args.beta, z0)
-            p.metadata["z0"] = z0
-        else:
-            W, y, lam = problems.make_synthetic_logistic(
-                args.seed, args.n, args.d, kappa=args.kappa, lam=args.lam
-            )
-            p = problems.gen_logistic(W, y, lam)
-    except MemoryError as exc:
-        raise _too_large(exc, {key: getattr(args, key) for key in sizes}) from None
+    p, cert = _generate(args.kind, {key: getattr(args, key) for key in ("seed", "n", "d", *reads)})
+    summary = f"kind={p.kind} n={p.n} d={p.d} L={p.L:.6g} mu={p.mu:.6g} kappa={p.L / p.mu if p.mu > 0 else math.inf:.6g}"
     if cert is not None:
+        z0 = p.metadata["z0"]
         zstar = cert.zstar(z0)
         profile = np.einsum("ij,ij->i", z0 - zstar, z0 - zstar)
-        rho = rho_ratio(z0, zstar, sampling.optimal_cyclic_order(profile))
+        summary += f" rho={rho_ratio(z0, zstar, sampling.optimal_cyclic_order(profile)):.6g}"
     path = os.path.join(args.out, "instance.json")
     problems.save_instance(path, p, cert)
-    summary = f"kind={p.kind} n={p.n} d={p.d} L={p.L:.6g} mu={p.mu:.6g} kappa={p.L / p.mu if p.mu > 0 else math.inf:.6g}"
-    if rho is not None:
-        summary += f" rho={rho:.6g}"
     print(summary)
     print(f"wrote {path}")
     return 0
+
+
+def _generate(kind, params):
+    """(instance, certificate or None) of ``kind`` from the resolved ``params``: the one
+    caller of the generators. A ``k`` of None is d (max(10, d) if heterogeneous); a
+    heterogeneous ``alpha`` of None is the certified step, and its start table z0 is
+    drawn here and kept as ``metadata["z0"]``. Sizes too large to allocate exit 2."""
+    g = dict(params)
+    if kind != "logistic" and g["k"] is None:
+        g["k"] = max(10, g["d"]) if kind == "heterogeneous" else g["d"]
+    try:
+        if kind == "least_squares":
+            return problems.gen_least_squares(g["seed"], g["n"], g["d"], g["k"], g["L"], g["mu"],
+                                              regularizer=Regularizer(g["reg"], g["reg_lam"])), None
+        if kind == "logistic":
+            W, y, lam = problems.make_synthetic_logistic(g["seed"], g["n"], g["d"],
+                                                         kappa=g["kappa"], lam=g["lam"])
+            return problems.gen_logistic(W, y, lam), None
+        alpha = certified_step(g["L"], g["mu"]) if g["alpha"] is None else g["alpha"]
+        rng = np.random.default_rng(np.random.SeedSequence([g["seed"], 3]))
+        z0 = rng.standard_normal((g["n"], g["d"]))
+        p, cert = problems.gen_heterogeneous(g["seed"], g["n"], g["d"], g["k"], g["mu"], g["L"],
+                                             alpha, g["beta"], z0)
+        p.metadata["z0"] = z0
+        return p, cert
+    except MemoryError as exc:
+        named = ", ".join(f"{key}={g[key]}" for key in ("n", "d", "k") if key in g)
+        raise UsageError(f"cannot allocate an instance of {named}: {exc}") from None
 
 
 # ------------------------------------------------------------- run, sweep
@@ -195,12 +197,6 @@ def _number(value, key):
     return float(value)
 
 
-def _too_large(exc, sizes):
-    """The exit-2 error for a generator whose ``sizes`` cannot be allocated."""
-    named = ", ".join(f"{key}={value}" for key, value in sizes.items())
-    return UsageError(f"cannot allocate an instance of {named}: {exc}")
-
-
 def _resolve_problem(spec):
     spec = _fill(spec, PROBLEM_KEYS, "problem")
     if spec["path"] is not None and spec["generator"] is not None:
@@ -215,24 +211,12 @@ def _resolve_problem(spec):
         raise UsageError("'problem' needs 'path' or a 'generator' of kind "
                          f"{' or '.join(GENERATOR_KEYS)}, got {gen!r}")
     gen = _fill(gen, GENERATOR_KEYS[kind], f"{kind} generator")
-    sizes = {"n": gen["n"], "d": gen["d"]}
-    try:
-        if kind == "least_squares":
-            if gen["reg"] not in REG_KINDS:
-                raise UsageError(f"reg must be one of {', '.join(REG_KINDS)}, got {gen['reg']!r}")
-            sizes["k"] = gen["d"] if gen["k"] is None else gen["k"]
-            return problems.gen_least_squares(
-                gen["seed"], gen["n"], gen["d"], sizes["k"],
-                _number(gen["L"], "L"), _number(gen["mu"], "mu"),
-                regularizer=Regularizer(gen["reg"], _number(gen["reg_lam"], "reg_lam")),
-            )
-        kappa, lam = (None if gen[key] is None else _number(gen[key], key)
-                      for key in ("kappa", "lam"))
-        W, y, lam = problems.make_synthetic_logistic(gen["seed"], gen["n"], gen["d"],
-                                                     kappa=kappa, lam=lam)
-        return problems.gen_logistic(W, y, lam)
-    except MemoryError as exc:
-        raise _too_large(exc, sizes) from None
+    if kind == "least_squares" and gen["reg"] not in REG_KINDS:
+        raise UsageError(f"reg must be one of {', '.join(REG_KINDS)}, got {gen['reg']!r}")
+    for key in ("L", "mu", "reg_lam", "kappa", "lam"):  # kappa and lam may be null
+        if key in gen and not (key in ("kappa", "lam") and gen[key] is None):
+            gen[key] = _number(gen[key], key)
+    return _generate(kind, gen)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -308,8 +292,7 @@ def _cells(cfg, p):
     return cells
 
 
-def _baseline_to_records(p, trace, reference, trace_every):
-    xstar = None if reference is None else reference[0]
+def _baseline_to_records(p, trace, xstar, trace_every):
     out = []
     for rec in [rec for rec in trace[:-1] if rec.epoch % trace_every == 0] + trace[-1:]:
         residual = subgradient_residual(p.regularizer, rec.x, p.full_grad(rec.x))
@@ -321,7 +304,8 @@ def _baseline_to_records(p, trace, reference, trace_every):
 
 
 def run_experiment(cell, p, seed, reference):
-    """One (cell, seed) run; returns the list of TraceRecord."""
+    """One (cell, seed) run; returns the list of TraceRecord. ``reference`` is
+    (x*, z*) for dfinito and x* alone for a baseline, or None."""
     config = dataclasses.replace(cell.config, plan=dataclasses.replace(cell.config.plan, seed=seed))
     if cell.algorithm == "dfinito":
         return engine.run(p, config, np.zeros((p.n, p.d)), reference=reference)[1]
@@ -372,10 +356,12 @@ def _prepare(args):
 
 
 def _run_cell(cell, p, seeds, xstar):
-    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha; a cell
-    whose algorithm runs no regime, or whose regime is not in ``sampling.SEEDED``,
-    reads no seed, so it runs once."""
-    reference = None if xstar is None else (xstar, oracle.zstar_table(p, xstar, cell.config.alpha))
+    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha for
+    dfinito, the one algorithm that reads it; a cell whose algorithm runs no regime,
+    or whose regime is not in ``sampling.SEEDED``, reads no seed, so it runs once."""
+    reference = xstar
+    if xstar is not None and cell.algorithm == "dfinito":
+        reference = (xstar, oracle.zstar_table(p, xstar, cell.config.alpha))
     if not READS[cell.algorithm].regimes or cell.config.plan.regime not in sampling.SEEDED:
         return [run_experiment(cell, p, seeds[0], reference)] * len(seeds)
     return [run_experiment(cell, p, s, reference) for s in seeds]

@@ -144,6 +144,8 @@ class Regularizer:
             raise ValueError(f"unsupported regularizer kind {self.kind!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError("regularizer weight must be finite and >= 0")
+        if self.kind == "none" and self.lam != 0.0:
+            raise ValueError(f"lam must be 0 for regularizer 'none', got {self.lam!r}")
 
     @classmethod
     def none(cls):
@@ -351,7 +353,11 @@ class ProblemInstance:
 
 
 def integer_order(order):
-    """``order`` as an array of integers; a float, bool or string array is refused, not cast."""
+    """``order`` as an array of integers; a float, bool or string array is refused, not
+    cast, and so is a list or tuple that holds a bool, which numpy would cast to an
+    integer among integers. An ndarray's elements are not looked at one by one."""
+    if isinstance(order, (list, tuple)) and any(isinstance(i, (bool, np.bool_)) for i in order):
+        raise ValueError(f"an order must hold integers, not bools, got {order!r}")
     order = np.asarray(order)
     if order.dtype.kind not in "iu":
         raise ValueError(f"an order must hold integers, got dtype {order.dtype}")

@@ -86,7 +86,7 @@ def gen_least_squares(seed, n, d, k, L, mu, regularizer=None):
     check_sizes(n=n, d=d, k=k)
     check_constants(L, mu)
     if mu > 0 and k < d:
-        raise ValueError("mu > 0 needs k >= d (full-rank components)")
+        raise ValueError(f"k must be >= d for full-rank components at mu > 0, got k={k} and d={d}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     A = _component_matrices(rng, n, k, d, L, mu)
     b = rng.standard_normal((n, k))
@@ -135,7 +135,7 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
     check_int("seed", seed, 0)
     check_sizes(n=n, d=d, k=k)
     if k < d:
-        raise ValueError("construction needs k >= d")
+        raise ValueError(f"k must be >= d for a planted instance, got k={k} and d={d}")
     check_constants(L, mu)
     if not (0.0 < mu < L):
         raise ValueError("need 0 < mu < L")
@@ -204,10 +204,12 @@ def gen_logistic(W, y, lam):
 
 
 def make_synthetic_logistic(seed, n, d, kappa=None, lam=None):
-    """Random separable-ish logistic data; lam resolved from a target
-    condition number when given. Returns (W, y, lam)."""
+    """Random separable-ish logistic data; lam given, or resolved from a target
+    condition number kappa, never both. Returns (W, y, lam)."""
     check_int("seed", seed, 0)
     check_sizes(n=n, d=d)
+    if lam is not None and kappa is not None:
+        raise ValueError(f"give lam or kappa, not both, got lam={lam!r} and kappa={kappa!r}")
     if lam is None and not (kappa is not None and kappa > 1):
         raise ValueError("need lam, or a condition number kappa > 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))

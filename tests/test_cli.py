@@ -101,8 +101,32 @@ def test_generate_heterogeneous_k_below_d_exits_2_naming_k(tmp_path, capsys):
     assert run_cli("generate", "--kind", "heterogeneous", "--n", "30", "--d", "8", "--k", "3",
                    "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == \
-        "error: --k must be >= --d for --kind heterogeneous, got 3 < 8\n"
+        "error: k must be >= d for a planted instance, got k=3 and d=8\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("front_end", ["generate", "run"])
+@pytest.mark.parametrize("flags, generator, message", [
+    # kappa was ignored: generate printed kappa=4.99 and exited 0
+    (["--kind", "logistic", "--lam", "0.1", "--kappa", "400"],
+     {"kind": "logistic", "n": 8, "d": 2, "lam": 0.1, "kappa": 400},
+     "give lam or kappa, not both, got lam=0.1 and kappa=400.0"),
+    # the weight was kept unread: generate saved {"kind": "none", "lam": 0.5}
+    (["--kind", "least_squares", "--reg", "none", "--reg-lam", "0.5"],
+     {"kind": "least_squares", "n": 8, "d": 2, "L": 5.0, "reg": "none", "reg_lam": 0.5},
+     "lam must be 0 for regularizer 'none', got 0.5"),
+], ids=["lam_and_kappa", "weighted_none"])
+def test_generator_rules_exit_2_from_both_front_ends(tmp_path, capsys, front_end, flags,
+                                                      generator, message):
+    if front_end == "generate":
+        code = run_cli("generate", *flags, "--out", str(tmp_path))
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"problem": {"generator": generator}}),
+                                           encoding="utf-8")
+        code = run_cli("run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ([] if front_end == "generate" else ["cfg.json"])
 
 
 HUGE = 10**12  # an instance this large is past the 47-bit address space: it fails at once
@@ -881,6 +905,25 @@ def test_order_matches_brute_force_small(tmp_path, capsys):
     scores = np.einsum("ij,ij->i", zstar, zstar)  # z0 = 0 table
     best, _ = brute_force_best_order(scores)
     assert printed_order == best.tolist()
+
+
+@pytest.mark.parametrize("algorithm, calls", [
+    ("dfinito", 1), ("finito_uniform", 1), ("svrg", 0), ("saga", 0), ("sgd", 0), ("prox_gd", 0),
+])
+def test_run_builds_zstar_for_dfinito_cells_only(tmp_path, ls_instance, monkeypatch, algorithm,
+                                                 calls):
+    # baselines read x* alone; their z* table was built and dropped
+    built = []
+    table = oracle.zstar_table
+    monkeypatch.setattr(oracle, "zstar_table", lambda *a: built.append(a) or table(*a))
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _config(tmp_path, ls_instance, algorithm=algorithm, alpha=0.05,
+                  sampling={"regime": "uniform" if algorithm == "finito_uniform" else "reshuffle"})
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
+    assert len(built) == calls
+    rows = read_trace_csv(str(out / "trace_seed0.csv"))
+    assert all(row["dist_sq_to_opt"] is not None for row in rows)
 
 
 def test_order_alpha_zero_is_rejected_and_omitted_alpha_is_the_default(tmp_path, capsys):

@@ -309,6 +309,9 @@ def test_epoch_step_validation(composite_problem, epoch, order_error):
     # a float or bool order is refused, not truncated to component 0 or cast to 0/1
     cases += [(0.5, 0.9, z, zbar, "an order must hold integers, got dtype", bad)
               for bad in ([0.9] * p.n, np.ones(p.n, dtype=bool))]
+    # a list or tuple holding a bool among integers is refused, not cast to 1/0
+    cases += [(0.5, 0.9, z, zbar, "an order must hold integers, not bools", bad)
+              for bad in ([True, False, *range(2, p.n)], (np.True_, 0, *range(2, p.n)))]
     for alpha, theta, table, mean, match, *bad in cases:
         before = table.tobytes(), mean.tobytes()
         with pytest.raises(ValueError, match=match):

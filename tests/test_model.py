@@ -99,6 +99,12 @@ def test_regularizer_validation_and_value():
         Regularizer("huber", 1.0)
     with pytest.raises(ValueError):
         Regularizer("l1", -1.0)
+    # the weight of none is no weight: a nonzero one is refused, not kept unread
+    for lam in (3.0, 1e-300, 0.5):
+        with pytest.raises(ValueError, match=re.escape(f"lam must be 0 for regularizer 'none', "
+                                                        f"got {lam!r}")):
+            Regularizer("none", lam)
+    assert Regularizer("none", 0) == Regularizer("none", -0.0) == Regularizer.none()
     x = np.array([1.0, -2.0])
     assert Regularizer.l1(3.0).value(x) == pytest.approx(9.0)
     assert Regularizer.l2sq(4.0).value(x) == pytest.approx(10.0)

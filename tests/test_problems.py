@@ -70,6 +70,15 @@ def test_least_squares_rejects_bad_shapes():
         gen_least_squares(0, n=4, d=5, k=5, L=1.0, mu=2.0)  # mu > L
 
 
+def test_generators_name_k_and_d_when_k_is_below_d():
+    with pytest.raises(ValueError, match=re.escape(
+            "k must be >= d for full-rank components at mu > 0, got k=3 and d=5")):
+        gen_least_squares(0, n=4, d=5, k=3, L=1.0, mu=0.5)
+    with pytest.raises(ValueError, match=re.escape(
+            "k must be >= d for a planted instance, got k=2 and d=3")):
+        gen_heterogeneous(0, 4, 3, k=2, mu=0.1, L=1.0, alpha=0.1, beta=0.5, z0=np.zeros((4, 3)))
+
+
 def test_least_squares_generator_allocates_no_second_stack():
     # the stack is built in place: no list of n matrices beside it
     gen_least_squares(0, n=4, d=3, k=3, L=1.0, mu=0.1)  # warm up
@@ -266,6 +275,10 @@ def test_logistic_label_validation():
         gen_logistic(np.ones((2, 2)), np.array([1.0, 2.0]), 0.1)
     with pytest.raises(ValueError, match="need lam, or a condition number kappa > 1"):
         make_synthetic_logistic(0, 8, 2)
+    # kappa was ignored when lam was given too
+    with pytest.raises(ValueError, match=re.escape(
+            "give lam or kappa, not both, got lam=0.1 and kappa=400")):
+        make_synthetic_logistic(0, 8, 2, kappa=400, lam=0.1)
 
 
 def test_make_synthetic_logistic_hits_target_condition_number():
@@ -288,6 +301,17 @@ def test_instance_json_round_trip(tmp_path):
     assert q.L == p.L and q.mu == p.mu
     assert q.regularizer == p.regularizer
     assert np.array_equal(q.A, p.A) and np.array_equal(q.b, p.b)
+
+
+def test_instance_file_with_a_weighted_none_regularizer_is_refused(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(str(path), gen_least_squares(0, n=4, d=3, k=3, L=2.0, mu=0.1))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["regularizer"]["lam"] = 0.5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: lam must be 0 for regularizer 'none', got 0.5")):
+        load_instance(str(path))
 
 
 def test_instance_json_round_trip_with_certificate(tmp_path):

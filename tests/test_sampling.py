@@ -27,6 +27,10 @@ def test_plan_validation():
     for regime in ("reshuffle", "shuffle_once", "uniform", "adaptive"):
         with pytest.raises(ValueError, match="an order is for cyclic sampling only"):
             SamplingPlan(regime, 3, order=[2, 1, 0], seed=0, gamma=0.5)
+    # np.asarray would cast these to the int64 order [1, 0, 2, ...]
+    for order in ([True, False, 2, 3, 4, 5, 6, 7], (np.False_, np.True_, 2, 3, 4, 5, 6, 7)):
+        with pytest.raises(ValueError, match="an order must hold integers, not bools"):
+            SamplingPlan("cyclic", 8, order=order)
     for regime, n, order, seed, message in (
         ("reshuffle", 8.5, None, 0, "n must be an integer >= 1, got 8.5"),
         ("cyclic", True, [0], None, "n must be an integer >= 1, got True"),
