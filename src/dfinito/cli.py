@@ -108,7 +108,7 @@ def _mean_rows(per_seed_records):
 
 
 # the flags each kind reads beyond --seed, --n and --d, with their defaults
-# (heterogeneous: --k max(10, d), --alpha 2/(L+mu))
+# (heterogeneous: --k max(10, d), --alpha 2/(L+mu), both resolved by _generate)
 GENERATE_FLAGS = {
     "least_squares": {"k": 10, "L": 10.0, "mu": 0.1, "reg": "none", "reg_lam": 0.0},
     "heterogeneous": {"k": None, "L": 10.0, "mu": 0.1, "beta": 0.1, "alpha": None},
