@@ -24,7 +24,7 @@ import numpy as np
 
 from . import baselines, engine, oracle, problems, sampling, verify
 from .diagnostics import CSV_COLUMNS, TraceRecord, certified_step, rho_ratio, table_norm_sq
-from .model import REG_KINDS, Regularizer, check_int, subgradient_residual
+from .model import REG_KINDS, Regularizer, check_constants, check_int, check_step, subgradient_residual
 
 
 class UsageError(Exception):
@@ -119,7 +119,7 @@ GENERATE_FLAGS = {
 def cmd_generate(args):
     if not os.path.isdir(args.out):
         raise UsageError(f"output directory does not exist: {args.out}")
-    check_int("--seed", args.seed, 0)  # before z0's draw; run and sweep check theirs as seeds
+    check_int("--seed", args.seed, 0)  # named as the flag; run and sweep check theirs as seeds
     problems.check_sizes(n=args.n, d=args.d)  # before any kind-specific flag or draw
     reads = GENERATE_FLAGS[args.kind]
     for key in dict.fromkeys(key for flags in GENERATE_FLAGS.values() for key in flags):
@@ -146,8 +146,8 @@ def cmd_generate(args):
 def _generate(kind, params):
     """(instance, certificate or None) of ``kind`` from the resolved ``params``: the one
     caller of the generators. A ``k`` of None is d (max(10, d) if heterogeneous); a
-    heterogeneous ``alpha`` of None is the certified step, and its start table z0 is
-    drawn here and kept as ``metadata["z0"]``. Sizes too large to allocate exit 2."""
+    heterogeneous ``alpha`` of None is the certified step, and the generator draws its
+    start table z0 (``metadata["z0"]``). Sizes too large to allocate exit 2."""
     g = dict(params)
     if kind != "logistic" and g["k"] is None:
         g["k"] = max(10, g["d"]) if kind == "heterogeneous" else g["d"]
@@ -159,13 +159,10 @@ def _generate(kind, params):
             W, y, lam = problems.make_synthetic_logistic(g["seed"], g["n"], g["d"],
                                                          kappa=g["kappa"], lam=g["lam"])
             return problems.gen_logistic(W, y, lam), None
+        check_constants(g["L"], g["mu"])  # before the certified step divides by L + mu
         alpha = certified_step(g["L"], g["mu"]) if g["alpha"] is None else g["alpha"]
-        rng = np.random.default_rng(np.random.SeedSequence([g["seed"], 3]))
-        z0 = rng.standard_normal((g["n"], g["d"]))
-        p, cert = problems.gen_heterogeneous(g["seed"], g["n"], g["d"], g["k"], g["mu"], g["L"],
-                                             alpha, g["beta"], z0)
-        p.metadata["z0"] = z0
-        return p, cert
+        return problems.gen_heterogeneous(g["seed"], g["n"], g["d"], g["k"], g["mu"], g["L"],
+                                          alpha, g["beta"])
     except MemoryError as exc:
         named = ", ".join(f"{key}={g[key]}" for key in ("n", "d", "k") if key in g)
         raise UsageError(f"cannot allocate an instance of {named}: {exc}") from None
@@ -303,12 +300,12 @@ def _baseline_to_records(p, trace, xstar, trace_every):
     return out
 
 
-def run_experiment(cell, p, seed, reference):
-    """One (cell, seed) run; returns the list of TraceRecord. ``reference`` is
-    (x*, z*) for dfinito and x* alone for a baseline, or None."""
+def run_experiment(cell, p, seed, xstar):
+    """One (cell, seed) run; returns the list of TraceRecord. ``xstar`` is the
+    minimizer or None."""
     config = dataclasses.replace(cell.config, plan=dataclasses.replace(cell.config.plan, seed=seed))
     if cell.algorithm == "dfinito":
-        return engine.run(p, config, np.zeros((p.n, p.d)), reference=reference)[1]
+        return engine.run(p, config, np.zeros((p.n, p.d)), xstar)[1]
     alpha, epochs, plan, x0 = config.alpha, config.epochs, config.plan, np.zeros(p.d)
     if cell.algorithm == "prox_gd":
         trace = baselines.prox_gd_run(p, alpha, epochs, x0)
@@ -318,7 +315,7 @@ def run_experiment(cell, p, seed, reference):
         trace = baselines.svrg_run(p, plan, alpha, epochs, x0, snapshot_every=cell.snapshot_every)
     else:
         trace = baselines.saga_run(p, plan, alpha, epochs, x0)
-    return _baseline_to_records(p, trace, reference, config.trace_every)
+    return _baseline_to_records(p, trace, xstar, config.trace_every)
 
 
 def _prepare(args):
@@ -356,15 +353,12 @@ def _prepare(args):
 
 
 def _run_cell(cell, p, seeds, xstar):
-    """Every seed's TraceRecord list for ``cell``, with z* at the cell's alpha for
-    dfinito, the one algorithm that reads it; a cell whose algorithm runs no regime,
-    or whose regime is not in ``sampling.SEEDED``, reads no seed, so it runs once."""
-    reference = xstar
-    if xstar is not None and cell.algorithm == "dfinito":
-        reference = (xstar, oracle.zstar_table(p, xstar, cell.config.alpha))
+    """Every seed's TraceRecord list for ``cell``; a cell whose algorithm runs no
+    regime, or whose regime is not in ``sampling.SEEDED``, reads no seed, so it
+    runs once."""
     if not READS[cell.algorithm].regimes or cell.config.plan.regime not in sampling.SEEDED:
-        return [run_experiment(cell, p, seeds[0], reference)] * len(seeds)
-    return [run_experiment(cell, p, s, reference) for s in seeds]
+        return [run_experiment(cell, p, seeds[0], xstar)] * len(seeds)
+    return [run_experiment(cell, p, s, xstar) for s in seeds]
 
 
 def cmd_run(args):
@@ -396,10 +390,7 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     check_int("--seed", args.seed, 0)
-    try:
-        results = verify.run_suites(args.suite, seed=args.seed)
-    except KeyError as exc:
-        raise UsageError(str(exc))
+    results = verify.run_suites(args.suite, seed=args.seed)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -413,7 +404,8 @@ def cmd_verify(args):
 def cmd_order(args):
     p, cert = problems.load_instance(args.instance)
     default = certified_step(p.L, p.mu) if p.mu > 0 else 1.0 / p.L
-    alpha = default if args.alpha is None else args.alpha  # --alpha 0 fails its check
+    alpha = default if args.alpha is None else args.alpha
+    check_step(alpha)  # before the reference solve
     z0 = p.metadata.get("z0", np.zeros((p.n, p.d)))  # a stored array loads as float64
     if np.shape(z0) != (p.n, p.d):  # a JSON scalar has shape []
         raise UsageError(f"{args.instance}: metadata.z0: shape {list(np.shape(z0))} is not "
@@ -497,7 +489,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (UsageError, oracle.OracleError, ValueError, OSError, KeyError) as exc:
+    except (UsageError, oracle.OracleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,19 +2,21 @@
 
 ``apply_Ti``/``apply_Tpi``/``apply_Spi`` are the literal fixed-point operators
 of the theory checks (O(n d) per block, for the exact table mean), on one
-(n, d) table or an (m, n, d) stack. Each call checks its indices, alpha and
-tables once, then steps a block of every table at once with no further checks
-(:func:`_literal_step`, over :meth:`ProblemInstance.grad_rows`); ``apply_Tpi``
-checks on exit that every table is finite, so an overflow partway still raises.
+(n, d) table or an (m, n, d) stack. Each call checks its blocks or order, alpha
+and tables once, then steps a block of every table at once with no further
+checks (:func:`oracle._literal_step`, the problem-level operator T_i, over
+:meth:`ProblemInstance.grad_rows`); ``apply_Tpi`` checks on exit that every
+table is finite, so an overflow partway still raises.
 The optimizer state is the table z and its mean z-bar, two plain arrays.
 ``epoch_step`` executes the textbook epoch on them in place, with an
 end-of-epoch damping pass; :func:`kernels.epoch_inplace`, with the same
 signature, folds damping into each block update, and for permutation orders
 the two produce identical x-iterate sequences. Both check alpha, theta and the
 shapes (:func:`model.check_epoch`) and the order before they touch z. ``run``
-drives whole experiments and records diagnostics. An epoch takes one of three
-paths: literal for the uniform regime, whose orders repeat indices; blocked or
-lean (:func:`kernels.epoch_path`) for permutation regimes.
+drives whole experiments and records diagnostics; given x*, it builds the
+fixed-point table z* at its own step (:func:`oracle.zstar_table`). An epoch
+takes one of three paths: literal for the uniform regime, whose orders repeat
+indices; blocked or lean (:func:`kernels.epoch_path`) for permutation regimes.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, oracle
 from .diagnostics import (BOUNDED, TraceRecord, certify, convex_envelope, grad_map_residual,
                           pi_norm_sq, strongly_convex_envelope)
 from .model import (ProblemInstance, as_vector, check_epoch, check_int, check_step, integer_order,
@@ -44,50 +46,14 @@ class DampedRunConfig:
         check_int("trace_every", self.trace_every)
 
 
-def _literal_step(p: ProblemInstance, alpha: float, tables, blocks=()):
-    """Check once what the literal operators check per block; return their step.
-
-    Every index in ``blocks`` must name a component, alpha must pass check_step
-    and the mean of every (n, d) table of each (m, n, d) stack in ``tables``
-    a finite vector of dimension d, with the errors a checked gradient step
-    raises. The returned ``step(z, i, parents=slice(None))`` takes an
-    (m, n, d) stack and returns ``z[parents]`` (a view, so in place, for a
-    slice) with row i[s] of table s replaced by x - alpha grad f_i[s](x), x
-    the prox of the mean of its parent table; ``i`` is one block or one per table.
-    """
-    for i in blocks:
-        p._check_index(i)
-    check_step(alpha)
-    for z in tables:
-        for mean in ordered_mean(z).reshape(-1, z.shape[-1]):
-            as_vector(mean, p.d)
-        if z.shape[1:] != (p.n, p.d):
-            raise ValueError(f"table must have shape ({p.n}, {p.d}), got {z.shape[1:]}")
-    px = prox_map(p.regularizer, alpha)
-
-    def step(z, i, parents=slice(None)):
-        x = px(ordered_mean(z))[parents]
-        z = z[parents]
-        rows = np.broadcast_to(i, len(z))
-        z[np.arange(len(z)), rows] = x - alpha * p.grad_rows(rows, x)
-        return z
-
-    return step
-
-
-def _finite_table(z):
-    """``z`` unchanged when all its entries are finite; raise otherwise."""
-    if not np.isfinite(z).all():
-        raise ValueError("vector contains NaN or infinite entries")
-    return z
-
-
 def apply_Ti(p: ProblemInstance, i, z, alpha: float):
     """Block operator: replace block i by (I - alpha grad f_i) o prox(mean z), in a
     table or in each table of an (m, n, d) stack (``i`` one block or one per table)."""
+    for block in np.ravel(i):
+        p._check_index(block)
     z = np.asarray(z, dtype=np.float64)
     out = z.reshape((-1,) + z.shape[-2:]).copy()  # an (m, n, d) stack
-    step = _literal_step(p, alpha, (out,), np.ravel(i))
+    step = oracle._literal_step(p, alpha, (out,))
     return step(out, i).reshape(z.shape)
 
 
@@ -96,11 +62,10 @@ def apply_Tpi(p: ProblemInstance, order, z, alpha: float):
     (m, n, d) stack; raises if any table overflows."""
     z = np.asarray(z, dtype=np.float64)
     out = z.reshape((-1,) + z.shape[-2:]).copy()
-    order = validate_permutation(order, out.shape[1])
-    step = _literal_step(p, alpha, (out,), order)
-    for i in order:
+    step = oracle._literal_step(p, alpha, (out,))
+    for i in validate_permutation(order, p.n):
         step(out, i)
-    return _finite_table(out.reshape(z.shape))
+    return oracle._finite_table(out.reshape(z.shape))
 
 
 def apply_Spi(p: ProblemInstance, order, z, alpha: float, theta: float):
@@ -144,17 +109,14 @@ def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
     kernels.epoch_inplace(p, z, zbar, alpha, theta, order)
 
 
-def run(
-    p: ProblemInstance,
-    config: DampedRunConfig,
-    z0,
-    reference=None,
-):
+def run(p: ProblemInstance, config: DampedRunConfig, z0, xstar=None):
     """Execute a full damped-Finito run from the table z0.
 
-    reference: optional (xstar, zstar) pair enabling distance-to-optimum and
-    bound-envelope columns. Returns (final z table, list of TraceRecord); the
-    final mean is ``ordered_mean`` of that table.
+    xstar: optional minimizer x*, a vector of dimension d. It enables the
+    distance-to-optimum column and, for a regime in ``BOUNDED`` where certify
+    admits them, the bound-envelope columns, whose fixed-point table z* is built
+    at config.alpha (:func:`oracle.zstar_table`). Returns (final z table, list
+    of TraceRecord); the final mean is ``ordered_mean`` of that table.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (p.n, p.d):
@@ -164,13 +126,10 @@ def run(
         raise ValueError("sampling plan size mismatch")
     z, zbar = z0.copy(), ordered_mean(z0)  # z0 itself is never written
     flags, convex_holds, rate = certify(p.L, p.component_L, p.mu, config.alpha, config.theta)
-    xstar = zstar = None
-    if reference is not None:
-        xstar, zstar = reference
-        xstar = np.asarray(xstar, dtype=np.float64)
-        zstar = np.asarray(zstar, dtype=np.float64)
-        if zstar.shape != z0.shape:
-            raise ValueError(f"zstar must have shape ({p.n}, {p.d}), got {zstar.shape}")
+    zstar = None
+    if xstar is not None:
+        xstar = as_vector(xstar, p.d)
+        zstar = oracle.zstar_table(p, xstar, config.alpha)
 
     w = None
     if plan.regime == "adaptive":

@@ -205,18 +205,17 @@ def subgradient_residual(r: Regularizer, x, g_smooth) -> float:
     if r.kind == "l2sq":
         res = g + r.lam * x
         return float(res @ res)
-    if r.kind == "l1":
-        lam = r.lam
-        # Where x_i = 0 the best subgradient projects -g_i onto [-lam, lam];
-        # elsewhere it is pinned to lam * sign(x_i).
-        at_zero = x == 0.0
-        res = np.where(
-            at_zero,
-            np.maximum(np.abs(g) - lam, 0.0),
-            np.abs(g + lam * np.sign(x)),
-        )
-        return float(res @ res)
-    raise ValueError(f"unsupported regularizer kind {r.kind!r}")
+    # l1, the one kind left: Regularizer refuses any other
+    lam = r.lam
+    # Where x_i = 0 the best subgradient projects -g_i onto [-lam, lam];
+    # elsewhere it is pinned to lam * sign(x_i).
+    at_zero = x == 0.0
+    res = np.where(
+        at_zero,
+        np.maximum(np.abs(g) - lam, 0.0),
+        np.abs(g + lam * np.sign(x)),
+    )
+    return float(res @ res)
 
 
 @dataclass

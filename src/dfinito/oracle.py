@@ -7,6 +7,12 @@ brute-force enumeration over permutations for the ordering and expectation
 oracles. The ordering oracle scores all orders as one array and re-scores the
 near-best as the per-order loop does. The expectation oracle walks the order
 tree one level, a stack of tables, at a time and checks inputs once.
+
+The block operator T_i itself, one checked step of a stack of tables
+(:func:`_literal_step`), lives here too: the expectation oracle steps with it
+and ``engine``'s literal operators are built on it. This module imports only
+``model``, so ``engine`` imports it, for that step and for the fixed-point
+table z* (:func:`zstar_table`) that ``engine.run`` builds from x*.
 """
 from __future__ import annotations
 
@@ -16,8 +22,7 @@ import math
 
 import numpy as np
 
-from .engine import _finite_table, _literal_step
-from .model import ProblemInstance, as_vector, check_step, prox, subgradient_residual, validate_permutation
+from .model import ProblemInstance, as_vector, check_step, ordered_mean, prox, prox_map, subgradient_residual
 
 ITERATION_CAP = 10**7
 EPS, TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
@@ -25,6 +30,43 @@ EPS, TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 class OracleError(RuntimeError):
     pass
+
+
+def _literal_step(p: ProblemInstance, alpha: float, tables):
+    """Check once what the literal operators check per block; return their step.
+
+    alpha must pass check_step, every (n, d) table of each (m, n, d) stack in
+    ``tables`` must have p's shape, and its mean must be a finite vector of
+    dimension d, with the errors a checked gradient step raises. Block indices
+    are the caller's to check. The returned ``step(z, i, parents=slice(None))``
+    takes an (m, n, d) stack and returns ``z[parents]`` (a view, so in place,
+    for a slice) with row i[s] of table s replaced by x - alpha grad f_i[s](x),
+    x the prox of the mean of its parent table; ``i`` is one block or one per
+    table.
+    """
+    check_step(alpha)
+    for z in tables:
+        for mean in ordered_mean(z).reshape(-1, z.shape[-1]):
+            as_vector(mean, p.d)
+        if z.shape[1:] != (p.n, p.d):
+            raise ValueError(f"table must have shape ({p.n}, {p.d}), got {z.shape[1:]}")
+    px = prox_map(p.regularizer, alpha)
+
+    def step(z, i, parents=slice(None)):
+        x = px(ordered_mean(z))[parents]
+        z = z[parents]
+        rows = np.broadcast_to(i, len(z))
+        z[np.arange(len(z)), rows] = x - alpha * p.grad_rows(rows, x)
+        return z
+
+    return step
+
+
+def _finite_table(z):
+    """``z`` unchanged when all its entries are finite; raise otherwise."""
+    if not np.isfinite(z).all():
+        raise ValueError("vector contains NaN or infinite entries")
+    return z
 
 
 def solve_reference(p: ProblemInstance, tol=1e-10):
@@ -111,7 +153,7 @@ def expected_contraction(p: ProblemInstance, u, v, alpha):
     A level-synchronous walk of the permutation tree: the n!/(n-j)! nodes of
     depth j are one stack of tables for u and one for v, so a prefix shared
     by several orders is applied once and each level is one stacked block
-    step (:func:`engine._literal_step`), whose prox is taken once per parent
+    step (:func:`_literal_step`), whose prox is taken once per parent
     node. Children are taken in ascending index order, so the leaves come in
     the lexicographic order of ``itertools.permutations`` and are summed in
     that order, as the permutation-by-permutation loop sums them. The last
@@ -122,8 +164,6 @@ def expected_contraction(p: ProblemInstance, u, v, alpha):
     v = np.asarray(v, dtype=np.float64)
     if p.n > 6:
         raise ValueError("exact expectation is guarded at n <= 6")
-    for z in (u, v):  # one row per block, with the error apply_Tpi raises
-        validate_permutation(range(p.n), z.shape[0])
     tu, tv = u[None], v[None]
     step = _literal_step(p, alpha, (tu, tv))  # the literal operators' checks, once
     left = np.ones((1, p.n), dtype=bool)  # the blocks each node has yet to apply

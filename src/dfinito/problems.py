@@ -126,11 +126,13 @@ def _fsum_mean(rows):
     return np.array([math.fsum(rows[:, j]) for j in range(rows.shape[1])]) / rows.shape[0]
 
 
-def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
+def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0=None):
     """Planted instance with importance profile ||z_i^0 - z_i*||^2 = n beta^{i-1}.
 
     Returns (instance, certificate). The instance has minimizer x* = v and
-    fixed-point table z_i* = z_i^0 - q^{i-1} t_i with q = sqrt(beta).
+    fixed-point table z_i* = z_i^0 - q^{i-1} t_i with q = sqrt(beta). A z0 of
+    None is drawn, after every check, from ``SeedSequence([seed, 3])`` and kept
+    as ``metadata["z0"]``.
     """
     check_int("seed", seed, 0)
     check_sizes(n=n, d=d, k=k)
@@ -142,6 +144,10 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
     check_step(alpha)
+    metadata = {"seed": int(seed), "k": int(k), "beta": float(beta), "planted": True}
+    if z0 is None:
+        z0 = np.random.default_rng(np.random.SeedSequence([int(seed), 3])).standard_normal((n, d))
+        metadata["z0"] = z0
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (n, d):
         raise ValueError(f"z0 must have shape ({n}, {d})")
@@ -169,7 +175,7 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0):
         mu=float(mu),
         A=A,
         b=b,
-        metadata={"seed": int(seed), "k": int(k), "beta": float(beta), "planted": True},
+        metadata=metadata,
     )
     cert = HeterogeneityCertificate(v=v, t=t, delta=delta, beta=float(beta), alpha_used=float(alpha))
     return p, cert

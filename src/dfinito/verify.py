@@ -91,11 +91,12 @@ def cyclic_plan(p):
     return sampling.SamplingPlan("cyclic", p.n, order=np.arange(p.n))
 
 
-def envelope_ratio(p, plans, alpha, theta, epochs, z0, reference, column):
+def envelope_ratio(p, plans, alpha, theta, epochs, z0, xstar, column):
     """Worst ratio, record by record, of the mean over one run per plan of
-    the (value, envelope) `column`'s value to the first run's envelope."""
+    the (value, envelope) `column`'s value to the first run's envelope; each
+    run is given the minimizer `xstar`."""
     cfgs = [engine.DampedRunConfig(alpha, theta, epochs, plan) for plan in plans]
-    traces = [engine.run(p, cfg, z0, reference)[1] for cfg in cfgs]
+    traces = [engine.run(p, cfg, z0, xstar)[1] for cfg in cfgs]
     value, bound = column
     return float(np.max([
         math.fsum(getattr(tr[k], value) for tr in traces) / len(traces)
@@ -231,31 +232,29 @@ def suite_bounds(seed=0):
     p = problems.gen_least_squares(seed, n=20, d=10, k=10, L=4.0, mu=0.0)
     alpha, theta, epochs = diagnostics.certified_step(p.L), 0.5, 60
     xstar = oracle.solve_reference(p, tol=1e-10)
-    zstar = oracle.zstar_table(p, xstar, alpha)
     z0 = np.random.default_rng(seed).standard_normal((p.n, p.d))
-    worst = envelope_ratio(p, [cyclic_plan(p)], alpha, theta, epochs, z0, (xstar, zstar), CONVEX)
+    worst = envelope_ratio(p, [cyclic_plan(p)], alpha, theta, epochs, z0, xstar, CONVEX)
     results.append(check_leq("convex_envelope_cyclic", worst, 1.0))
 
     # same instance, reshuffled every epoch, averaged over seeds
     plans = [sampling.SamplingPlan("reshuffle", p.n, seed=s) for s in range(4)]
-    worst = envelope_ratio(p, plans, alpha, theta, epochs, z0, (xstar, zstar), CONVEX)
+    worst = envelope_ratio(p, plans, alpha, theta, epochs, z0, xstar, CONVEX)
     results.append(check_leq("convex_envelope_reshuffle_mean", worst, 1.0))
 
     # linear envelope under strong convexity
     psc = problems.gen_least_squares(seed + 1, n=20, d=10, k=10, L=5.0, mu=0.2)
     a = diagnostics.certified_step(psc.L, psc.mu)
     xs = oracle.solve_reference(psc, tol=1e-12)
-    zs = oracle.zstar_table(psc, xs, a)
     z0 = np.random.default_rng(seed + 1).standard_normal((psc.n, psc.d))
-    worst = envelope_ratio(psc, [cyclic_plan(psc)], a, 0.9, 100, z0, (xs, zs), STRONGLY_CONVEX)
+    worst = envelope_ratio(psc, [cyclic_plan(psc)], a, 0.9, 100, z0, xs, STRONGLY_CONVEX)
     results.append(check_leq("strongly_convex_envelope_cyclic", worst, 1.0))
 
     # epoch displacement: non-increasing and sublinearly bounded
     order = np.arange(p.n)
     z0c = np.random.default_rng(seed + 2).standard_normal((p.n, p.d))
     cfg = engine.DampedRunConfig(alpha=alpha, theta=theta, epochs=epochs, plan=cyclic_plan(p))
-    _, tr = engine.run(p, cfg, z0c, reference=(xstar, zstar))
-    init = diagnostics.pi_norm_sq(z0c - zstar, order)
+    _, tr = engine.run(p, cfg, z0c)
+    init = diagnostics.pi_norm_sq(z0c - oracle.zstar_table(p, xstar, alpha), order)
     disp = [r.pi_norm_residual_sq for r in tr if r.pi_norm_residual_sq is not None]
     mono = np.max([
         (disp[k + 1] - disp[k]) / max(disp[k], 1e-300) for k in range(len(disp) - 1)
@@ -334,9 +333,7 @@ SUITES = {
 def run_suites(names=None, seed=0):
     """Run the named suites (all when None); returns list of CheckResult."""
     names = list(SUITES) if names is None else list(names)
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.extend(SUITES[name](seed=seed))
-    return results
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {sorted(SUITES)}")
+    return [res for name in names for res in SUITES[name](seed=seed)]

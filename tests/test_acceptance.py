@@ -74,10 +74,9 @@ def test_criterion_03_expected_epoch_contraction():
 def _envelope_ratios(p, alpha, theta, epochs, column):
     """Worst value/envelope from z0 = 0: (cyclic, mean over 8 reshuffle seeds)."""
     xstar = oracle.solve_reference(p)
-    reference = (xstar, oracle.zstar_table(p, xstar, alpha))
     z0 = np.zeros((p.n, p.d))
     reshuffled = [SamplingPlan("reshuffle", p.n, seed=seed) for seed in range(8)]
-    return [verify.envelope_ratio(p, plans, alpha, theta, epochs, z0, reference, column)
+    return [verify.envelope_ratio(p, plans, alpha, theta, epochs, z0, xstar, column)
             for plans in ([verify.cyclic_plan(p)], reshuffled)]
 
 
@@ -133,13 +132,12 @@ def test_criterion_08_optimal_order_beats_random():
     alpha, theta, epochs = 2.0 / (L + mu), 0.5, 30
     z0 = np.random.default_rng(12345).standard_normal((n, d))
     p, cert = problems.gen_heterogeneous(7, n, d, d, mu, L, alpha, beta, z0)
-    reference = (cert.v, cert.zstar(z0))
     disp = (math.sqrt(beta) ** np.arange(n))[:, None] * cert.t
     scores = np.einsum("ij,ij->i", disp, disp)
 
     def final_err(plan):
         cfg = DampedRunConfig(alpha, theta, epochs, plan, trace_every=epochs)
-        _, recs = engine.run(p, cfg, z0, reference=reference)
+        _, recs = engine.run(p, cfg, z0, cert.v)
         return recs[-1].dist_sq_to_opt
 
     err_opt = final_err(SamplingPlan("cyclic", n,
@@ -166,7 +164,7 @@ def test_criterion_09_rate_independent_of_sample_size():
         scores = np.einsum("ij,ij->i", disp, disp)
         plan = SamplingPlan("cyclic", n, order=sampling.optimal_cyclic_order(scores))
         cfg = DampedRunConfig(alpha, theta, epochs, plan, trace_every=epochs)
-        _, recs = engine.run(p, cfg, z0, reference=(cert.v, cert.zstar(z0)))
+        _, recs = engine.run(p, cfg, z0, cert.v)
         return -math.log(recs[-1].prox_residual_sq / recs[0].prox_residual_sq) / epochs
 
     lam_small = decay_exponent(100)
@@ -212,7 +210,6 @@ def test_criterion_12_budget_matched_logistic_comparison():
     p = problems.gen_logistic(W, y, lam)
     xstar = oracle.solve_reference(p, tol=1e-10)
     alpha_df = 2.0 / (p.L + p.mu)
-    zstar = oracle.zstar_table(p, xstar, alpha_df)
     alpha_svrg = baselines.theoretical_step_size("svrg", "rr", p.L, p.mu, p.n)
     alpha_saga = baselines.theoretical_step_size("saga", "rr", p.L, p.mu, p.n)
     finals = {"dfinito": [], "svrg": [], "saga": []}
@@ -221,7 +218,7 @@ def test_criterion_12_budget_matched_logistic_comparison():
     for seed in range(8):
         plan = SamplingPlan("reshuffle", p.n, seed=seed)
         cfg = DampedRunConfig(alpha_df, 0.9, 30, plan, trace_every=30)
-        _, recs = engine.run(p, cfg, np.zeros((p.n, p.d)), reference=(xstar, zstar))
+        _, recs = engine.run(p, cfg, np.zeros((p.n, p.d)), xstar)
         finals["dfinito"].append(recs[-1].dist_sq_to_opt)
         budgets.add(recs[-1].grad_evals)
         tr = baselines.svrg_run(p, plan, alpha_svrg, 12, x0, snapshot_every=2)

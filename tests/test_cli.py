@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -157,6 +158,21 @@ def test_generator_sizes_that_cannot_be_allocated_exit_2_naming_them(tmp_path, c
     assert err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ([] if argv[0] == "generate" else ["cfg.json"])
 
+
+@pytest.mark.parametrize("flags, message", [
+    # the certified step 2/(mu + L) divided by zero: exit 1 with a traceback
+    (["--L", "0", "--mu", "0"], "L must be finite and > 0, got 0.0"),
+    (["--L", "-0.1", "--mu", "0.1"], "L must be finite and > 0, got -0.1"),
+    # the (n, d) start table was drawn first: reported as `cannot allocate`
+    (["--n", str(HUGE), "--d", "50", "--k", "1"],
+     "k must be >= d for a planted instance, got k=1 and d=50"),
+    (["--n", str(HUGE), "--d", "50", "--beta", "1.5"], "beta must lie in (0, 1)"),
+], ids=["L_zero", "L_negative", "k_below_d_huge", "beta_huge"])
+def test_generate_heterogeneous_checks_its_inputs_before_the_default_step_and_z0(
+        tmp_path, capsys, flags, message):
+    assert run_cli("generate", "--kind", "heterogeneous", *flags, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 def test_generated_logistic_run_at_theory_step_is_flagged(tmp_path):
     cfg = {"problem": {"generator": {"kind": "logistic", "n": 100, "d": 5, "kappa": 400}},
@@ -819,6 +835,26 @@ def test_reference_failure_exits_2(tmp_path, ls_instance, monkeypatch, capsys):
     assert capsys.readouterr().err.count("error: no convergence") == 2
 
 
+def test_reference_solve_at_its_iteration_cap_exits_2_naming_the_cap(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a logistic instance has no closed form, so x* comes from the capped iteration
+    monkeypatch.setattr(oracle, "ITERATION_CAP", 3)
+    generator = {"kind": "logistic", "n": 12, "d": 4, "kappa": 20}
+    (tmp_path / "cfg.json").write_text(json.dumps({"problem": {"generator": generator}}),
+                                       encoding="utf-8")
+    assert run_cli("run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.count("\n") == 1
+    assert printed.err.startswith("error: no convergence within 3 iterations; residual ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_read_trace_csv_refuses_another_schema(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("epoch,grad_evals\n0,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"trace\.csv: unexpected CSV schema \['epoch', 'grad_evals'\]"):
+        read_trace_csv(str(path))
+
 def test_readme_config_schema_matches_reader(tmp_path, ls_instance):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Run config schema")[1].split("\n### ")[0]
@@ -864,6 +900,12 @@ def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "--suite", "bogus") == 2
 
 
+def test_verify_unknown_suite_prints_its_message_unquoted(capsys):
+    assert run_cli("verify", "--suite", "steps", "--suite", "nope") == 2
+    assert capsys.readouterr() == (
+        "", "error: unknown suite 'nope'; choose from "
+            "['bounds', 'equivalence', 'operators', 'ordering', 'steps']\n")
+
 def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
     for argv in (["generate", "--kind", "least_squares", "--out", str(tmp_path)],
                  ["generate", "--kind", "logistic", "--kappa", "5", "--out", str(tmp_path)],
@@ -907,12 +949,12 @@ def test_order_matches_brute_force_small(tmp_path, capsys):
     assert printed_order == best.tolist()
 
 
-@pytest.mark.parametrize("algorithm, calls", [
+@pytest.mark.parametrize("algorithm, per_run", [
     ("dfinito", 1), ("finito_uniform", 1), ("svrg", 0), ("saga", 0), ("sgd", 0), ("prox_gd", 0),
 ])
 def test_run_builds_zstar_for_dfinito_cells_only(tmp_path, ls_instance, monkeypatch, algorithm,
-                                                 calls):
-    # baselines read x* alone; their z* table was built and dropped
+                                                 per_run):
+    # engine.run builds z* from x* once per run, so once per seed; baselines read x* alone
     built = []
     table = oracle.zstar_table
     monkeypatch.setattr(oracle, "zstar_table", lambda *a: built.append(a) or table(*a))
@@ -921,7 +963,7 @@ def test_run_builds_zstar_for_dfinito_cells_only(tmp_path, ls_instance, monkeypa
     cfg = _config(tmp_path, ls_instance, algorithm=algorithm, alpha=0.05,
                   sampling={"regime": "uniform" if algorithm == "finito_uniform" else "reshuffle"})
     assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
-    assert len(built) == calls
+    assert len(built) == per_run * 2  # _config runs seeds 0 and 1
     rows = read_trace_csv(str(out / "trace_seed0.csv"))
     assert all(row["dist_sq_to_opt"] is not None for row in rows)
 
@@ -950,6 +992,31 @@ def test_order_alpha_zero_is_rejected_and_omitted_alpha_is_the_default(tmp_path,
         printed[alpha] = capsys.readouterr().out
     assert printed[None] == printed[2.0 / (p.L + p.mu)] != printed[0.5 / p.L]
 
+
+@pytest.mark.parametrize("alpha, message", [
+    ("-1", "alpha must be positive"), ("0", "alpha must be positive"),
+    ("nan", "alpha must be positive"), ("inf", "alpha must be positive and finite, got inf"),
+])
+def test_order_checks_alpha_before_the_reference_solve(tmp_path, ls_instance, monkeypatch,
+                                                       capsys, alpha, message):
+    def fail(p, tol):
+        raise AssertionError("x* was solved before --alpha was checked")
+
+    monkeypatch.setattr(oracle, "solve_reference", fail)
+    assert run_cli("order", "--instance", ls_instance, "--alpha", alpha) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_order_warns_when_the_start_table_is_the_fixed_point(tmp_path, capsys):
+    # b = 0 puts x* at 0, where every gradient vanishes: z* is the zero start table
+    q = problems.gen_least_squares(0, n=4, d=2, k=2, L=2.0, mu=0.5)
+    p = dataclasses.replace(q, b=np.zeros_like(q.b))
+    save_instance(str(tmp_path / "instance.json"), p)
+    assert run_cli("order", "--instance", str(tmp_path / "instance.json")) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "warning: start table coincides with the fixed point; all scores ~0, "
+        "falling back to the identity order",
+        "optimal order: 1 2 3 4", "worst order:   4 3 2 1", "rho=nan 1/n=0.25"]
 
 def test_order_exits_2_when_its_scores_overflow(tmp_path, capsys):
     # z* is finite at alpha=1e160, but squaring z0 - z* into scores and rho overflows

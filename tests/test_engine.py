@@ -158,7 +158,7 @@ CHECK_CASES = {
     "Tpi_nan": (lambda: apply_Tpi(LS5, range(5), NAN, 0.5),
                 ValueError, "vector contains NaN or infinite entries"),
     "Tpi_block_index": (lambda: apply_Tpi(LS5, [5, 0, 1, 2, 3, 4], _table(LS5, rows=6), 0.5),
-                        IndexError, "component index 5 out of range [0, 5)"),
+                        ValueError, "table must have shape (5, 3), got (6, 3)"),
     "Tpi_width": (lambda: apply_Tpi(LS5, range(5), _table(LS5, cols=4), 0.5),
                   ValueError, "dimension mismatch: expected 3, got 4"),
     "contraction_n7": (lambda: expected_contraction(LS7, _table(LS7), _table(LS7), 0.5),
@@ -170,7 +170,7 @@ CHECK_CASES = {
     "contraction_nan_v": (lambda: expected_contraction(LS5, ZERO, NAN, 0.5),
                           ValueError, "vector contains NaN or infinite entries"),
     "contraction_rows": (lambda: expected_contraction(LS5, _table(LS5, rows=6), ZERO, 0.5),
-                         ValueError, "not a permutation of range(6): [0 1 2 3 4]"),
+                         ValueError, "table must have shape (5, 3), got (6, 3)"),
     "Tpi_rows_short": (lambda: apply_Tpi(LS5, range(3), np.ones((3, 3)), 0.5),
                        ValueError, "table must have shape (5, 3), got (3, 3)"),
     "Ti_rows_short": (lambda: apply_Ti(LS5, 0, np.ones((2, 3)), 0.5),
@@ -356,7 +356,7 @@ def test_run_constant_at_fixed_point(composite_problem):
     zstar = zstar_table(p, xstar, alpha)
     plan = SamplingPlan("cyclic", p.n, order=np.arange(p.n))
     cfg = DampedRunConfig(alpha=alpha, theta=0.7, epochs=10, plan=plan)
-    _, trace = run(p, cfg, zstar, reference=(xstar, zstar))
+    _, trace = run(p, cfg, zstar, xstar)
     for rec in trace:
         assert rec.dist_sq_to_opt <= 1e-20
         assert rec.prox_residual_sq <= 1e-18
@@ -375,8 +375,7 @@ def test_run_bound_columns_match_the_per_record_formulas_bit_for_bit(regime, the
     order = np.random.default_rng(6).permutation(p.n)
     plan = (SamplingPlan("cyclic", p.n, order=order) if regime == "cyclic"
             else SamplingPlan(regime, p.n, seed=3))
-    _, trace = run(p, DampedRunConfig(alpha=alpha, theta=theta, epochs=6, plan=plan), z0,
-                   reference=(xstar, zstar))
+    _, trace = run(p, DampedRunConfig(alpha=alpha, theta=theta, epochs=6, plan=plan), z0, xstar)
     n, L, diff = p.n, p.L, z0 - zstar
     logn, total = math.log(n) + 1.0, float(np.sum(diff * diff))
     base = (2.0 / (alpha * L)) ** 2
@@ -460,7 +459,7 @@ def test_run_flags_and_bound_columns_follow_certify(certify_grid):
             flags, convex, rate = diagnostics.certify(q.L, q.component_L, q.mu, alpha, theta)
             verdict = (flags, convex, rate is not None)
             cfg = DampedRunConfig(alpha, theta, 1, SamplingPlan("reshuffle", q.n, seed=0))
-            _, trace = run(q, cfg, np.zeros((q.n, q.d)), (xstar, zstar_table(q, xstar, alpha)))
+            _, trace = run(q, cfg, np.zeros((q.n, q.d)), xstar)
             assert {(r.flags, r.bound_convex is not None, r.bound_sc is not None)
                     for r in trace} == {verdict}
             if rate is not None:
@@ -502,9 +501,9 @@ def test_run_shape_and_plan_mismatch_errors(composite_problem):
     cfg = DampedRunConfig(alpha=0.1, theta=0.5, epochs=1, plan=plan)
     with pytest.raises(ValueError):
         run(p, cfg, np.zeros((p.n + 1, p.d)))
-    # a z* of another shape is named, not left to drop the bound columns
-    with pytest.raises(ValueError, match=r"zstar must have shape \(8, 5\), got \(7, 5\)"):
-        run(p, cfg, np.zeros((p.n, p.d)), (np.zeros(p.d), np.zeros((p.n - 1, p.d))))
+    # an x* of another length is refused naming the dimension, not left to numpy's broadcast
+    with pytest.raises(ValueError, match=r"dimension mismatch: expected 5, got 4"):
+        run(p, cfg, np.zeros((p.n, p.d)), np.zeros(p.d - 1))
 
 
 def test_config_validation():

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, every
-module-level private name is read by some library module, and a fresh
+module-level private name is read by some library module, the modules import
+one another without a cycle (``oracle`` imports only ``model``), and a fresh
 ``import dfinito.cli`` loads nothing beyond the standard library but numpy.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
@@ -79,6 +80,48 @@ def test_every_private_name_is_read():
         with open(path, encoding="utf-8") as fh:
             texts.append(fh.read())
     assert unread_private_names(texts) == []
+
+
+def package_imports(text):
+    """The dfinito modules that ``text`` imports, relatively or by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dfinito")):
+            module = (node.module or "") if node.level else node.module[len("dfinito."):]
+            names.update([module.split(".")[0]] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("dfinito."))
+    return names
+
+
+def test_the_check_sees_every_package_import():
+    text = ("import numpy\nimport dfinito.e\nfrom . import a, b\nfrom .c import x\n"
+            "from dfinito.d import y\nfrom dfinito import f\nfrom os import path\n")
+    assert package_imports(text) == {"a", "b", "c", "d", "e", "f"}
+
+
+def _module_imports():
+    graph = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            graph[os.path.basename(path)[:-3]] = package_imports(fh.read())
+    return graph
+
+
+def test_oracle_imports_only_model():
+    # engine imports oracle for the literal step and z*, so oracle must not import engine
+    assert _module_imports()["oracle"] == {"model"}
+
+
+def test_the_package_has_no_import_cycle():
+    graph = _module_imports()
+    assert set().union(*graph.values()) <= set(graph)
+    done = set()
+    while len(done) < len(graph):  # peel off the modules whose imports are all done
+        ready = {name for name, deps in graph.items() if name not in done and deps <= done}
+        assert ready, sorted(set(graph) - done)  # what is left imports in a cycle
+        done |= ready
 
 
 def test_cli_import_loads_only_numpy_beyond_the_standard_library():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dfinito import engine, verify
+from dfinito import oracle, verify
 from dfinito.engine import apply_Tpi
 from dfinito.model import ProblemInstance, Regularizer, ordered_mean, prox, prox_map, subgradient_residual
 from dfinito.oracle import (
@@ -277,7 +277,7 @@ def test_expected_contraction_takes_one_prox_per_tree_node(monkeypatch):
     rng = np.random.default_rng(12)
     u, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     rows = []
-    prox_map = engine.prox_map
+    prox_map = oracle.prox_map
 
     def counted_map(r, alpha):
         px = prox_map(r, alpha)
@@ -287,7 +287,7 @@ def test_expected_contraction_takes_one_prox_per_tree_node(monkeypatch):
             return px(means)
         return counted
 
-    monkeypatch.setattr(engine, "prox_map", counted_map)
+    monkeypatch.setattr(oracle, "prox_map", counted_map)
     expected_contraction(p, u, v, 1.0)
     inner_nodes = sum(math.perm(5, j) for j in range(5))
     assert inner_nodes == 206  # the root and every node with a child
@@ -306,7 +306,7 @@ def _recursive_walk(p, u, v, alpha):
     def walk(tu, tv, left):
         nonlocal total, count
         if not left:
-            du = engine._finite_table(tu) - engine._finite_table(tv)
+            du = oracle._finite_table(tu) - oracle._finite_table(tv)
             total += float(np.sum(du * du))
             count += 1
             return
