@@ -133,9 +133,7 @@ def cmd_generate(args):
     summary = f"kind={p.kind} n={p.n} d={p.d} L={p.L:.6g} mu={p.mu:.6g} kappa={p.L / p.mu if p.mu > 0 else math.inf:.6g}"
     if cert is not None:
         z0 = p.metadata["z0"]
-        zstar = cert.zstar(z0)
-        profile = np.einsum("ij,ij->i", z0 - zstar, z0 - zstar)
-        summary += f" rho={rho_ratio(z0, zstar, sampling.optimal_cyclic_order(profile)):.6g}"
+        summary += f" rho={_importance(z0, cert.zstar(z0), cert.alpha_used)[2]:.6g}"
     path = os.path.join(args.out, "instance.json")
     problems.save_instance(path, p, cert)
     print(summary)
@@ -411,24 +409,30 @@ def cmd_order(args):
         raise UsageError(f"{args.instance}: metadata.z0: shape {list(np.shape(z0))} is not "
                          f"[{p.n}, {p.d}]")
     xstar = oracle.solve_reference(p, tol=1e-10)
-    zstar = oracle.zstar_table(p, xstar, alpha)
+    scores, best, rho = _importance(z0, oracle.zstar_table(p, xstar, alpha), alpha)
+    if float(np.max(scores)) <= 1e-24:
+        print("warning: start table coincides with the fixed point; all scores ~0, "
+              "falling back to the identity order")
+    # printed orders are 1-based for human consumption
+    print("optimal order:", " ".join(str(i + 1) for i in best))
+    print("worst order:  ", " ".join(str(i + 1) for i in best[::-1]))
+    print(f"rho={rho:.6g} 1/n={1.0 / p.n:.6g}")
+    return 0
+
+
+def _importance(z0, zstar, alpha):
+    """(scores ||z0_i - z*_i||^2, the optimal cyclic order, rho) of a start table and
+    its fixed-point table at step ``alpha``; rho is NaN when every score is 0. Scores or
+    rho's sums that overflow raise ValueError naming alpha."""
     with np.errstate(over="ignore", invalid="ignore"):
         diff = z0 - zstar
         scores = np.einsum("ij,ij->i", diff, diff)
         finite = np.isfinite(scores).all() and np.isfinite(table_norm_sq(diff))  # rho's sums
     if not finite:
         raise ValueError(f"order scores (squared distances to z*) overflow at alpha={alpha!r}")
-    if float(np.max(scores)) <= 1e-24:
-        print("warning: start table coincides with the fixed point; all scores ~0, "
-              "falling back to the identity order")
     best = sampling.optimal_cyclic_order(scores)
-    worst = best[::-1]
     rho = rho_ratio(z0, zstar, best) if float(np.max(scores)) > 0 else float("nan")
-    # printed orders are 1-based for human consumption
-    print("optimal order:", " ".join(str(i + 1) for i in best))
-    print("worst order:  ", " ".join(str(i + 1) for i in worst))
-    print(f"rho={rho:.6g} 1/n={1.0 / p.n:.6g}")
-    return 0
+    return scores, best, rho
 
 
 # ------------------------------------------------------------------- main

@@ -105,7 +105,12 @@ def epoch_step(p: ProblemInstance, z, zbar, alpha: float, theta: float, order):
 
 
 def epoch_step_efficient_inplace(p, z, zbar, alpha, theta, order):
-    """Memory-lean epoch mutating (z, zbar); no second n-by-d table."""
+    """Memory-lean epoch mutating (z, zbar); no second n-by-d table.
+
+    No library code calls it: it is :func:`kernels.epoch_inplace` under its old
+    name. It stays because the benchmark names it (``perfbench/tracing.py``'s
+    ``SPANS`` wraps it and ``worker.microbench`` times it), so deleting it fails
+    every benchmark run until the benchmark reads the run manifest instead."""
     kernels.epoch_inplace(p, z, zbar, alpha, theta, order)
 
 

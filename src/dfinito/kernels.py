@@ -23,7 +23,14 @@ for the last (alpha, regularizer, ridge, order), so a run whose order repeats
 (cyclic, shuffle-once) builds it once. A permutation epoch reads each row once,
 before writing it, so this is the lean epoch in exact arithmetic; the last bits
 differ. Block products reduce over d or over at most ``BLOCK`` components,
-never over n, so no result depends on the BLAS thread count. ``BACKEND``, ``HAVE_NUMBA`` and ``backend`` remain, inert.
+never over n, so no result depends on the BLAS thread count.
+
+``BACKEND``, ``HAVE_NUMBA`` and :func:`epoch_inplace`'s ``backend`` are inert
+(numpy is the one backend), and no library code reads them. They stay because
+the benchmark does: ``perfbench/run.py``'s ``environment`` records
+``BACKEND`` and ``HAVE_NUMBA``, and ``worker.microbench`` passes
+``backend="numpy"``, so deleting any of them fails every benchmark run. They
+go once the benchmark reads its per-layer numbers from the run manifest.
 """
 from __future__ import annotations
 

@@ -6,13 +6,22 @@ identity and the order-weighted/plain norm ratio is about 1/(n(1-beta)). Each
 instance ships with a certificate that ``verify.verify_heterogeneous``
 re-checks from scratch; everything that judges an instance lives in verify.
 
+Each generator draws from its role's stream, ``sampling.stream(seed, role)``
+with role ``least_squares``, ``planted`` (and ``planted_z0`` for a start
+table it draws) or ``logistic``; ``sampling.STREAMS`` is the one seed
+contract. Its words today are ``[seed, 0]`` to ``[seed, 3]``, so a reshuffle
+or uniform run whose seed equals the generator's draws its epoch-0 to
+epoch-3 orders from these streams, and a shuffle-once order is the
+least-squares stream; the ``sampling`` docstring lists every such overlap.
+
 Both least-squares generators build their (n, k, d) stack in place. The
-stream contract: after any draws that come before the stack (the planted
-directions t), component i draws uniform(r), then a (k, r) and then a (d, r)
-standard normal block, with r = min(k, d), and component i + 1 draws next;
-then ``gen_least_squares`` draws b. ``CHUNK`` components at a time share one
-stacked QR factorisation, sign fix and product, written straight into the
-stack, and one stacked normal-equation solve for the planted residuals.
+order of draws within a stream: after any draws that come before the stack
+(the planted directions t), component i draws uniform(r), then a (k, r) and
+then a (d, r) standard normal block, with r = min(k, d), and component i + 1
+draws next; then ``gen_least_squares`` draws b. ``CHUNK`` components at a
+time share one stacked QR factorisation, sign fix and product, written
+straight into the stack, and one stacked normal-equation solve for the
+planted residuals.
 LAPACK factors each matrix of a stack on its own, so the bytes do not depend
 on ``CHUNK``; it bounds the scratch memory, which is about six arrays of
 CHUNK components' size at once (with 16, a (256, 32, 32) stack peaked at
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance, Regularizer, check_constants, check_int, check_step
+from .sampling import stream
 
 CHUNK = 8  # components per stacked LAPACK call
 
@@ -87,7 +97,7 @@ def gen_least_squares(seed, n, d, k, L, mu, regularizer=None):
     check_constants(L, mu)
     if mu > 0 and k < d:
         raise ValueError(f"k must be >= d for full-rank components at mu > 0, got k={k} and d={d}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    rng = stream(seed, "least_squares")
     A = _component_matrices(rng, n, k, d, L, mu)
     b = rng.standard_normal((n, k))
     return ProblemInstance(
@@ -131,8 +141,8 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0=None):
 
     Returns (instance, certificate). The instance has minimizer x* = v and
     fixed-point table z_i* = z_i^0 - q^{i-1} t_i with q = sqrt(beta). A z0 of
-    None is drawn, after every check, from ``SeedSequence([seed, 3])`` and kept
-    as ``metadata["z0"]``.
+    None is drawn, after every check, from the ``planted_z0`` stream and kept as
+    ``metadata["z0"]``.
     """
     check_int("seed", seed, 0)
     check_sizes(n=n, d=d, k=k)
@@ -146,12 +156,12 @@ def gen_heterogeneous(seed, n, d, k, mu, L, alpha, beta, z0=None):
     check_step(alpha)
     metadata = {"seed": int(seed), "k": int(k), "beta": float(beta), "planted": True}
     if z0 is None:
-        z0 = np.random.default_rng(np.random.SeedSequence([int(seed), 3])).standard_normal((n, d))
+        z0 = stream(seed, "planted_z0").standard_normal((n, d))
         metadata["z0"] = z0
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (n, d):
         raise ValueError(f"z0 must have shape ({n}, {d})")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    rng = stream(seed, "planted")
     q = math.sqrt(beta)
     t = rng.standard_normal((n, d))
     t *= math.sqrt(n) / np.linalg.norm(t, axis=1, keepdims=True)
@@ -218,7 +228,7 @@ def make_synthetic_logistic(seed, n, d, kappa=None, lam=None):
         raise ValueError(f"give lam or kappa, not both, got lam={lam!r} and kappa={kappa!r}")
     if lam is None and not (kappa is not None and kappa > 1):
         raise ValueError("need lam, or a condition number kappa > 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
+    rng = stream(seed, "logistic")
     W = rng.standard_normal((n, d))
     xtrue = rng.standard_normal(d)
     y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-(W @ xtrue))), 1.0, -1.0)

@@ -1,8 +1,20 @@
-"""Index-order generation for every sampling regime.
+"""Index-order generation for every sampling regime, and the one seed contract.
 
-The PRNG contract is NumPy's default 64-bit PCG64 generator seeded through
-``SeedSequence([seed, epoch])``, which is stable across platforms; per-epoch
-streams are therefore reproducible from (seed, epoch) alone.
+:func:`stream` is the only place in the package that turns a seed into a
+random stream: NumPy's 64-bit PCG64 generator seeded through a
+``SeedSequence`` whose words ``STREAMS`` gives for each role, which is
+stable across platforms. A caller names its role, never the words, so each
+stream is reproducible from (seed, role, key) alone, and changing which
+streams a run draws from is a change to ``STREAMS`` alone.
+
+Today's words make several roles share one stream for equal seeds.
+``SeedSequence([s])`` and ``[s, 0]`` pool the same, so the ``shuffle_once``
+order and a ``verify`` draw at offset 0 are the least-squares generator's
+stream, and ``verify``'s offset j for seed s is the least-squares stream of
+seed s + j. An ``order`` at epoch 0, 1, 2 or 3 is the least-squares,
+planted, logistic or planted-z0 stream of the same seed. Separating them
+changes every seeded trace and digest once, and is left to a change that
+re-records them.
 """
 from __future__ import annotations
 
@@ -15,6 +27,25 @@ from .model import check_int, validate_permutation
 REGIMES = ("cyclic", "reshuffle", "shuffle_once", "uniform", "adaptive")
 # the regimes whose orders read the plan's seed; cyclic and adaptive orders do not
 SEEDED = ("reshuffle", "shuffle_once", "uniform")
+
+
+# role -> the SeedSequence words of its stream, from the seed and the role's key
+STREAMS = {
+    "order": lambda seed, epoch: [seed, epoch],  # reshuffle and uniform, one stream per epoch
+    "shuffle_once": lambda seed: [seed],
+    "least_squares": lambda seed: [seed, 0],
+    "planted": lambda seed: [seed, 1],
+    "logistic": lambda seed: [seed, 2],
+    "planted_z0": lambda seed: [seed, 3],
+    "verify": lambda seed, offset: [seed + offset],  # the verify suites' draws
+}
+
+
+def stream(seed, role, *key) -> np.random.Generator:
+    """The generator of ``role``'s stream for ``seed``, keyed as ``STREAMS`` gives
+    (an epoch for ``order``, an offset for ``verify``, nothing for the rest)."""
+    words = STREAMS[role](int(seed), *(int(k) for k in key))
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 @dataclass(frozen=True)
@@ -46,11 +77,6 @@ class SamplingPlan:
             raise ValueError(f"{self.regime} sampling needs a seed")
 
 
-def _rng(seed, epoch=None):
-    entropy = [int(seed)] if epoch is None else [int(seed), int(epoch)]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 def epoch_order(plan: SamplingPlan, epoch: int, importance=None) -> np.ndarray:
     """Index sequence for one epoch.
 
@@ -62,11 +88,11 @@ def epoch_order(plan: SamplingPlan, epoch: int, importance=None) -> np.ndarray:
     if plan.regime == "cyclic":
         return plan.order.copy()
     if plan.regime == "shuffle_once":
-        return _rng(plan.seed).permutation(plan.n)
+        return stream(plan.seed, "shuffle_once").permutation(plan.n)
     if plan.regime == "reshuffle":
-        return _rng(plan.seed, epoch).permutation(plan.n)
+        return stream(plan.seed, "order", epoch).permutation(plan.n)
     if plan.regime == "uniform":
-        return _rng(plan.seed, epoch).integers(0, plan.n, size=plan.n)
+        return stream(plan.seed, "order", epoch).integers(0, plan.n, size=plan.n)
     # adaptive: most important samples first
     if importance is None:
         raise ValueError("adaptive sampling needs an importance vector")

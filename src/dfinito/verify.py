@@ -195,7 +195,7 @@ def literal_lean_deviation(p, z0, alpha, theta, orders):
 
 
 def suite_operators(seed=0):
-    rng = np.random.default_rng(seed)
+    rng = sampling.stream(seed, "verify", 0)
 
     # fixed point of every block operator at the reference table
     p = problems.gen_least_squares(seed, n=6, d=4, k=6, L=2.0, mu=0.5,
@@ -232,7 +232,7 @@ def suite_bounds(seed=0):
     p = problems.gen_least_squares(seed, n=20, d=10, k=10, L=4.0, mu=0.0)
     alpha, theta, epochs = diagnostics.certified_step(p.L), 0.5, 60
     xstar = oracle.solve_reference(p, tol=1e-10)
-    z0 = np.random.default_rng(seed).standard_normal((p.n, p.d))
+    z0 = sampling.stream(seed, "verify", 0).standard_normal((p.n, p.d))
     worst = envelope_ratio(p, [cyclic_plan(p)], alpha, theta, epochs, z0, xstar, CONVEX)
     results.append(check_leq("convex_envelope_cyclic", worst, 1.0))
 
@@ -245,13 +245,13 @@ def suite_bounds(seed=0):
     psc = problems.gen_least_squares(seed + 1, n=20, d=10, k=10, L=5.0, mu=0.2)
     a = diagnostics.certified_step(psc.L, psc.mu)
     xs = oracle.solve_reference(psc, tol=1e-12)
-    z0 = np.random.default_rng(seed + 1).standard_normal((psc.n, psc.d))
+    z0 = sampling.stream(seed, "verify", 1).standard_normal((psc.n, psc.d))
     worst = envelope_ratio(psc, [cyclic_plan(psc)], a, 0.9, 100, z0, xs, STRONGLY_CONVEX)
     results.append(check_leq("strongly_convex_envelope_cyclic", worst, 1.0))
 
     # epoch displacement: non-increasing and sublinearly bounded
     order = np.arange(p.n)
-    z0c = np.random.default_rng(seed + 2).standard_normal((p.n, p.d))
+    z0c = sampling.stream(seed, "verify", 2).standard_normal((p.n, p.d))
     cfg = engine.DampedRunConfig(alpha=alpha, theta=theta, epochs=epochs, plan=cyclic_plan(p))
     _, tr = engine.run(p, cfg, z0c)
     init = diagnostics.pi_norm_sq(z0c - oracle.zstar_table(p, xstar, alpha), order)
@@ -268,12 +268,12 @@ def suite_bounds(seed=0):
 
 
 def suite_ordering(seed=0):
-    rng = np.random.default_rng(seed)
+    rng = sampling.stream(seed, "verify", 0)
     scores = [rng.random(n) * 10.0 for n in range(2, 8) for _ in range(20)]
     results = [check_leq("optimal_order_matches_brute_force", order_rule_deviation(scores), 1e-12)]
 
     n, d, beta, alpha = 100, 10, 0.1, diagnostics.certified_step(10.0, 0.1)
-    z0 = np.random.default_rng(seed + 3).standard_normal((n, d))
+    z0 = sampling.stream(seed, "verify", 3).standard_normal((n, d))
     p, cert = problems.gen_heterogeneous(seed, n, d, k=d, mu=0.1, L=10.0,
                                          alpha=alpha, beta=beta, z0=z0)
     results.extend(verify_heterogeneous(p, cert, z0, alpha))
@@ -288,7 +288,7 @@ def suite_equivalence(seed=0):
     p = problems.gen_least_squares(seed, n=12, d=6, k=8, L=3.0, mu=0.0,
                                    regularizer=Regularizer.l1(0.02))
     alpha, theta = 1.0 / p.L, 0.6
-    rng = np.random.default_rng(seed)
+    rng = sampling.stream(seed, "verify", 0)
     z0 = rng.standard_normal((p.n, p.d))
     orders = [rng.permutation(p.n) for _ in range(30)]
     worst = literal_lean_deviation(p, z0, alpha, theta, orders)

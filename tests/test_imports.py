@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 module-level private name is read by some library module, the modules import
-one another without a cycle (``oracle`` imports only ``model``), and a fresh
-``import dfinito.cli`` loads nothing beyond the standard library but numpy.
+one another without a cycle (``oracle`` imports only ``model``), only
+``sampling`` builds a seeded stream, and a fresh ``import dfinito.cli`` loads
+nothing beyond the standard library but numpy.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 public names.
@@ -122,6 +123,47 @@ def test_the_package_has_no_import_cycle():
         ready = {name for name, deps in graph.items() if name not in done and deps <= done}
         assert ready, sorted(set(graph) - done)  # what is left imports in a cycle
         done |= ready
+
+
+RANDOM_NAMES = {"default_rng", "SeedSequence", "Generator", "PCG64"}
+
+
+def random_references(text):
+    """The places in ``text`` that import ``numpy.random``, read ``np.random`` or
+    name one of ``RANDOM_NAMES``, each as written."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in RANDOM_NAMES or (
+                node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+        else:
+            hit = isinstance(node, ast.Name) and node.id in RANDOM_NAMES
+        if hit:
+            found.add(ast.unparse(node))
+    return sorted(found)
+
+
+def test_the_check_sees_a_random_stream():
+    text = ("import numpy as np\nimport numpy.random\nfrom numpy.random import PCG64\n"
+            "from numpy import random\nrng = np.random.default_rng(0)\nx = rng.random(3)\n"
+            "s = SeedSequence([1])\ng: mod.Generator = rng\n")
+    assert random_references(text) == [
+        "SeedSequence", "from numpy import random", "from numpy.random import PCG64",
+        "import numpy.random", "mod.Generator", "np.random", "np.random.default_rng"]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if os.path.basename(path) != "sampling.py"],
+                         ids=os.path.basename)
+def test_only_sampling_builds_a_seeded_stream(path):
+    # every seeded draw goes through sampling.stream, whose table is the one seed contract
+    with open(path, encoding="utf-8") as fh:
+        assert random_references(fh.read()) == []
 
 
 def test_cli_import_loads_only_numpy_beyond_the_standard_library():

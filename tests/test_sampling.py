@@ -4,11 +4,29 @@ import numpy as np
 import pytest
 
 from dfinito.sampling import (
+    STREAMS,
     SamplingPlan,
     epoch_order,
     optimal_cyclic_order,
+    stream,
     update_importance,
 )
+
+# (role, key, the SeedSequence words of seed s) for every role, written out as today's
+# contract; a change that gives each role a stream of its own rewrites this list
+TODAYS_WORDS = [
+    ("order", (0,), lambda s: [s, 0]),
+    ("order", (7,), lambda s: [s, 7]),
+    ("shuffle_once", (), lambda s: [s]),
+    ("least_squares", (), lambda s: [s, 0]),
+    ("planted", (), lambda s: [s, 1]),
+    ("logistic", (), lambda s: [s, 2]),
+    ("planted_z0", (), lambda s: [s, 3]),
+    ("verify", (0,), lambda s: [s]),
+    ("verify", (3,), lambda s: [s + 3]),
+]
+GENERATOR_ROLES = ("least_squares", "planted", "logistic", "planted_z0")
+SEEDS = [0, 5, 2**40]
 
 
 def test_plan_validation():
@@ -131,3 +149,35 @@ def test_epoch_rejects_negative_epoch():
     plan = SamplingPlan("reshuffle", 3, seed=0)
     with pytest.raises(ValueError):
         epoch_order(plan, -1)
+
+
+def first_draws(rng):
+    return rng.bit_generator.random_raw(4)
+
+
+def test_the_words_cover_every_role():
+    assert {role for role, _, _ in TODAYS_WORDS} == set(STREAMS)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("role, key, words", TODAYS_WORDS,
+                         ids=[f"{role}{list(key)}" for role, key, _ in TODAYS_WORDS])
+def test_each_role_draws_from_todays_words(seed, role, key, words):
+    want = np.random.default_rng(np.random.SeedSequence(words(seed)))
+    assert np.array_equal(first_draws(stream(seed, role, *key)), first_draws(want))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_todays_streams_coincide_across_roles(seed):
+    # the overlaps of today's words, in one place: separating the roles turns each of
+    # these equalities into an inequality
+    least_squares = first_draws(stream(seed, "least_squares"))
+    for epoch, role in enumerate(GENERATOR_ROLES):
+        assert np.array_equal(first_draws(stream(seed, "order", epoch)), first_draws(stream(seed, role)))
+    assert np.array_equal(first_draws(stream(seed, "shuffle_once")), least_squares)
+    assert np.array_equal(first_draws(stream(seed, "verify", 0)), least_squares)
+    assert np.array_equal(first_draws(stream(seed, "verify", 1)),
+                          first_draws(stream(seed + 1, "least_squares")))
+    # from epoch 4 on, the orders draw from streams no generator uses
+    epoch4 = first_draws(stream(seed, "order", 4))
+    assert not any(np.array_equal(epoch4, first_draws(stream(seed, role))) for role in GENERATOR_ROLES)
